@@ -287,11 +287,15 @@ def _network(args: dict) -> MeraNetwork:
     return MeraNetwork.build(args["leaf_dim"], args["epsilon"])
 
 
-def _leaf_interval(network: MeraNetwork, ij: tuple[int, int]) -> Interval:
-    n = network.n_leaves
-    return Interval(
-        level=network.levels, stage=Stage.AFTER_W, i=ij[0] % n, j=ij[1] % n, n_sites=n
-    )
+def _ring_interval(level: int, stage: Stage, ij: tuple[int, int]) -> Interval:
+    """The nonempty interval ``i:j`` (inclusive, modular) on one ring."""
+    interval = Interval.span(level, stage, *ij)
+    if interval.is_empty:
+        raise UsageError(
+            f"--interval {ij[0]}:{ij[1]} is the empty interval on the level {level} "
+            f"ring of {interval.n_sites} sites (i = j+1 mod {interval.n_sites})"
+        )
+    return interval
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def _cmd_schedule(args: dict) -> int:
 
 def _cmd_entropy(args: dict) -> int:
     network = _network(args)
-    interval = _leaf_interval(network, args["interval"])
+    interval = _ring_interval(network.levels, Stage.AFTER_W, args["interval"])
     cap = simulator.max_amplitudes_from_env()
     stats = simulator.mc_entropy_stats(network, interval, args["trials"], args["seed"], cap)
     bounds = cutbounds.cut_dp(network, interval)
@@ -379,11 +383,8 @@ def _cmd_cuts(args: dict) -> int:
     level = args["level"] if args["level"] is not None else network.levels
     if not 1 <= level <= network.levels:
         raise UsageError(f"level {level} not in [1, {network.levels}]")
-    n = network.n_sites(level)
     stage = Stage(args["stage"])
-    interval = Interval(
-        level=level, stage=stage, i=args["interval"][0] % n, j=args["interval"][1] % n, n_sites=n
-    )
+    interval = _ring_interval(level, stage, args["interval"])
     bounds = cutbounds.cut_dp(network, interval)
     f = _unit_factor(args["units"])
     if args["emit_argmin"]:

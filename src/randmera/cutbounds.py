@@ -160,10 +160,14 @@ class ScalingRow:
 
 
 class CutEngine:
-    """Memoized dynamic program over one network's reduction states."""
+    """Memoized dynamic program over one network's reduction states.
+
+    The engine keeps the level count and log dimensions, not the network,
+    so that `engine_for` can drop it together with its network.
+    """
 
     def __init__(self, network: MeraNetwork):
-        self.network = network
+        self._levels = network.levels
         sched = network.schedule
         self._log_d = tuple(math.log(d) for d in sched.dims)
         self._log_dv = tuple(math.log(d) for d in sched.dims_v)
@@ -174,9 +178,9 @@ class CutEngine:
     # -- state space ------------------------------------------------------
 
     def state_of(self, interval: Interval) -> _State:
-        if interval.level > self.network.levels:
+        if interval.level > self._levels:
             raise UsageError(
-                f"interval level {interval.level} exceeds network depth {self.network.levels}"
+                f"interval level {interval.level} exceeds network depth {self._levels}"
             )
         length = interval.length
         return (interval.level, interval.stage, 0 if length == 0 else interval.i, length)

@@ -7,10 +7,13 @@ by level, snapshotting the state after each stage; the wrap-around pair is
 handled by axis permutation.  Feasibility is checked against an amplitude
 budget before any allocation.
 
-Entropies are in nats.  Spectra of reduced states are taken from the
-singular values of the reshaped amplitude tensor (never by diagonalizing the
-density matrix unless one is explicitly requested), with eigenvalues clamped
-at 1e-12 before logs.
+Entropies are in nats.  The spectrum of a reduced state is taken from the
+Gram matrix ``A A^dagger`` of the smaller side of the cut, where ``A`` is the
+amplitude tensor split into that side against the rest: the Gram matrix has
+the nonzero eigenvalues of both reduced states, and it is filled tile by tile
+from a strided view of the snapshot, so no full-size copy of the state is
+made.  Its Hermitian eigenvalues are clipped at zero, and eigenvalues at or
+below 1e-12 are dropped before logs.  Snapshots are read-only.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ DEFAULT_MAX_AMPLITUDES = 1 << 26
 MAX_AMPLITUDES_ENV = "RANDMERA_MAX_AMPLITUDES"
 
 _EIG_CLAMP = 1e-12
+# largest buffer, in amplitudes, that a reduced spectrum reads the state through
+_TILE_AMPLITUDES = 1 << 18
 
 
 def max_amplitudes_from_env(default: int = DEFAULT_MAX_AMPLITUDES) -> int:
@@ -125,6 +130,17 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
+def _frozen(psi: np.ndarray) -> np.ndarray:
+    """Flat read-only snapshot of ``psi``, copied only if ``psi`` is not contiguous.
+
+    The working tensor is never written in place, so a snapshot may share
+    its memory.
+    """
+    flat = np.ascontiguousarray(psi).reshape(-1)
+    flat.flags.writeable = False
+    return flat
+
+
 def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -> StateTrajectory:
     """Sample every isometry of the network and contract the full state.
 
@@ -153,7 +169,7 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
     sched = network.schedule
     psi = np.ones((1,), dtype=np.complex128)  # level 0: one site of dimension 1
     snaps: dict[tuple[int, Stage], DenseState] = {
-        (0, Stage.AFTER_W): DenseState(0, Stage.AFTER_W, (1,), psi.copy())
+        (0, Stage.AFTER_W): DenseState(0, Stage.AFTER_W, (1,), _frozen(psi))
     }
     for k in range(1, sched.levels + 1):
         dv, dk = sched.dims_v[k], sched.dims[k]
@@ -164,9 +180,7 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
             iso = sample_isometry(psi.shape[s], dv * dv, (*base, k, 0, s)).matrix
             psi = np.moveaxis(np.tensordot(iso, psi, axes=(1, s)), 0, s)
         psi = psi.reshape((dv,) * n)
-        snaps[(k, Stage.AFTER_V)] = DenseState(
-            k, Stage.AFTER_V, (dv,) * n, psi.reshape(-1).copy()
-        )
+        snaps[(k, Stage.AFTER_V)] = DenseState(k, Stage.AFTER_V, (dv,) * n, _frozen(psi))
         # rotation: staggered pairs, the last one wrapping around the ring
         for slot, (p, q) in enumerate(network.w_pairs(k)):
             iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, slot)).matrix
@@ -174,9 +188,7 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
             rest = t.shape[2:]
             t = iso @ t.reshape(dv * dv, -1)
             psi = np.moveaxis(t.reshape((dk, dk) + rest), (0, 1), (p, q))
-        snaps[(k, Stage.AFTER_W)] = DenseState(
-            k, Stage.AFTER_W, (dk,) * n, psi.reshape(-1).copy()
-        )
+        snaps[(k, Stage.AFTER_W)] = DenseState(k, Stage.AFTER_W, (dk,) * n, _frozen(psi))
     return StateTrajectory(network=network, snapshots=snaps)
 
 
@@ -199,28 +211,79 @@ def _sites_of(region) -> list[int]:
     return list(region)
 
 
-def _split_amplitudes(state: DenseState, sites: list[int]) -> np.ndarray:
-    """Reshape amplitudes to (dim(sites), dim(rest)) with ``sites`` leading."""
+def _cut(state: DenseState, region) -> tuple[list[int], list[int]]:
+    """The sites of ``region``, in its order, and the rest of the ring, ascending."""
+    sites = _sites_of(region)
     if len(set(sites)) != len(sites):
         raise UsageError(f"repeated sites in {sites}")
     if any(not 0 <= s < state.n_sites for s in sites):
         raise UsageError(f"sites {sites} outside ring of {state.n_sites}")
-    t = state.as_tensor()
-    if sites:
-        t = np.moveaxis(t, sites, range(len(sites)))
-    d_in = int(np.prod([state.site_dims[s] for s in sites], dtype=object)) if sites else 1
-    return t.reshape(d_in, -1)
+    taken = set(sites)
+    return sites, [s for s in range(state.n_sites) if s not in taken]
+
+
+def _boxes(shape: tuple[int, ...], cap: int):
+    """Index tuples that cut an array of ``shape`` into boxes of at most ``cap`` elements.
+
+    Each tuple fixes some leading axes, slices the next one and leaves the
+    trailing axes whole.
+    """
+    inner, q = 1, len(shape)
+    while q and inner * shape[q - 1] <= cap:
+        q -= 1
+        inner *= shape[q]
+    if q == 0:
+        yield ()
+        return
+    step = cap // inner
+    for head in np.ndindex(*shape[: q - 1]):
+        for lo in range(0, shape[q - 1], step):
+            yield head + (slice(lo, lo + step),)
+
+
+def _gram(state: DenseState, rows: list[int], cols: list[int], full: bool) -> np.ndarray:
+    """``A A^dagger`` for ``A`` the amplitudes split into ``rows`` against ``cols``.
+
+    Column panels of ``A`` are copied from a strided view of the snapshot
+    into one reused buffer, and each block of the result is accumulated
+    from one reused tile.  A buffer holds at most ``_TILE_AMPLITUDES``
+    amplitudes and at most a sixteenth of the state (or one column of ``A``
+    if that is more); all are freed on return.  Only the lower triangle is
+    filled unless ``full``.
+    """
+    t = state.as_tensor().transpose(rows + cols)
+    d = math.prod(t.shape[: len(rows)])
+    cap = max(d, min(_TILE_AMPLITUDES, t.size >> 4))
+    rb = min(d, math.isqrt(cap))
+    blocks = [(lo, min(lo + rb, d)) for lo in range(0, d, rb)]
+    pairs = [(bi, bj) for bi in blocks for bj in blocks if full or bj[0] <= bi[0]]
+    g = np.zeros((d, d), dtype=np.complex128)
+    panel = np.empty(min(cap, t.size), dtype=np.complex128)
+    conj = np.empty_like(panel)
+    tile = np.empty(rb * rb, dtype=np.complex128)
+    lead = (slice(None),) * len(rows)
+    for idx in _boxes(t.shape[len(rows) :], cap // d):
+        src = t[lead + idx]
+        p = panel[: src.size].reshape(src.shape)
+        np.copyto(p, src)
+        p = p.reshape(d, -1)
+        c = np.conjugate(p, out=conj[: src.size].reshape(p.shape))
+        for (i0, i1), (j0, j1) in pairs:
+            out = tile[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+            g[i0:i1, j0:j1] += np.matmul(p[i0:i1], c[j0:j1].T, out=out)
+    return g
 
 
 def reduced_density(state: DenseState, region) -> DensityMatrix:
     """Reduced density matrix of an interval or explicit site list.
 
     The site order of ``region`` fixes the tensor factor order of the
-    result.  The empty region gives the 1x1 matrix [[1.0]].
+    result.  The empty region gives the 1x1 matrix [[1.0]].  The matrix is
+    the Gram matrix of the amplitudes split into ``region`` against the
+    rest, built tile by tile without a full-size copy of the state.
     """
-    sites = _sites_of(region)
-    a = _split_amplitudes(state, sites)
-    rho = a @ a.conj().T
+    sites, rest = _cut(state, region)
+    rho = _gram(state, sites, rest, full=True)
     dims = tuple(state.site_dims[s] for s in sites) if sites else (1,)
     return DensityMatrix(dims=dims, matrix=rho)
 
@@ -228,13 +291,18 @@ def reduced_density(state: DenseState, region) -> DensityMatrix:
 def interval_spectrum(state: DenseState, region) -> np.ndarray:
     """Eigenvalues of the reduced state of ``region``, descending.
 
-    Computed as squared singular values of the split amplitude tensor, which
-    also makes the complement's spectrum manifestly identical.
+    Computed by ``eigvalsh`` from the Gram matrix of whichever side of the
+    cut, ``region`` or its complement, has the smaller dimension (``region``
+    on a tie): both sides share their nonzero spectrum.  There are
+    ``min(dim region, dim rest)`` values, clipped at zero.
     """
-    a = _split_amplitudes(state, _sites_of(region))
-    s = np.linalg.svd(a, compute_uv=False)
-    p = np.clip(s * s, 0.0, None)
-    return np.sort(p)[::-1]
+    sites, rest = _cut(state, region)
+    if math.prod(state.site_dims[s] for s in sites) > math.prod(
+        state.site_dims[s] for s in rest
+    ):
+        sites, rest = rest, sites
+    p = np.linalg.eigvalsh(_gram(state, sites, rest, full=False), UPLO="L")
+    return np.clip(p, 0.0, None)[::-1]
 
 
 def _probs_of(rho) -> np.ndarray:

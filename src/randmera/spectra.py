@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .haar import McEstimate, moment_constants, sample_isometry, splittable_rng
+from .haar import McEstimate, moment_constants, sample_isometry, sample_isometry_batch
 
 __all__ = [
     "CollapseRow",
@@ -130,21 +130,25 @@ def frobenius_exact(d_A: int, d_B: int, d_E: int) -> float:
     return (d_B / d_A) * (mc.c * t_direct + mc.c_prime * t_swapped)
 
 
+def _frobenius_mass(w: np.ndarray, d_A: int, d_B: int, d_E: int) -> np.ndarray:
+    """Squared Frobenius mass of the scaled channel of each isometry in ``w``.
+
+    With ``P[(b, a), e] = W[b, e, a]`` the matricized map is
+    ``sqrt(d_B/d_A) P P^dagger`` up to a reordering of entries, so its mass
+    is ``(d_B/d_A) ||P^dagger P||_F^2``, read off a ``d_E x d_E`` Gram
+    matrix instead of the ``d_B^2 x d_A^2`` map.  ``w`` has shape
+    ``(..., d_B * d_E, d_A)``.
+    """
+    lead = w.shape[:-2]
+    p = np.swapaxes(w.reshape(lead + (d_B, d_E, d_A)), -1, -2).reshape(lead + (d_B * d_A, d_E))
+    g = np.swapaxes(p, -1, -2).conj() @ p
+    return (d_B / d_A) * np.sum(np.abs(g) ** 2, axis=(-2, -1))
+
+
 def frobenius_check(spec: SuperOperatorSpec, trials: int, seed) -> McEstimate:
     """Monte Carlo mean of the squared Frobenius mass over fresh draws."""
-    if trials < 1:
-        raise UsageError("trials must be positive")
-    rng = splittable_rng(seed)
-    masses = np.empty(trials)
-    for t in range(trials):
-        z = rng.normal(size=(spec.d_B * spec.d_E, spec.d_A)) + 1j * rng.normal(
-            size=(spec.d_B * spec.d_E, spec.d_A)
-        )
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        w = q * (diag / np.abs(diag))[None, :]
-        m = _superop_from_matrix(w, spec.d_A, spec.d_B, spec.d_E)
-        masses[t] = float(np.sum(np.abs(m) ** 2))
+    w = sample_isometry_batch(spec.d_A, spec.d_B * spec.d_E, trials, seed)
+    masses = _frobenius_mass(w, spec.d_A, spec.d_B, spec.d_E)
     stderr = float(masses.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return McEstimate(value=float(masses.mean()), stderr=stderr, trials=trials)
 

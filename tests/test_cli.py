@@ -115,6 +115,21 @@ def test_cuts_match_the_library_and_emit_a_replayable_sequence(tmp_path):
     assert doc["steps"][0]["kind"] in ("W", "V")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--epsilon", L3_EPS, "--interval", "3:2", "--trials", "2"],
+        ["cuts", "--epsilon", L3_EPS, "--interval", "0:-1", "--level", "2"],
+    ],
+)
+def test_an_empty_interval_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "empty interval" in err and argv[argv.index("--interval") + 1] in err
+    assert not out.exists()
+
+
 def test_cuts_level_out_of_range_is_a_usage_error(capsys):
     assert main(["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--level", "9"]) == 2
     assert "error:" in capsys.readouterr().err

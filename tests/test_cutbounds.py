@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -305,3 +307,13 @@ def test_deep_reductions_use_at_least_logarithmic_height(net_big):
 
 def test_one_engine_per_network(net_l3):
     assert engine_for(net_l3) is engine_for(net_l3)
+
+
+def test_an_engine_is_freed_with_its_network():
+    net = MeraNetwork.build(2, 0.35)
+    cut_dp(net, Interval.of_length(net.levels, Stage.AFTER_W, 1, 3))
+    engine = weakref.ref(engine_for(net))
+    assert engine() is not None
+    del net
+    gc.collect()
+    assert engine() is None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from randmera import (
     FeasibilityError,
     Interval,
+    MeraNetwork,
     Stage,
     UsageError,
     build_state,
@@ -22,6 +24,7 @@ from randmera import (
     memory_estimate,
     mutual_information,
     reduced_density,
+    sample_isometry,
 )
 from randmera.simulator import DenseState, DensityMatrix, max_amplitudes_from_env
 
@@ -133,6 +136,106 @@ def test_empty_and_whole_regions_are_trivial(traj_l3, net_l3):
     whole = interval_spectrum(traj_l3.leaf, Interval.whole_ring(3, Stage.AFTER_W))
     assert whole[0] == pytest.approx(1.0, abs=1e-10)
     assert entropy_vn(whole) == pytest.approx(0.0, abs=1e-10)
+
+
+def _svd_spectrum(state, sites):
+    """Squared singular values of the split amplitudes: the oracle for the Gram route."""
+    t = state.as_tensor()
+    if sites:
+        t = np.moveaxis(t, sites, range(len(sites)))
+    a = t.reshape(math.prod(state.site_dims[s] for s in sites), -1)
+    # same values either way; LAPACK is far slower on the wide orientation
+    s = np.linalg.svd(a if a.shape[0] >= a.shape[1] else a.T, compute_uv=False)
+    return np.sort(s * s)[::-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gram_spectra_match_the_svd_on_every_interval(net_l4, seed):
+    leaf = build_state(net_l4, seed=(40, seed)).leaf
+    n = leaf.n_sites
+    regions = [Interval.empty(4, Stage.AFTER_W), Interval.whole_ring(4, Stage.AFTER_W)]
+    regions += [Interval.of_length(4, Stage.AFTER_W, i, m) for i in range(n) for m in range(1, n)]
+    for iv in regions:
+        gram = interval_spectrum(leaf, iv)
+        svd = _svd_spectrum(leaf, iv.sites())
+        assert len(gram) == len(svd)
+        assert np.max(np.abs(gram - svd)) <= 1e-14
+        assert abs(entropy_vn(gram) - entropy_vn(svd)) <= 1e-13
+
+
+def test_tiles_of_uneven_size_give_the_dense_results():
+    # mixed site dimensions make row blocks and column boxes of uneven size
+    rng = np.random.default_rng(8)
+    dims = (3, 5, 2, 7, 3)
+    amps = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
+    state = DenseState(
+        level=0, stage=Stage.AFTER_W, site_dims=dims, amplitudes=amps / np.linalg.norm(amps)
+    )
+    for region in ([], [1], [3, 0], [4, 1, 2], [0, 2, 3, 4], [2, 0, 4, 1, 3]):
+        spec = interval_spectrum(state, region)
+        assert np.max(np.abs(spec - _svd_spectrum(state, region))) < 1e-14
+        a = np.moveaxis(state.as_tensor(), region, range(len(region)))
+        a = a.reshape(math.prod(dims[s] for s in region), -1)
+        rho = reduced_density(state, region).matrix
+        assert np.max(np.abs(rho - a @ a.conj().T)) < 1e-14
+
+
+def test_a_known_spectrum_across_the_clamp_is_recovered():
+    # 12 Schmidt weights from 1 down to 1e-14, none within a factor 3 of the
+    # 1e-12 clamp, on a 16 x 64 cut of five sites of dimension 4
+    lam = np.geomspace(1.0, 1e-14, 12)
+    lam /= lam.sum()
+    u = sample_isometry(16, 16, seed=(50, 0)).matrix[:, :12]
+    v = sample_isometry(12, 64, seed=(50, 1)).matrix
+    amps = (u * np.sqrt(lam)) @ v.T
+    state = DenseState(
+        level=0, stage=Stage.AFTER_W, site_dims=(4,) * 5, amplitudes=amps.reshape(-1)
+    )
+    expected = np.concatenate([lam, np.zeros(4)])
+    kept = lam[lam > 1e-12]
+    s_exact = float(-(kept * np.log(kept)).sum())
+    for region in ([0, 1], [2, 3, 4], [4, 2, 3]):
+        spec = interval_spectrum(state, region)
+        assert len(spec) == 16
+        assert np.all(np.diff(spec) <= 0.0) and np.all(spec >= 0.0)
+        assert np.max(np.abs(spec - expected)) <= 1e-15
+        assert entropy_vn(spec) == pytest.approx(s_exact, abs=1e-13)
+    assert len(kept) == 10
+
+
+def test_a_lopsided_cut_reads_the_state_without_copying_it(traj_l4):
+    leaf = traj_l4.leaf
+    interval_spectrum(leaf, [5])  # first call: numpy's one-time allocations
+    for region in ([5], [0, 1], [15, 0, 1], list(range(3, 16))):
+        tracemalloc.start()
+        try:
+            interval_spectrum(leaf, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < leaf.amplitudes.nbytes / 4
+
+
+def test_the_build_peak_is_at_most_two_final_state_sizes():
+    # leaf dimension 6 on 8 sites: the 26 MiB leaf is most of the trajectory,
+    # and each snapshot is copied from the working tensor at most once
+    net = MeraNetwork.build(6, 0.5777)
+    tracemalloc.start()
+    try:
+        traj = build_state(net, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(s.amplitudes.nbytes for s in traj.snapshots.values())
+    assert traj.leaf.amplitudes.nbytes > kept / 2
+    assert peak <= 2 * kept
+
+
+def test_snapshots_are_read_only(traj_l3):
+    for st in traj_l3.snapshots.values():
+        assert not st.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            st.amplitudes[0] = 0.0
 
 
 def test_children_of_one_parent_inherit_its_spectrum(traj_l4, net_l4):

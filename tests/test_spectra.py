@@ -18,7 +18,7 @@ from randmera import (
     second_singular_scaling,
     singular_spectrum,
 )
-from randmera.spectra import SingularSpectrum, _superop_from_matrix
+from randmera.spectra import SingularSpectrum, _frobenius_mass, _superop_from_matrix
 
 
 def _superop_by_explicit_partial_trace(w, d_A, d_B, d_E):
@@ -111,6 +111,17 @@ def test_frobenius_closed_form_values():
     assert frobenius_exact(1, 2, 2) == pytest.approx(
         2 * 2 * (2 + 2) / (2 * 2 + 1), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("dims", [(50, 10, 10), (6, 3, 4), (1, 3, 5)])
+def test_gram_frobenius_mass_equals_the_superoperator_mass(dims):
+    d_A, d_B, d_E = dims
+    w = sample_isometry(d_A, d_B * d_E, seed=(2, *dims)).matrix
+    exact = float(np.sum(np.abs(_superop_from_matrix(w, d_A, d_B, d_E)) ** 2))
+    assert float(_frobenius_mass(w, d_A, d_B, d_E)) == pytest.approx(exact, rel=1e-12)
+    batch = _frobenius_mass(np.stack([w, w]), d_A, d_B, d_E)
+    assert batch.shape == (2,)
+    assert np.allclose(batch, exact, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("dims", [(50, 10, 10), (12, 4, 5), (9, 3, 3)])
