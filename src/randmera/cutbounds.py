@@ -11,8 +11,8 @@ the empty interval is a *reduction sequence*; its accumulated price is an
 upper bound on the entanglement entropy of every sampled state, and
 aggregates over all sequences bound the averages from below.
 
-This module computes, by exact dynamic programming over the (level, stage,
-position, length) state space:
+This module computes, by one memoised recursion over the (level, stage,
+position, length) states an interval can reach, all of:
 
 * ``min_cost``     - the cheapest reduction sequence (per-sample upper bound
   on the von Neumann entropy, hence also on the order-2 entropy),
@@ -22,9 +22,11 @@ position, length) state space:
   bound on ``lse``, hence on the same average; the ``log 8`` per step pays
   for the at-most-four-way branching plus a convergent geometric slack),
 
-together with the argmin sequence itself.  Whole-ring intervals climb with
-zero price (a pure state has no entropy), and a length that ever reaches
-the ring size is clamped to whole.
+together with the argmin sequence itself.  Each state is solved once, for
+all three aggregates and its argmin choice, and the states of a network are
+shared across queries; no table of unreachable states is ever built.
+Whole-ring intervals climb with zero price (a pure state has no entropy),
+and a length that ever reaches the ring size is clamped to whole.
 
 All costs are in nats.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import product
 from weakref import WeakKeyDictionary
 
 from .errors import UsageError
@@ -159,11 +161,18 @@ class ScalingRow:
     ref_log_dim: float
 
 
-class CutEngine:
-    """Memoized dynamic program over one network's reduction states.
+_Entry = tuple[float, float, float, "ReductionStep | None", "_State | None"]
 
-    The engine keeps the level count and log dimensions, not the network,
-    so that `engine_for` can drop it together with its network.
+
+class CutEngine:
+    """One memoised recursion over the reduction states a network's queries reach.
+
+    `_solve` computes all three aggregates of a state and its argmin choice
+    in one pass over the state's branches, and stores them in the single
+    memo ``_min`` (one entry per state reached).  `argmin_sequence` replays
+    the stored choices; `bounds` reads one entry.  The engine keeps the
+    level count and log dimensions, not the network, so that `engine_for`
+    can drop it together with its network.
     """
 
     def __init__(self, network: MeraNetwork):
@@ -171,11 +180,7 @@ class CutEngine:
         sched = network.schedule
         self._log_d = tuple(math.log(d) for d in sched.dims)
         self._log_dv = tuple(math.log(d) for d in sched.dims_v)
-        self._min: dict[_State, float] = {}
-        self._lz: dict[_State, float] = {}
-        self._mod: dict[_State, float] = {}
-
-    # -- state space ------------------------------------------------------
+        self._min: dict[_State, _Entry] = {}
 
     def state_of(self, interval: Interval) -> _State:
         if interval.level > self._levels:
@@ -185,176 +190,92 @@ class CutEngine:
         length = interval.length
         return (interval.level, interval.stage, 0 if length == 0 else interval.i, length)
 
-    def _terminal_cost(self, state: _State) -> float | None:
-        level, _stage, _i, length = state
-        if length == 0:
-            return 0.0
-        if level == 0:
-            return self._log_d[0] * length
-        return None
+    def _solve(self, state: _State) -> _Entry:
+        """``(min_cost, log_z, min_mod, argmin step, argmin successor)`` of ``state``.
 
-    @staticmethod
-    def _whole_next(state: _State) -> _State | None:
-        level, stage, _i, length = state
-        if level >= 1 and length == (1 << level):
-            if stage is Stage.AFTER_W:
-                return (level, Stage.AFTER_V, 0, length)
-            return (level - 1, Stage.AFTER_W, 0, length // 2)
-        return None
-
-    @staticmethod
-    def _end_moves(site: int, want_odd: bool, penalty: float) -> list[tuple[int, float]]:
-        if site % 2 == (1 if want_odd else 0):
-            return [(0, 0.0)]
-        return [(-1, penalty), (1, penalty)]
-
-    def _branches(self, state: _State) -> Iterator[tuple[float, _State | None, ReductionStep]]:
-        """Yield (alignment cost, successor or None if emptied, step record)."""
+        ``log_z`` is the ``log`` of the sum of ``exp(-cost)`` over all
+        sequences and ``min_mod`` the minimum of ``cost - log(8) * steps``.
+        A terminal state has no step; a step that empties the interval has
+        no successor.  Among branches whose totals agree to 12 decimals the
+        smallest ``(m, n, branch index)`` is the argmin, so replays are
+        deterministic for golden tests.
+        """
+        entry = self._min.get(state)
+        if entry is not None:
+            return entry
         level, stage, i, length = state
         n = 1 << level
-        j = (i + length - 1) % n
-        if stage is Stage.AFTER_W:
-            penalty = self._log_d[level]
-            left_moves = self._end_moves(i, want_odd=True, penalty=penalty)
-            right_moves = self._end_moves(j, want_odd=False, penalty=penalty)
+        after_w = stage is Stage.AFTER_W
+        kind = "W" if after_w else "V"
+        if length == 0:
+            # -0.0 so that the empty interval's lse is +0.0
+            entry = (0.0, -0.0, 0.0, None, None)
+        elif level == 0:
+            t = self._log_d[0] * length
+            entry = (t, -t, t, None, None)
+        elif length == n:
+            # a whole ring is a pure state and climbs one layer for free
+            nxt = (level, Stage.AFTER_V, 0, n) if after_w else (level - 1, Stage.AFTER_W, 0, n // 2)
+            c, lz, mod, _, _ = self._solve(nxt)
+            entry = (c, lz, -LOG_BRANCH + mod, ReductionStep(kind, level, 0, n - 1, 0.0), nxt)
         else:
-            penalty = self._log_dv[level]
-            left_moves = self._end_moves(i, want_odd=False, penalty=penalty)
-            right_moves = self._end_moves(j, want_odd=True, penalty=penalty)
-        kind = "W" if stage is Stage.AFTER_W else "V"
-        for di, cost_l in left_moves:
-            for dj, cost_r in right_moves:
+            # after_W wants (odd, even) endpoints, after_V wants (even, odd);
+            # a misaligned endpoint moves one site either way at the penalty
+            penalty = (self._log_d if after_w else self._log_dv)[level]
+            j = (i + length - 1) % n
+            moves = ((-1, penalty), (1, penalty))
+            left = ((0, 0.0),) if i % 2 == after_w else moves
+            right = ((0, 0.0),) if j % 2 != after_w else moves
+            min_cost = min_mod = math.inf
+            terms = []
+            best = None
+            for idx, ((di, cost_l), (dj, cost_r)) in enumerate(product(left, right)):
+                cost = cost_l + cost_r
                 new_len = length - di + dj
                 m = (i + di) % n
-                nn = (j + dj) % n
-                step = ReductionStep(kind=kind, level=level, m=m, n=nn, cost=cost_l + cost_r)
                 if new_len <= 0:
-                    nxt: _State | None = None
-                elif stage is Stage.AFTER_W:
-                    nxt = (level, Stage.AFTER_V, 0 if new_len >= n else m, min(new_len, n))
+                    nxt = None
+                    c = lz = mod = 0.0
                 else:
-                    if new_len >= n:
+                    if after_w:
+                        nxt = (level, Stage.AFTER_V, 0 if new_len >= n else m, min(new_len, n))
+                    elif new_len >= n:
                         nxt = (level - 1, Stage.AFTER_W, 0, n // 2)
                     else:
                         nxt = (level - 1, Stage.AFTER_W, m // 2, new_len // 2)
-                yield step.cost, nxt, step
-
-    @staticmethod
-    def _whole_step(state: _State) -> ReductionStep:
-        level, stage, _i, _length = state
-        n = 1 << level
-        return ReductionStep(
-            kind="W" if stage is Stage.AFTER_W else "V", level=level, m=0, n=n - 1, cost=0.0
-        )
-
-    # -- aggregates -------------------------------------------------------
-
-    def min_cost(self, state: _State) -> float:
-        """Cheapest reduction sequence from ``state``, in nats."""
-        cached = self._min.get(state)
-        if cached is not None:
-            return cached
-        t = self._terminal_cost(state)
-        if t is not None:
-            val = t
-        else:
-            w = self._whole_next(state)
-            if w is not None:
-                val = self.min_cost(w)
-            else:
-                val = math.inf
-                for cost, nxt, _ in self._branches(state):
-                    total = cost + (0.0 if nxt is None else self.min_cost(nxt))
-                    if total < val:
-                        val = total
-        self._min[state] = val
-        return val
-
-    def log_z(self, state: _State) -> float:
-        """``log`` of the sum of ``exp(-cost)`` over all sequences."""
-        cached = self._lz.get(state)
-        if cached is not None:
-            return cached
-        t = self._terminal_cost(state)
-        if t is not None:
-            val = -t
-        else:
-            w = self._whole_next(state)
-            if w is not None:
-                val = self.log_z(w)
-            else:
-                terms = [
-                    -cost + (0.0 if nxt is None else self.log_z(nxt))
-                    for cost, nxt, _ in self._branches(state)
-                ]
-                top = max(terms)
-                val = top + math.log(sum(math.exp(v - top) for v in terms))
-        self._lz[state] = val
-        return val
-
-    def min_mod(self, state: _State) -> float:
-        """Minimum of ``cost - log(8) * steps`` over all sequences."""
-        cached = self._mod.get(state)
-        if cached is not None:
-            return cached
-        t = self._terminal_cost(state)
-        if t is not None:
-            val = t
-        else:
-            w = self._whole_next(state)
-            if w is not None:
-                val = -LOG_BRANCH + self.min_mod(w)
-            else:
-                val = math.inf
-                for cost, nxt, _ in self._branches(state):
-                    total = cost - LOG_BRANCH + (0.0 if nxt is None else self.min_mod(nxt))
-                    if total < val:
-                        val = total
-        self._mod[state] = val
-        return val
+                    c, lz, mod, _, _ = self._solve(nxt)
+                total = cost + c
+                min_cost = min(min_cost, total)
+                min_mod = min(min_mod, cost - LOG_BRANCH + mod)
+                terms.append(-cost + lz)
+                key = (round(total, 12), m, (j + dj) % n, idx)
+                if best is None or key < best[0]:
+                    best = (key, cost, nxt)
+            (_, m, nn, _), cost, nxt = best
+            top = max(terms)
+            log_z = top + math.log(sum(math.exp(v - top) for v in terms))
+            entry = (min_cost, log_z, min_mod, ReductionStep(kind, level, m, nn, cost), nxt)
+        self._min[state] = entry
+        return entry
 
     def argmin_sequence(self, interval: Interval) -> ReductionSequence:
-        """Reconstruct the cheapest sequence, ties broken lexicographically.
-
-        Among equal-cost branches the smallest ``(m, n, left move, right
-        move)`` wins, so the result is deterministic for golden tests.
-        """
-        state = self.state_of(interval)
-        total = self.min_cost(state)
+        """The cheapest sequence, replayed from the choices `_solve` stored."""
+        cost, _, _, step, nxt = self._solve(self.state_of(interval))
         steps: list[ReductionStep] = []
-        while True:
-            if self._terminal_cost(state) is not None:
-                break
-            w = self._whole_next(state)
-            if w is not None:
-                steps.append(self._whole_step(state))
-                state = w
-                continue
-            best: tuple | None = None
-            for idx, (cost, nxt, step) in enumerate(self._branches(state)):
-                remaining = 0.0 if nxt is None else self.min_cost(nxt)
-                keyed = (
-                    round(cost + remaining, 12),
-                    step.m,
-                    step.n,
-                    idx,  # branch enumeration order encodes the move pair
-                )
-                if best is None or keyed < best[0]:
-                    best = (keyed, nxt, step)
-            _, state_next, step = best
+        while step is not None:
             steps.append(step)
-            if state_next is None:
+            if nxt is None:
                 break
-            state = state_next
-        return ReductionSequence(start=interval, steps=tuple(steps), cost=total)
+            _, _, _, step, nxt = self._min[nxt]
+        return ReductionSequence(start=interval, steps=tuple(steps), cost=cost)
 
     def bounds(self, interval: Interval) -> CutBounds:
-        state = self.state_of(interval)
+        min_cost, log_z, min_mod, _, _ = self._solve(self.state_of(interval))
         return CutBounds(
             interval=interval,
-            min_cost=self.min_cost(state),
-            lse=-self.log_z(state),
-            lower_bound=self.min_mod(state),
+            min_cost=min_cost,
+            lse=-log_z,
+            lower_bound=min_mod,
             argmin=self.argmin_sequence(interval),
         )
 

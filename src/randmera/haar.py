@@ -39,6 +39,7 @@ __all__ = [
     "pure_state_moment_constant",
     "sample_isometry",
     "sample_isometry_batch",
+    "seed_key",
     "splittable_rng",
 ]
 
@@ -46,6 +47,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+
+def seed_key(seed) -> tuple[int, ...]:
+    """The tuple of non-negative ints that an int or tuple seed names.
+
+    Every seed of the package goes through here: a master seed ``s`` and
+    the tuple ``(s,)`` name the same key, and a slot key extends it, as in
+    ``(*seed_key(seed), t)``.  Numpy integers are accepted like ints.
+    """
+    if isinstance(seed, (int, np.integer)):
+        key = (int(seed),)
+    else:
+        key = tuple(int(s) for s in seed)
+    if any(s < 0 for s in key):
+        raise UsageError(f"seed components must be non-negative, got {key}")
+    return key
 
 
 def splittable_rng(seed) -> np.random.Generator:
@@ -61,13 +78,7 @@ def splittable_rng(seed) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (int, np.integer)):
-        key = (int(seed),)
-    else:
-        key = tuple(int(s) for s in seed)
-    if any(s < 0 for s in key):
-        raise UsageError(f"seed components must be non-negative, got {key}")
-    return np.random.default_rng(np.random.SeedSequence(key))
+    return np.random.default_rng(np.random.SeedSequence(seed_key(seed)))
 
 
 @dataclass(frozen=True)

@@ -144,13 +144,6 @@ class Interval:
     def sites(self) -> list[int]:
         return [(self.i + t) % self.n_sites for t in range(self.length)]
 
-    def shifted(self, offset: int) -> "Interval":
-        if self.whole or self.is_empty:
-            return self
-        return Interval.of_length(
-            self.level, self.stage, (self.i + offset) % self.n_sites, self.length
-        )
-
 
 class MeraNetwork:
     """A solved dimension schedule together with the ring geometry per level."""
@@ -184,30 +177,7 @@ class MeraNetwork:
             return self.schedule.dims_v[level]
         return self.schedule.dims[level]
 
-    def v_slots(self, level: int) -> list[tuple[int, tuple[int, int]]]:
-        """Splitting slots of ``level``: ``(parent_site, (child, child))``."""
-        return [(s, v_children(level, s)) for s in range(1 << (level - 1))]
-
     def w_pairs(self, level: int) -> list[tuple[int, int]]:
         """Rotated pairs of ``level`` in slot order, wrap pair last."""
         n = 1 << level
         return [((2 * j + 1) % n, (2 * j + 2) % n) for j in range(n // 2)]
-
-    def to_json_dict(self) -> dict:
-        """Serializable description: levels, dimensions, and pairings."""
-        return {
-            "leaf_dim": self.schedule.leaf_dim,
-            "epsilon": self.schedule.epsilon,
-            "levels": self.levels,
-            "dims": list(self.schedule.dims),
-            "dims_v": list(self.schedule.dims_v),
-            "rings": [
-                {
-                    "level": k,
-                    "n_sites": 1 << k,
-                    "v_slots": [[s, list(ch)] for s, ch in self.v_slots(k)],
-                    "w_pairs": [list(p) for p in self.w_pairs(k)],
-                }
-                for k in range(1, self.levels + 1)
-            ],
-        }

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, UsageError
-from .haar import sample_isometry
+from .haar import sample_isometry, seed_key
 from .network import Interval, MeraNetwork, Stage, w_partner
 from .schedule import memory_estimate
 
@@ -124,12 +124,6 @@ def _approx_int(n: int) -> str:
     return f"{s[0]}.{s[1:4]}e+{len(s) - 1}"
 
 
-def _seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
-
-
 def _frozen(psi: np.ndarray) -> np.ndarray:
     """Flat read-only snapshot of ``psi``, copied only if ``psi`` is not contiguous.
 
@@ -165,7 +159,7 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
             f"dense build needs {_approx_int(est.peak)} amplitudes at level "
             f"{est.peak_level} ({est.peak_stage}), budget is {cap}"
         )
-    base = _seed_tuple(seed)
+    base = seed_key(seed)
     sched = network.schedule
     psi = np.ones((1,), dtype=np.complex128)  # level 0: one site of dimension 1
     snaps: dict[tuple[int, Stage], DenseState] = {
@@ -403,7 +397,7 @@ def mc_entropy_sweep(
     """
     if trials < 1:
         raise UsageError("trials must be positive")
-    base = _seed_tuple(seed)
+    base = seed_key(seed)
     acc_s = {iv: np.empty(trials) for iv in intervals}
     acc_s2 = {iv: np.empty(trials) for iv in intervals}
     for t in range(trials):
@@ -413,6 +407,7 @@ def mc_entropy_sweep(
             keep = spec[spec > _EIG_CLAMP]
             acc_s[iv][t] = float(-(keep * np.log(keep)).sum())
             acc_s2[iv][t] = -math.log(float((spec * spec).sum()))
+        del traj  # free this draw before the next one is built
     return {
         iv: EntropySamples(interval=iv, samples_s=acc_s[iv], samples_s2=acc_s2[iv])
         for iv in intervals
@@ -457,7 +452,7 @@ def mc_mutual_information(
     """Monte Carlo mutual information for several pairs off shared draws."""
     if trials < 1:
         raise UsageError("trials must be positive")
-    base = _seed_tuple(seed)
+    base = seed_key(seed)
     out = [np.empty(trials) for _ in pairs]
     for t in range(trials):
         traj = build_state(network, (*base, t), max_amplitudes=max_amplitudes)
@@ -465,6 +460,7 @@ def mc_mutual_information(
             if (left.level, left.stage) != (right.level, right.stage):
                 raise UsageError("pair must live on one ring and stage")
             out[idx][t] = mutual_information(traj.state_at(left.level, left.stage), left, right)
+        del traj  # free this draw before the next one is built
     return [
         MiSamples(left=left, right=right, samples=samples)
         for (left, right), samples in zip(pairs, out)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .haar import McEstimate, moment_constants, sample_isometry, sample_isometry_batch
+from .haar import McEstimate, moment_constants, sample_isometry, sample_isometry_batch, seed_key
 
 __all__ = [
     "CollapseRow",
@@ -216,7 +216,7 @@ def second_singular_scaling(d_range: list[int], trials: int, seed) -> list[Secon
     """
     if trials < 1:
         raise UsageError("trials must be positive")
-    base = (seed,) if isinstance(seed, int) else tuple(seed)
+    base = seed_key(seed)
     rows = []
     for d in d_range:
         vals = np.empty(trials)

@@ -8,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_cut_stats
 from randmera import (
@@ -70,10 +72,129 @@ def test_dynamic_program_matches_enumeration_on_random_cases():
     assert checked == 60
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dynamic_program_matches_enumeration_on_drawn_schedules(data):
+    leaf = data.draw(st.integers(2, 6), label="leaf")
+    eps = data.draw(st.floats(0.25, math.log(leaf)), label="epsilon")
+    net = MeraNetwork.build(leaf, eps)
+    assume(net.levels <= 4)  # keeps the enumeration small
+    level = data.draw(st.integers(0, net.levels), label="level")
+    stages = [Stage.AFTER_W] if level == 0 else [Stage.AFTER_W, Stage.AFTER_V]
+    stage = data.draw(st.sampled_from(stages), label="stage")
+    n = 1 << level
+    iv = Interval.of_length(
+        level,
+        stage,
+        data.draw(st.integers(0, n - 1), label="start"),
+        data.draw(st.integers(0, n), label="length"),
+    )
+    b = cut_dp(net, iv)
+    ref_min, ref_lse, ref_lower = brute_cut_stats(net, iv)
+    assert b.min_cost == pytest.approx(ref_min, abs=1e-10)
+    assert b.lse == pytest.approx(ref_lse, abs=1e-10)
+    assert b.lower_bound == pytest.approx(ref_lower, abs=1e-10)
+    assert b.argmin.cost == b.min_cost
+    assert math.fsum(s.cost for s in b.argmin.steps) == pytest.approx(b.min_cost, abs=1e-10)
+
+
+W, V = Stage.AFTER_W, Stage.AFTER_V
+
+# float.hex of (min_cost, lse, lower_bound) and the argmin steps, written
+# "<kind><level> <m>..<n> <step cost>", on the 12-level (2, 0.05) network
+GOLDEN_L12 = [
+    (
+        (12, W, 1, 31),
+        ("0x1.3118a6e66ff8dp+4", "0x1.236c41773becfp+4", "0x1.376c1795aa0cdp+1"),
+        (
+            "W12 1..30 0x1.62e42fefa39efp-1",
+            "V12 2..29 0x1.62e42fefa39efp+0",
+            "W11 1..14 0x0.0p+0",
+            "V11 2..13 0x1.62e42fefa39efp+1",
+            "W10 1..6 0x0.0p+0",
+            "V10 2..5 0x1.485042b318c51p+2",
+            "W9 1..2 0x0.0p+0",
+            "V9 2..1 0x1.22c5577a7bf99p+3",
+        ),
+    ),
+    (
+        (12, V, 100, 777),
+        ("0x1.0e6fbfa374238p+8", "0x1.0ce7546522212p+8", "0x1.db00dc179528bp+7"),
+        (
+            "V12 100..877 0x1.62e42fefa39efp-1",
+            "W11 49..438 0x1.62e42fefa39efp+0",
+            "V11 50..437 0x1.62e42fefa39efp+1",
+            "W10 25..218 0x0.0p+0",
+            "V10 26..217 0x1.485042b318c51p+2",
+            "W9 13..108 0x0.0p+0",
+            "V9 14..109 0x1.22c5577a7bf99p+3",
+            "W8 7..54 0x0.0p+0",
+            "V8 8..53 0x1.f8c1df31e1a2fp+3",
+            "W7 5..26 0x1.df2845cee9564p+3",
+            "V7 6..25 0x1.abf513db11200p+4",
+            "W6 3..12 0x0.0p+0",
+            "V6 4..11 0x1.5f28470e4bb94p+5",
+            "W5 3..4 0x1.458ead74b21fap+6",
+            "V5 4..3 0x1.125b7a417eec7p+6",
+        ),
+    ),
+    (
+        (11, W, 2040, 16),
+        ("0x1.3c2fc865ed15dp+4", "0x1.37b6a5e34d0b3p+4", "0x1.d23db5bc84318p+2"),
+        (
+            "W11 2041..6 0x1.62e42fefa39efp+1",
+            "V11 2042..5 0x1.62e42fefa39efp+1",
+            "W10 1021..2 0x0.0p+0",
+            "V10 1022..1 0x1.485042b318c51p+2",
+            "W9 511..0 0x0.0p+0",
+            "V9 0..511 0x1.22c5577a7bf99p+3",
+        ),
+    ),
+    (
+        (9, V, 511, 3),
+        ("0x1.a75b48daf44a0p+3", "0x1.a7547065a9ae3p+3", "0x1.2245b6e116ee6p+3"),
+        (
+            "V9 0..1 0x1.22c5577a7bf99p+2",
+            "W8 1..0 0x1.15f89d1db64d3p+3",
+        ),
+    ),
+    (
+        (6, W, 5, 20),
+        ("0x1.3a258c0511dacp+8", "0x1.3a258c04c56c5p+8", "0x1.2dab8655a51a2p+8"),
+        (
+            "W6 5..24 0x0.0p+0",
+            "V6 6..23 0x1.5f28470e4bb94p+5",
+            "W5 3..10 0x1.458ead74b21fap+5",
+            "V5 4..9 0x1.125b7a417eec7p+6",
+            "W4 3..4 0x1.f183c14fcaa5bp+5",
+            "V4 4..3 0x1.8b1d5ae9643f4p+6",
+        ),
+    ),
+    (
+        (6, V, 63, 1),
+        ("0x1.5f28470e4bb94p+4", "0x1.5f28470e4bb94p+4", "0x1.3de2e28fd4626p+4"),
+        (
+            "V6 0..63 0x1.5f28470e4bb94p+4",
+        ),
+    ),
+]
+
+
+
+@pytest.mark.parametrize("query,aggregates,steps", GOLDEN_L12)
+def test_aggregates_and_argmin_are_pinned_to_the_last_bit(net_big, query, aggregates, steps):
+    b = cut_dp(net_big, Interval.of_length(*query))
+    assert (b.min_cost.hex(), b.lse.hex(), b.lower_bound.hex()) == aggregates
+    assert b.argmin.cost == b.min_cost
+    got = tuple(f"{s.kind}{s.level} {s.m}..{s.n} {s.cost.hex()}" for s in b.argmin.steps)
+    assert got == steps
+
+
 def test_empty_interval_costs_nothing(net_l4):
     b = cut_dp(net_l4, Interval.empty(4, Stage.AFTER_W))
     assert (b.min_cost, b.lse, b.lower_bound) == (0.0, 0.0, 0.0)
     assert b.height_of_argmin == 0
+    assert math.copysign(1.0, b.lse) == 1.0  # +0.0, not -0.0
 
 
 def test_whole_ring_is_pure_and_free(net_l4):

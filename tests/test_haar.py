@@ -19,6 +19,7 @@ from randmera import (
     sample_isometry,
     sample_isometry_batch,
 )
+from randmera.haar import seed_key
 
 SHAPES = [(1, 1), (1, 4), (2, 2), (2, 4), (3, 9), (5, 7)]
 
@@ -56,6 +57,17 @@ def test_different_seeds_give_different_matrices():
     a = sample_isometry(3, 9, seed=(7, 1)).matrix
     b = sample_isometry(3, 9, seed=(7, 2)).matrix
     assert np.max(np.abs(a - b)) > 1e-3
+
+
+def test_every_seed_form_names_one_key():
+    assert seed_key(3) == seed_key(np.int64(3)) == seed_key((3,)) == (3,)
+    key = seed_key((np.int64(4), 2))
+    assert key == (4, 2) and all(type(s) is int for s in key)
+    for bad in (-1, (4, -2), np.int64(-3)):
+        with pytest.raises(UsageError):
+            seed_key(bad)
+    a = sample_isometry(3, 9, seed=np.int64(7)).matrix
+    assert a.tobytes() == sample_isometry(3, 9, seed=(7,)).matrix.tobytes()
 
 
 def test_batch_sampling_is_reproducible_and_orthonormal():

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from randmera import Interval, MeraNetwork, Stage, UsageError, modular_distance, v_children, w_partner
+from randmera import Interval, Stage, UsageError, modular_distance, v_children, w_partner
 from randmera.network import v_parent
 
 
@@ -90,16 +88,6 @@ def test_span_treats_closing_endpoints_as_empty():
     assert iv.sites() == []
 
 
-def test_shifting_preserves_length_and_moves_sites():
-    iv = Interval.of_length(4, Stage.AFTER_W, 3, 5)
-    for offset in (-3, -1, 0, 1, 2, 8, 17):
-        sh = iv.shifted(offset)
-        assert sh.length == iv.length
-        assert sh.sites() == [(s + offset) % 16 for s in iv.sites()]
-    assert Interval.whole_ring(4, Stage.AFTER_W).shifted(3).whole
-    assert Interval.empty(4, Stage.AFTER_W).shifted(3).is_empty
-
-
 def test_interval_validation_rejects_inconsistent_data():
     with pytest.raises(UsageError):
         Interval(3, Stage.AFTER_W, 0, 2, n_sites=4)  # wrong ring size
@@ -138,17 +126,3 @@ def test_rotation_pairs_partition_the_ring(net_l4, level):
     for a, b in pairs:
         assert w_partner(level, a) == b
     assert pairs[-1] == (n - 1, 0)  # the wrap pair comes last
-
-
-def test_network_serialization_is_complete_and_stable(net_l3):
-    doc = net_l3.to_json_dict()
-    assert doc["levels"] == 3
-    assert doc["dims"] == [1, 2, 3, 2]
-    assert doc["dims_v"] == [1, 1, 2, 2]
-    assert [r["level"] for r in doc["rings"]] == [1, 2, 3]
-    assert doc["rings"][0]["v_slots"] == [[0, [0, 1]]]
-    assert doc["rings"][0]["w_pairs"] == [[1, 0]]
-    # Serializes to (stable) JSON without any custom encoder.
-    assert json.dumps(doc, sort_keys=True) == json.dumps(
-        MeraNetwork(net_l3.schedule).to_json_dict(), sort_keys=True
-    )

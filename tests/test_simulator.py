@@ -385,6 +385,29 @@ def test_monte_carlo_mutual_information_matches_a_manual_loop(net_l3):
     assert np.all(res.samples >= -1e-8)
 
 
+@pytest.mark.parametrize("sweep", ["entropy", "mutual_information"])
+def test_a_second_trial_does_not_hold_the_first_draw(net_l4, sweep):
+    left = Interval.of_length(4, Stage.AFTER_W, 1, 3)
+    right = Interval.of_length(4, Stage.AFTER_W, 4, 3)
+
+    def run(trials):
+        if sweep == "entropy":
+            mc_entropy_stats(net_l4, left, trials, seed=5)
+        else:
+            mc_mutual_information(net_l4, [(left, right)], trials, seed=5)
+
+    run(1)  # first call: numpy's one-time allocations
+    peaks = []
+    for trials in (1, 2):
+        tracemalloc.start()
+        try:
+            run(trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_correlation_proxies_are_bounded_witnesses(traj_l3):
     x = Interval.of_length(3, Stage.AFTER_W, 1, 1)
     y = Interval.of_length(3, Stage.AFTER_W, 5, 1)

@@ -153,6 +153,10 @@ def test_second_value_scaling_tracks_the_inverse_square_root():
     assert 0.6 < twenty.mean / ten.mean < 0.82
 
 
+def test_a_numpy_integer_seed_gives_the_rows_of_the_equal_int():
+    assert second_singular_scaling([4], 2, np.int64(3)) == second_singular_scaling([4], 2, 3)
+
+
 def test_collapse_rows_drop_the_leading_value_and_rescale():
     specs = [SuperOperatorSpec(d, d, d, seed=1) for d in (3, 4)]
     rows = collapse_experiment(specs, rescale="sqrt_d")
