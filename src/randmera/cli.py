@@ -419,6 +419,8 @@ def _cmd_cuts(args: dict) -> int:
 def _cmd_spectra(args: dict) -> int:
     if args["seeds"] < 1:
         raise UsageError("--seeds must be positive")
+    if args["dB"] < 2:
+        raise UsageError("--dB must be at least 2: the summary reads the second singular value")
     rows = []
     series = {}
     lam0, lam1, min_gap = [], [], math.inf

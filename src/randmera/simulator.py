@@ -452,13 +452,13 @@ def mc_mutual_information(
     """Monte Carlo mutual information for several pairs off shared draws."""
     if trials < 1:
         raise UsageError("trials must be positive")
+    if any((left.level, left.stage) != (right.level, right.stage) for left, right in pairs):
+        raise UsageError("pair must live on one ring and stage")
     base = seed_key(seed)
     out = [np.empty(trials) for _ in pairs]
     for t in range(trials):
         traj = build_state(network, (*base, t), max_amplitudes=max_amplitudes)
         for idx, (left, right) in enumerate(pairs):
-            if (left.level, left.stage) != (right.level, right.stage):
-                raise UsageError("pair must live on one ring and stage")
             out[idx][t] = mutual_information(traj.state_at(left.level, left.stage), left, right)
         del traj  # free this draw before the next one is built
     return [

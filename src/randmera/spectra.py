@@ -13,6 +13,16 @@ map is an isometry on operators (all singular values exactly 1), while for
 small ``x`` and ``y`` the top value sits near 1 with a gap to the rest, and
 the second value empirically tracks ``sqrt(y)``.
 
+The spectrum is taken from a real matrix.  The map preserves Hermiticity,
+so with ``S`` the swap ``(b, c) -> (c, b)`` of a unit pair its matrix ``M``
+obeys ``conj(M) = S M S``.  The unitary ``U = ((1+i) I + (1-i) S) / 2``
+has ``conj(U) = S U``, so ``R = U_B^dagger M U_A`` is real, with the same
+singular values as ``M``.  By entries
+``R[(b, c), (a, f)] = Re M[(b, c), (a, f)] + Im M[(b, c), (f, a)]``.  The
+real SVD runs on ``R`` or its transpose, whichever is tall.  It gives
+``min(d_A, d_B)^2`` values; the map has rank at most ``d_A^2``, so when
+``d_A < d_B`` the spectrum is padded with exact zeros to ``d_B^2`` values.
+
 The module also provides the Frobenius-mass check (the squared singular
 values sum to about ``d_A``), and the rescaling experiments that overlay
 spectra of different sizes on a common curve.
@@ -86,9 +96,22 @@ class SingularSpectrum:
 
 
 def _superop_from_matrix(w: np.ndarray, d_A: int, d_B: int, d_E: int) -> np.ndarray:
-    w3 = w.reshape(d_B, d_E, d_A)
-    m = np.einsum("bea,cef->bcaf", w3, w3.conj())
-    return math.sqrt(d_B / d_A) * m.reshape(d_B * d_B, d_A * d_A)
+    p = w.reshape(d_B, d_E, d_A).transpose(0, 2, 1).reshape(d_B * d_A, d_E)
+    g = p @ p.conj().T
+    g *= math.sqrt(d_B / d_A)  # in place: a scaled copy of the regrouped map would hold three maps
+    return g.reshape(d_B, d_A, d_B, d_A).transpose(0, 2, 1, 3).reshape(d_B * d_B, d_A * d_A)
+
+
+def _spectrum(m: np.ndarray, d_A: int, d_B: int) -> np.ndarray:
+    """Descending singular values of the map ``m``, ``d_B^2`` of them.
+
+    The SVD is taken of the real form ``U_B^dagger M U_A`` (module
+    docstring), in its tall orientation, and zero-padded when ``d_A < d_B``.
+    """
+    m4 = m.reshape(d_B, d_B, d_A, d_A)
+    r = (m4.real + m4.imag.swapaxes(2, 3)).reshape(d_B * d_B, d_A * d_A)
+    values = np.linalg.svd(r.T if d_A > d_B else r, compute_uv=False)
+    return np.pad(values, (0, d_B * d_B - len(values)))
 
 
 def build_superop(spec: SuperOperatorSpec) -> np.ndarray:
@@ -96,7 +119,10 @@ def build_superop(spec: SuperOperatorSpec) -> np.ndarray:
 
     Row index is the unit-matrix pair (b, c) flattened row-major; column
     index the pair (a, f).  The basis affects exported matrices only; the
-    singular values are basis independent.
+    singular values are basis independent.  With
+    ``P[(b, a), e] = W[b, e, a]`` the entries are those of
+    ``sqrt(d_B/d_A) P P^dagger``, one ``d_B d_A x d_B d_A`` matrix product,
+    with the index pairs regrouped.
     """
     w = sample_isometry(spec.d_A, spec.d_B * spec.d_E, spec.seed).matrix
     return _superop_from_matrix(w, spec.d_A, spec.d_B, spec.d_E)
@@ -104,7 +130,7 @@ def build_superop(spec: SuperOperatorSpec) -> np.ndarray:
 
 def singular_spectrum(spec: SuperOperatorSpec) -> SingularSpectrum:
     """Full descending singular spectrum of one sampled map."""
-    values = np.linalg.svd(build_superop(spec), compute_uv=False)
+    values = _spectrum(build_superop(spec), spec.d_A, spec.d_B)
     return SingularSpectrum(spec=spec, values=values)
 
 
@@ -222,8 +248,7 @@ def second_singular_scaling(d_range: list[int], trials: int, seed) -> list[Secon
         vals = np.empty(trials)
         for t in range(trials):
             w = sample_isometry(d, d * d, (*base, d, t)).matrix
-            m = _superop_from_matrix(w, d, d, d)
-            vals[t] = float(np.linalg.svd(m, compute_uv=False)[1])
+            vals[t] = float(_spectrum(_superop_from_matrix(w, d, d, d), d, d)[1])
         stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
         rows.append(
             SecondValueRow(

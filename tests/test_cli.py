@@ -151,6 +151,23 @@ def test_spectra_lists_every_value_per_seed(tmp_path, capsys):
     assert "<svg" in svg.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("dims", [("3", "5", "2"), ("1", "3", "5")])
+def test_spectra_of_a_narrow_input_end_in_zeros(dims, tmp_path, capsys):
+    out = tmp_path / "spectra.csv"
+    d_a, d_b, d_e = dims
+    argv = ["spectra", "--dA", d_a, "--dB", d_b, "--dE", d_e, "--seeds", "1", "--out", str(out)]
+    assert main(argv) == 0
+    rows = _read_csv(out)[1:]
+    assert len(rows) == int(d_b) ** 2
+    assert all(float(r[3]) == 0.0 for r in rows[int(d_a) ** 2 :])
+    assert "min_gap=" in capsys.readouterr().out
+
+
+def test_spectra_with_one_output_dimension_is_a_usage_error(capsys):
+    assert main(["spectra", "--dA", "1", "--dB", "1", "--dE", "3"]) == 2
+    assert "second singular value" in capsys.readouterr().err
+
+
 def test_collapse_modes_and_spec_derivation(tmp_path):
     out = tmp_path / "sqrt.csv"
     assert main(["collapse", "--mode", "sqrt-d", "--dims", "3,4", "--out", str(out)]) == 0

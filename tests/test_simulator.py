@@ -26,6 +26,7 @@ from randmera import (
     reduced_density,
     sample_isometry,
 )
+from randmera import simulator
 from randmera.simulator import DenseState, DensityMatrix, max_amplitudes_from_env
 
 
@@ -383,6 +384,17 @@ def test_monte_carlo_mutual_information_matches_a_manual_loop(net_l3):
             mutual_information(traj.leaf, left, right), abs=1e-10
         )
     assert np.all(res.samples >= -1e-8)
+
+
+def test_a_mismatched_pair_is_rejected_before_any_draw(net_l3, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("build_state called before the pairs were checked")
+
+    monkeypatch.setattr(simulator, "build_state", no_draw)
+    good = (Interval.of_length(3, Stage.AFTER_W, 0, 2), Interval.of_length(3, Stage.AFTER_W, 2, 2))
+    bad = (Interval.of_length(3, Stage.AFTER_W, 0, 2), Interval.of_length(3, Stage.AFTER_V, 2, 2))
+    with pytest.raises(UsageError, match="one ring and stage"):
+        mc_mutual_information(net_l3, [good, bad], trials=2, seed=1)
 
 
 @pytest.mark.parametrize("sweep", ["entropy", "mutual_information"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,81 @@ def test_vectorized_builder_matches_the_explicit_partial_trace(dims):
     slow = _superop_by_explicit_partial_trace(w, d_A, d_B, d_E)
     assert fast.shape == (d_B * d_B, d_A * d_A)
     assert np.max(np.abs(fast - slow)) < 1e-10
+
+
+def _hermitian_basis(d):
+    """``U = ((1+i) I + (1-i) S) / 2`` on pairs (b, c), ``S`` the pair swap."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    return ((1 + 1j) * np.eye(d * d) + (1 - 1j) * swap) / 2
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 3), (3, 5, 2), (4, 4, 4), (1, 3, 5)])
+def test_the_hermitian_basis_makes_the_map_real(dims):
+    d_A, d_B, d_E = dims
+    m = build_superop(SuperOperatorSpec(d_A, d_B, d_E, seed=6))
+    u_a, u_b = _hermitian_basis(d_A), _hermitian_basis(d_B)
+    for u in (u_a, u_b):
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) < 1e-15
+    rotated = u_b.conj().T @ m @ u_a
+    assert np.max(np.abs(rotated.imag)) <= 1e-14
+    m4 = m.reshape(d_B, d_B, d_A, d_A)
+    one_line = (m4.real + m4.imag.swapaxes(2, 3)).reshape(d_B * d_B, d_A * d_A)
+    assert np.max(np.abs(rotated.real - one_line)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (12, 12, 12),  # square
+        (40, 20, 10),  # wide
+        (80, 10, 10),  # wide
+        (9, 3, 3),  # wide, d_A = d_B d_E
+        (5, 9, 3),  # tall: d_A < d_B
+        (6, 6, 1),  # d_E = 1, square
+        (4, 7, 1),  # d_E = 1, tall
+        (1, 4, 2),  # d_A = 1
+    ],
+)
+def test_the_spectrum_matches_a_complex_svd_of_the_map(dims):
+    spec = SuperOperatorSpec(*dims, seed=3)
+    values = singular_spectrum(spec).values
+    assert values.dtype == np.float64
+    oracle = np.linalg.svd(build_superop(spec), compute_uv=False)  # complex, d_B^2 x d_A^2
+    oracle = np.pad(oracle, (0, spec.d_B**2 - len(oracle)))
+    assert np.max(np.abs(values - oracle)) < 1e-13
+
+
+@pytest.mark.parametrize("dims", [(3, 5, 2), (1, 3, 5)])
+def test_a_narrow_input_pads_the_spectrum_with_exact_zeros(dims):
+    d_A, d_B, _ = dims
+    spec = SuperOperatorSpec(*dims, seed=2)
+    values = singular_spectrum(spec).values
+    assert len(values) == d_B**2
+    oracle = np.linalg.svd(build_superop(spec), compute_uv=False)
+    assert len(oracle) == d_A**2
+    assert np.max(np.abs(values[: d_A**2] - oracle)) < 1e-13
+    assert np.all(values[d_A**2 :] == 0.0)
+
+
+def test_the_spectrum_peak_stays_near_two_maps():
+    # the build holds the product and its regrouped copy; scaling that copy
+    # out of place would hold a third map
+    spec = SuperOperatorSpec(30, 30, 30, seed=1)
+    map_bytes = (30 * 30) ** 2 * 16
+    tracemalloc.start()
+    try:
+        singular_spectrum(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * map_bytes
+
+
+def test_second_value_rows_match_a_complex_svd_of_each_draw():
+    (row,) = second_singular_scaling([5], trials=1, seed=4)
+    w = sample_isometry(5, 25, (4, 5, 0)).matrix
+    oracle = np.linalg.svd(_superop_from_matrix(w, 5, 5, 5), compute_uv=False)
+    assert abs(row.mean - float(oracle[1])) < 1e-13
 
 
 def test_map_output_is_deterministic_in_the_spec_seed():
