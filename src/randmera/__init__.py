@@ -23,7 +23,6 @@ from .errors import DegenerateMomentError, FeasibilityError, UsageError
 from .haar import (
     CANONICAL_CONTRACTIONS,
     MIXED_CONTRACTION,
-    Isometry,
     McEstimate,
     MomentConstants,
     fourth_moment_exact,
@@ -44,7 +43,6 @@ from .schedule import (
 )
 from .simulator import (
     DenseState,
-    DensityMatrix,
     StateTrajectory,
     build_state,
     correlation_proxies,
@@ -74,7 +72,6 @@ from .spectra import (
     collapse_experiment,
     frobenius_check,
     frobenius_exact,
-    second_singular_scaling,
     singular_spectrum,
 )
 
@@ -86,7 +83,6 @@ __all__ = [
     "DegenerateMomentError",
     "FeasibilityError",
     "UsageError",
-    "Isometry",
     "McEstimate",
     "MomentConstants",
     "fourth_moment_exact",
@@ -108,7 +104,6 @@ __all__ = [
     "schedule_report",
     "solve_schedule",
     "DenseState",
-    "DensityMatrix",
     "StateTrajectory",
     "build_state",
     "correlation_proxies",
@@ -134,7 +129,6 @@ __all__ = [
     "collapse_experiment",
     "frobenius_check",
     "frobenius_exact",
-    "second_singular_scaling",
     "singular_spectrum",
     "__version__",
 ]

@@ -457,6 +457,8 @@ def _cmd_collapse(args: dict) -> int:
     else:
         if not args["specs"]:
             raise UsageError("affine mode needs --specs")
+        if not (math.isfinite(args["y"]) and args["y"] > 0):
+            raise UsageError(f"--y must be positive and finite, got {args['y']!r}")
         for idx, parts in enumerate(args["specs"]):
             if len(parts) == 2:
                 d_a, d_b = parts

@@ -37,9 +37,11 @@ __all__ = [
     "unrounded_log_dims",
 ]
 
-# ceil(exp(x)) is exact in double precision well past this; beyond it the
-# integers would not even round-trip through float, so refuse rather than
-# silently degrade
+# ceil(exp(x)) is the exact ceiling only while exp(x) stays below 2**53
+# (x below about 36.7); past that the float carries 53 bits and the integer
+# is a rounded value.  Against a 400-digit decimal ceiling, the (2, 0.05)
+# schedule departs at m = 6 (an 18-digit dimension) and its dims_v from
+# m = 7.  This cap only keeps exp(x) finite (it overflows near x = 709.8).
 _MAX_LOG_DIM = 600.0
 _MAX_LEVELS = 64
 

@@ -14,6 +14,13 @@ the nonzero eigenvalues of both reduced states, and it is filled tile by tile
 from a strided view of the snapshot, so no full-size copy of the state is
 made.  Its Hermitian eigenvalues are clipped at zero, and eigenvalues at or
 below 1e-12 are dropped before logs.  Snapshots are read-only.
+
+`mc_entropy_sweep` is the one Monte Carlo trial loop: trial ``t`` builds
+the network from seed ``(*seed, t)``, reads the entropies of every
+requested region off that draw and frees it before the next one.
+`mc_entropy_stats` (one region) and `mc_mutual_information` (left, right
+and union regions of adjacent pairs) are read off the sweep, and every mean
+and standard error comes from `haar.McEstimate.of`.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, UsageError
-from .haar import sample_isometry, seed_key
+from .haar import McEstimate, sample_isometry, seed_key
 from .network import Interval, MeraNetwork, Stage, w_partner
 from .schedule import memory_estimate
 
@@ -34,7 +41,6 @@ __all__ = [
     "MAX_AMPLITUDES_ENV",
     "CorrelationProxies",
     "DenseState",
-    "DensityMatrix",
     "EntropySamples",
     "MiSamples",
     "StateTrajectory",
@@ -141,9 +147,9 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
     Parameters
     ----------
     seed : int or tuple of ints
-        Master seed.  Isometry slot ``(level, stage, position)`` draws from
-        the derived key ``(*seed, level, stage_index, position)``, so any
-        single tensor is reproducible without rebuilding the rest.
+        Master seed.  The isometry in slot ``(level, stage, position)``
+        draws from the derived key ``(*seed, level, stage_index, position)``,
+        so any single tensor is reproducible without rebuilding the rest.
     max_amplitudes : int, optional
         Amplitude budget (default ``DEFAULT_MAX_AMPLITUDES``); the peak
         intermediate size is checked before any allocation.
@@ -171,13 +177,13 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
         n = 1 << k
         # splitting: site s (dim dims[k-1]) -> children (2s, 2s+1), dim dv each
         for s in range(n_prev):
-            iso = sample_isometry(psi.shape[s], dv * dv, (*base, k, 0, s)).matrix
+            iso = sample_isometry(psi.shape[s], dv * dv, (*base, k, 0, s))
             psi = np.moveaxis(np.tensordot(iso, psi, axes=(1, s)), 0, s)
         psi = psi.reshape((dv,) * n)
         snaps[(k, Stage.AFTER_V)] = DenseState(k, Stage.AFTER_V, (dv,) * n, _frozen(psi))
         # rotation: staggered pairs, the last one wrapping around the ring
         for slot, (p, q) in enumerate(network.w_pairs(k)):
-            iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, slot)).matrix
+            iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, slot))
             t = np.moveaxis(psi, (p, q), (0, 1))
             rest = t.shape[2:]
             t = iso @ t.reshape(dv * dv, -1)
@@ -189,14 +195,6 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
 # ---------------------------------------------------------------------------
 # reduced states and entropies
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix over an ordered tuple of site dimensions."""
-
-    dims: tuple[int, ...]
-    matrix: np.ndarray
 
 
 def _sites_of(region) -> list[int]:
@@ -268,7 +266,7 @@ def _gram(state: DenseState, rows: list[int], cols: list[int], full: bool) -> np
     return g
 
 
-def reduced_density(state: DenseState, region) -> DensityMatrix:
+def reduced_density(state: DenseState, region) -> np.ndarray:
     """Reduced density matrix of an interval or explicit site list.
 
     The site order of ``region`` fixes the tensor factor order of the
@@ -277,9 +275,7 @@ def reduced_density(state: DenseState, region) -> DensityMatrix:
     rest, built tile by tile without a full-size copy of the state.
     """
     sites, rest = _cut(state, region)
-    rho = _gram(state, sites, rest, full=True)
-    dims = tuple(state.site_dims[s] for s in sites) if sites else (1,)
-    return DensityMatrix(dims=dims, matrix=rho)
+    return _gram(state, sites, rest, full=True)
 
 
 def interval_spectrum(state: DenseState, region) -> np.ndarray:
@@ -300,8 +296,6 @@ def interval_spectrum(state: DenseState, region) -> np.ndarray:
 
 
 def _probs_of(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        rho = rho.matrix
     rho = np.asarray(rho)
     if rho.ndim == 2:
         p = np.linalg.eigvalsh(rho)
@@ -344,12 +338,6 @@ def mutual_information(state: DenseState, left: Interval, right: Interval) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
-    n = len(x)
-    se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return float(x.mean()), se
-
-
 @dataclass(frozen=True)
 class EntropySamples:
     """Per-trial entropies of one region."""
@@ -360,27 +348,27 @@ class EntropySamples:
 
     @property
     def mean_s(self) -> float:
-        return _mean_stderr(self.samples_s)[0]
+        return McEstimate.of(self.samples_s).value
 
     @property
     def stderr_s(self) -> float:
-        return _mean_stderr(self.samples_s)[1]
+        return McEstimate.of(self.samples_s).stderr
 
     @property
     def mean_s2(self) -> float:
-        return _mean_stderr(self.samples_s2)[0]
+        return McEstimate.of(self.samples_s2).value
 
     @property
     def stderr_s2(self) -> float:
-        return _mean_stderr(self.samples_s2)[1]
+        return McEstimate.of(self.samples_s2).stderr
 
     @property
     def mean_exp_neg_s2(self) -> float:
-        return _mean_stderr(np.exp(-self.samples_s2))[0]
+        return McEstimate.of(np.exp(-self.samples_s2)).value
 
     @property
     def stderr_exp_neg_s2(self) -> float:
-        return _mean_stderr(np.exp(-self.samples_s2))[1]
+        return McEstimate.of(np.exp(-self.samples_s2)).stderr
 
 
 def mc_entropy_sweep(
@@ -393,7 +381,8 @@ def mc_entropy_sweep(
     """Sample ``trials`` networks once and read all intervals off each draw.
 
     Trial ``t`` uses master seed ``(*seed, t)``, so any subset of trials is
-    reproducible independently of sweep composition.
+    reproducible independently of sweep composition.  A region listed more
+    than once is computed once.
     """
     if trials < 1:
         raise UsageError("trials must be positive")
@@ -402,15 +391,14 @@ def mc_entropy_sweep(
     acc_s2 = {iv: np.empty(trials) for iv in intervals}
     for t in range(trials):
         traj = build_state(network, (*base, t), max_amplitudes=max_amplitudes)
-        for iv in intervals:
+        for iv in acc_s:
             spec = interval_spectrum(traj.state_at(iv.level, iv.stage), iv)
-            keep = spec[spec > _EIG_CLAMP]
-            acc_s[iv][t] = float(-(keep * np.log(keep)).sum())
-            acc_s2[iv][t] = -math.log(float((spec * spec).sum()))
+            acc_s[iv][t] = entropy_vn(spec)
+            acc_s2[iv][t] = entropy_renyi2(spec)
         del traj  # free this draw before the next one is built
     return {
         iv: EntropySamples(interval=iv, samples_s=acc_s[iv], samples_s2=acc_s2[iv])
-        for iv in intervals
+        for iv in acc_s
     }
 
 
@@ -435,11 +423,11 @@ class MiSamples:
 
     @property
     def mean(self) -> float:
-        return _mean_stderr(self.samples)[0]
+        return McEstimate.of(self.samples).value
 
     @property
     def stderr(self) -> float:
-        return _mean_stderr(self.samples)[1]
+        return McEstimate.of(self.samples).stderr
 
 
 def mc_mutual_information(
@@ -449,21 +437,34 @@ def mc_mutual_information(
     seed,
     max_amplitudes: int | None = None,
 ) -> list[MiSamples]:
-    """Monte Carlo mutual information for several pairs off shared draws."""
-    if trials < 1:
-        raise UsageError("trials must be positive")
-    if any((left.level, left.stage) != (right.level, right.stage) for left, right in pairs):
-        raise UsageError("pair must live on one ring and stage")
-    base = seed_key(seed)
-    out = [np.empty(trials) for _ in pairs]
-    for t in range(trials):
-        traj = build_state(network, (*base, t), max_amplitudes=max_amplitudes)
-        for idx, (left, right) in enumerate(pairs):
-            out[idx][t] = mutual_information(traj.state_at(left.level, left.stage), left, right)
-        del traj  # free this draw before the next one is built
+    """Monte Carlo mutual information of adjacent region pairs off shared draws.
+
+    Each ``right`` must start on the site after its ``left``, on the same
+    ring and stage, and the pair must fit on the ring; every pair is checked
+    before the first draw.  The left, right and union regions of all pairs
+    go through one `mc_entropy_sweep`, and trial ``t`` of a pair is
+    ``S(left) + S(right) - S(union)``.
+    """
+    unions = []
+    for left, right in pairs:
+        if (left.level, left.stage) != (right.level, right.stage):
+            raise UsageError("pair must live on one ring and stage")
+        if right.i != (left.j + 1) % left.n_sites:
+            raise UsageError("right region must start on the site after the left one")
+        if left.length + right.length > left.n_sites:
+            raise UsageError("pair does not fit on the ring")
+        unions.append(
+            Interval.of_length(left.level, left.stage, left.i, left.length + right.length)
+        )
+    regions = [iv for (left, right), union in zip(pairs, unions) for iv in (left, right, union)]
+    ent = mc_entropy_sweep(network, regions, trials, seed, max_amplitudes)
     return [
-        MiSamples(left=left, right=right, samples=samples)
-        for (left, right), samples in zip(pairs, out)
+        MiSamples(
+            left=left,
+            right=right,
+            samples=ent[left].samples_s + ent[right].samples_s - ent[union].samples_s,
+        )
+        for (left, right), union in zip(pairs, unions)
     ]
 
 
@@ -504,9 +505,9 @@ def correlation_proxies(state: DenseState, x: Interval, y: Interval) -> Correlat
     if not xs or not ys:
         return CorrelationProxies(0.0, 0.0, 0.0)
 
-    rho_xy = reduced_density(state, xs + ys).matrix
-    rho_x = reduced_density(state, xs).matrix
-    rho_y = reduced_density(state, ys).matrix
+    rho_xy = reduced_density(state, xs + ys)
+    rho_x = reduced_density(state, xs)
+    rho_y = reduced_density(state, ys)
     diff = rho_xy - np.kron(rho_x, rho_y)
     trace_norm = float(np.abs(np.linalg.eigvalsh(diff)).sum())
 

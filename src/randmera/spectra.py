@@ -36,18 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .haar import McEstimate, moment_constants, sample_isometry, sample_isometry_batch, seed_key
+from .haar import McEstimate, moment_constants, sample_isometry, sample_isometry_batch
 
 __all__ = [
     "CollapseRow",
-    "SecondValueRow",
     "SingularSpectrum",
     "SuperOperatorSpec",
     "build_superop",
     "collapse_experiment",
     "frobenius_check",
     "frobenius_exact",
-    "second_singular_scaling",
     "singular_spectrum",
 ]
 
@@ -102,18 +100,6 @@ def _superop_from_matrix(w: np.ndarray, d_A: int, d_B: int, d_E: int) -> np.ndar
     return g.reshape(d_B, d_A, d_B, d_A).transpose(0, 2, 1, 3).reshape(d_B * d_B, d_A * d_A)
 
 
-def _spectrum(m: np.ndarray, d_A: int, d_B: int) -> np.ndarray:
-    """Descending singular values of the map ``m``, ``d_B^2`` of them.
-
-    The SVD is taken of the real form ``U_B^dagger M U_A`` (module
-    docstring), in its tall orientation, and zero-padded when ``d_A < d_B``.
-    """
-    m4 = m.reshape(d_B, d_B, d_A, d_A)
-    r = (m4.real + m4.imag.swapaxes(2, 3)).reshape(d_B * d_B, d_A * d_A)
-    values = np.linalg.svd(r.T if d_A > d_B else r, compute_uv=False)
-    return np.pad(values, (0, d_B * d_B - len(values)))
-
-
 def build_superop(spec: SuperOperatorSpec) -> np.ndarray:
     """Matricization of the scaled channel, shape (d_B^2, d_A^2).
 
@@ -124,14 +110,21 @@ def build_superop(spec: SuperOperatorSpec) -> np.ndarray:
     ``sqrt(d_B/d_A) P P^dagger``, one ``d_B d_A x d_B d_A`` matrix product,
     with the index pairs regrouped.
     """
-    w = sample_isometry(spec.d_A, spec.d_B * spec.d_E, spec.seed).matrix
+    w = sample_isometry(spec.d_A, spec.d_B * spec.d_E, spec.seed)
     return _superop_from_matrix(w, spec.d_A, spec.d_B, spec.d_E)
 
 
 def singular_spectrum(spec: SuperOperatorSpec) -> SingularSpectrum:
-    """Full descending singular spectrum of one sampled map."""
-    values = _spectrum(build_superop(spec), spec.d_A, spec.d_B)
-    return SingularSpectrum(spec=spec, values=values)
+    """Full descending singular spectrum of one sampled map, ``d_B^2`` values.
+
+    The SVD is taken of the real form ``U_B^dagger M U_A`` (module
+    docstring), in its tall orientation, and zero-padded when ``d_A < d_B``.
+    """
+    d_A, d_B = spec.d_A, spec.d_B
+    m4 = build_superop(spec).reshape(d_B, d_B, d_A, d_A)
+    r = (m4.real + m4.imag.swapaxes(2, 3)).reshape(d_B * d_B, d_A * d_A)
+    values = np.linalg.svd(r.T if d_A > d_B else r, compute_uv=False)
+    return SingularSpectrum(spec=spec, values=np.pad(values, (0, d_B * d_B - len(values))))
 
 
 def frobenius_exact(d_A: int, d_B: int, d_E: int) -> float:
@@ -174,9 +167,7 @@ def _frobenius_mass(w: np.ndarray, d_A: int, d_B: int, d_E: int) -> np.ndarray:
 def frobenius_check(spec: SuperOperatorSpec, trials: int, seed) -> McEstimate:
     """Monte Carlo mean of the squared Frobenius mass over fresh draws."""
     w = sample_isometry_batch(spec.d_A, spec.d_B * spec.d_E, trials, seed)
-    masses = _frobenius_mass(w, spec.d_A, spec.d_B, spec.d_E)
-    stderr = float(masses.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    return McEstimate(value=float(masses.mean()), stderr=stderr, trials=trials)
+    return McEstimate.of(_frobenius_mass(w, spec.d_A, spec.d_B, spec.d_E))
 
 
 @dataclass(frozen=True)
@@ -221,38 +212,4 @@ def collapse_experiment(
             else:
                 ycoord = (lam - shift) * spec.d_B**alpha
             rows.append(CollapseRow(label=spec.label, index=i, x=i / d_sq, y=ycoord))
-    return rows
-
-
-@dataclass(frozen=True)
-class SecondValueRow:
-    """Monte Carlo statistics of the second singular value at one size."""
-
-    d: int
-    mean: float
-    stderr: float
-    ref_inv_sqrt_d: float
-
-
-def second_singular_scaling(d_range: list[int], trials: int, seed) -> list[SecondValueRow]:
-    """Mean second singular value across equal-dimension sizes.
-
-    Each size ``d`` uses ``d_A = d_B = d_E = d``; the reference column is
-    ``1/sqrt(d)``, the observed scaling of the second value.
-    """
-    if trials < 1:
-        raise UsageError("trials must be positive")
-    base = seed_key(seed)
-    rows = []
-    for d in d_range:
-        vals = np.empty(trials)
-        for t in range(trials):
-            w = sample_isometry(d, d * d, (*base, d, t)).matrix
-            vals[t] = float(_spectrum(_superop_from_matrix(w, d, d, d), d, d)[1])
-        stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-        rows.append(
-            SecondValueRow(
-                d=d, mean=float(vals.mean()), stderr=stderr, ref_inv_sqrt_d=1.0 / math.sqrt(d)
-            )
-        )
     return rows

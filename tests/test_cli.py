@@ -245,3 +245,10 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "levels=3" in proc.stdout
+
+
+@pytest.mark.parametrize("y", ["0", "nan", "inf", "-0.5"])
+def test_affine_collapse_rejects_a_bad_y(y, capsys):
+    argv = ["collapse", "--mode", "affine", "--specs", "8:4", "--y", y]
+    assert main(argv) == 2
+    assert "--y" in capsys.readouterr().err

@@ -19,26 +19,26 @@ from randmera import (
     sample_isometry,
     sample_isometry_batch,
 )
-from randmera.haar import seed_key
+from randmera.haar import McEstimate, seed_key
 
 SHAPES = [(1, 1), (1, 4), (2, 2), (2, 4), (3, 9), (5, 7)]
 
 
 @pytest.mark.parametrize("d_in,d_out", SHAPES)
 def test_sampled_matrix_is_an_isometry(d_in, d_out):
-    w = sample_isometry(d_in, d_out, seed=(99, d_in, d_out)).matrix
+    w = sample_isometry(d_in, d_out, seed=(99, d_in, d_out))
     assert w.shape == (d_out, d_in)
     gram = w.conj().T @ w
     assert np.max(np.abs(gram - np.eye(d_in))) < 1e-12
 
 
 def test_square_case_is_unitary_both_ways():
-    w = sample_isometry(4, 4, seed=5).matrix
+    w = sample_isometry(4, 4, seed=5)
     assert np.max(np.abs(w @ w.conj().T - np.eye(4))) < 1e-12
 
 
 def test_one_by_one_case_is_a_pure_phase():
-    w = sample_isometry(1, 1, seed=3).matrix
+    w = sample_isometry(1, 1, seed=3)
     assert abs(abs(w[0, 0]) - 1.0) < 1e-14
 
 
@@ -48,14 +48,14 @@ def test_wider_input_than_output_is_rejected():
 
 
 def test_same_seed_reproduces_the_same_matrix():
-    a = sample_isometry(3, 9, seed=(7, 1)).matrix
-    b = sample_isometry(3, 9, seed=(7, 1)).matrix
+    a = sample_isometry(3, 9, seed=(7, 1))
+    b = sample_isometry(3, 9, seed=(7, 1))
     assert np.array_equal(a, b)
 
 
 def test_different_seeds_give_different_matrices():
-    a = sample_isometry(3, 9, seed=(7, 1)).matrix
-    b = sample_isometry(3, 9, seed=(7, 2)).matrix
+    a = sample_isometry(3, 9, seed=(7, 1))
+    b = sample_isometry(3, 9, seed=(7, 2))
     assert np.max(np.abs(a - b)) > 1e-3
 
 
@@ -66,8 +66,15 @@ def test_every_seed_form_names_one_key():
     for bad in (-1, (4, -2), np.int64(-3)):
         with pytest.raises(UsageError):
             seed_key(bad)
-    a = sample_isometry(3, 9, seed=np.int64(7)).matrix
-    assert a.tobytes() == sample_isometry(3, 9, seed=(7,)).matrix.tobytes()
+    a = sample_isometry(3, 9, seed=np.int64(7))
+    assert a.tobytes() == sample_isometry(3, 9, seed=(7,)).tobytes()
+
+
+@pytest.mark.parametrize("d_in,d_out", SHAPES)
+def test_one_isometry_is_the_first_of_a_batch_of_one(d_in, d_out):
+    w = sample_isometry(d_in, d_out, seed=(8, d_in))
+    assert type(w) is np.ndarray and w.shape == (d_out, d_in)
+    assert w.tobytes() == sample_isometry_batch(d_in, d_out, 1, seed=(8, d_in))[0].tobytes()
 
 
 def test_batch_sampling_is_reproducible_and_orthonormal():
@@ -168,3 +175,13 @@ def test_mixed_pattern_monte_carlo_matches_the_closed_form(d1, d2):
 def test_monte_carlo_reports_the_requested_trial_count():
     est = fourth_moment_mc(2, 4, MIXED_CONTRACTION, trials=128, seed=0)
     assert est.trials == 128
+
+
+def test_mc_estimate_is_the_mean_and_its_standard_error():
+    x = np.array([0.3, -1.25, 2.0, 0.125, 7.5])
+    est = McEstimate.of(x)
+    assert est.value == float(x.mean())
+    assert est.stderr == float(x.std(ddof=1) / math.sqrt(5))
+    assert est.trials == 5
+    one = McEstimate.of(np.array([2.5]))
+    assert (one.value, one.stderr, one.trials) == (2.5, math.inf, 1)

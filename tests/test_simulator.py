@@ -27,7 +27,7 @@ from randmera import (
     sample_isometry,
 )
 from randmera import simulator
-from randmera.simulator import DenseState, DensityMatrix, max_amplitudes_from_env
+from randmera.simulator import DenseState, max_amplitudes_from_env
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +95,7 @@ def test_entropies_of_a_hand_computed_spectrum():
 def test_entropy_accepts_matrix_wrapper_and_spectrum_forms():
     spec = np.array([0.75, 0.25])
     mat = np.diag(spec).astype(complex)
-    wrapped = DensityMatrix(dims=(2,), matrix=mat)
-    vals = {entropy_vn(spec), entropy_vn(mat), entropy_vn(wrapped)}
+    vals = {entropy_vn(spec), entropy_vn(mat)}
     assert max(vals) - min(vals) < 1e-12
 
 
@@ -121,9 +120,7 @@ def test_non_states_are_rejected():
 
 
 def test_reduced_density_is_a_density_matrix(traj_l3):
-    rho = reduced_density(traj_l3.leaf, Interval.of_length(3, Stage.AFTER_W, 2, 3))
-    assert rho.dims == (2, 2, 2)
-    m = rho.matrix
+    m = reduced_density(traj_l3.leaf, Interval.of_length(3, Stage.AFTER_W, 2, 3))
     assert m.shape == (8, 8)
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     assert np.trace(m).real == pytest.approx(1.0, abs=1e-10)
@@ -132,8 +129,8 @@ def test_reduced_density_is_a_density_matrix(traj_l3):
 
 def test_empty_and_whole_regions_are_trivial(traj_l3, net_l3):
     empty = reduced_density(traj_l3.leaf, Interval.empty(3, Stage.AFTER_W))
-    assert empty.matrix.shape == (1, 1)
-    assert empty.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert empty.shape == (1, 1)
+    assert empty[0, 0] == pytest.approx(1.0, abs=1e-12)
     whole = interval_spectrum(traj_l3.leaf, Interval.whole_ring(3, Stage.AFTER_W))
     assert whole[0] == pytest.approx(1.0, abs=1e-10)
     assert entropy_vn(whole) == pytest.approx(0.0, abs=1e-10)
@@ -177,7 +174,7 @@ def test_tiles_of_uneven_size_give_the_dense_results():
         assert np.max(np.abs(spec - _svd_spectrum(state, region))) < 1e-14
         a = np.moveaxis(state.as_tensor(), region, range(len(region)))
         a = a.reshape(math.prod(dims[s] for s in region), -1)
-        rho = reduced_density(state, region).matrix
+        rho = reduced_density(state, region)
         assert np.max(np.abs(rho - a @ a.conj().T)) < 1e-14
 
 
@@ -186,8 +183,8 @@ def test_a_known_spectrum_across_the_clamp_is_recovered():
     # 1e-12 clamp, on a 16 x 64 cut of five sites of dimension 4
     lam = np.geomspace(1.0, 1e-14, 12)
     lam /= lam.sum()
-    u = sample_isometry(16, 16, seed=(50, 0)).matrix[:, :12]
-    v = sample_isometry(12, 64, seed=(50, 1)).matrix
+    u = sample_isometry(16, 16, seed=(50, 0))[:, :12]
+    v = sample_isometry(12, 64, seed=(50, 1))
     amps = (u * np.sqrt(lam)) @ v.T
     state = DenseState(
         level=0, stage=Stage.AFTER_W, site_dims=(4,) * 5, amplitudes=amps.reshape(-1)
@@ -373,17 +370,41 @@ def test_sample_summaries_are_consistent(net_l3):
     assert np.all(stats.samples_s >= stats.samples_s2 - 1e-10)
 
 
+def _cli_pairs(level, offset, lengths):
+    """The adjacent pairs ``randmera mutual-info`` builds, which share intervals."""
+    n = 1 << level
+    return [
+        (
+            Interval.of_length(level, Stage.AFTER_W, offset % n, length),
+            Interval.of_length(level, Stage.AFTER_W, (offset + length) % n, length),
+        )
+        for length in lengths
+    ]
+
+
 def test_monte_carlo_mutual_information_matches_a_manual_loop(net_l3):
-    left = Interval.of_length(3, Stage.AFTER_W, 0, 2)
-    right = Interval.of_length(3, Stage.AFTER_W, 2, 2)
-    (res,) = mc_mutual_information(net_l3, [(left, right)], trials=4, seed=14)
-    assert len(res.samples) == 4
+    pairs = _cli_pairs(3, 5, (1, 2, 4))
+    res = mc_mutual_information(net_l3, pairs, trials=4, seed=14)
+    assert [(r.left, r.right) for r in res] == pairs
     for t in range(4):
         traj = build_state(net_l3, (14, t))
-        assert res.samples[t] == pytest.approx(
-            mutual_information(traj.leaf, left, right), abs=1e-10
-        )
-    assert np.all(res.samples >= -1e-8)
+        for r in res:
+            assert len(r.samples) == 4
+            assert r.samples[t] == mutual_information(traj.leaf, r.left, r.right)
+            assert r.samples[t] >= -1e-8
+
+
+def test_shared_regions_are_read_once_per_trial(net_l3, monkeypatch):
+    regions = []
+
+    def spectrum(state, region):
+        regions.append(region)
+        return interval_spectrum(state, region)
+
+    monkeypatch.setattr(simulator, "interval_spectrum", spectrum)
+    mc_mutual_information(net_l3, _cli_pairs(3, 0, (1, 2, 4)), trials=2, seed=3)
+    # (0,1) (1,1) (0,2) (2,2) (0,4) (4,4) (0,8): the union of one pair is the next left
+    assert len(regions) == 2 * 7 and len(set(regions)) == 7
 
 
 def test_a_mismatched_pair_is_rejected_before_any_draw(net_l3, monkeypatch):
@@ -391,10 +412,20 @@ def test_a_mismatched_pair_is_rejected_before_any_draw(net_l3, monkeypatch):
         raise AssertionError("build_state called before the pairs were checked")
 
     monkeypatch.setattr(simulator, "build_state", no_draw)
-    good = (Interval.of_length(3, Stage.AFTER_W, 0, 2), Interval.of_length(3, Stage.AFTER_W, 2, 2))
-    bad = (Interval.of_length(3, Stage.AFTER_W, 0, 2), Interval.of_length(3, Stage.AFTER_V, 2, 2))
-    with pytest.raises(UsageError, match="one ring and stage"):
-        mc_mutual_information(net_l3, [good, bad], trials=2, seed=1)
+
+    def iv(i, length, stage=Stage.AFTER_W):
+        return Interval.of_length(3, stage, i, length)
+
+    good = (iv(0, 2), iv(2, 2))
+    bad = [
+        ("one ring and stage", (iv(0, 2), iv(2, 2, Stage.AFTER_V))),
+        ("start on the site after", (iv(0, 2), iv(3, 2))),  # non-adjacent
+        ("start on the site after", (iv(0, 3), iv(2, 2))),  # overlapping
+        ("does not fit on the ring", (iv(6, 5), iv(3, 4))),  # wraps onto the left
+    ]
+    for message, pair in bad:
+        with pytest.raises(UsageError, match=message):
+            mc_mutual_information(net_l3, [good, pair], trials=2, seed=1)
 
 
 @pytest.mark.parametrize("sweep", ["entropy", "mutual_information"])

@@ -16,7 +16,6 @@ from randmera import (
     frobenius_check,
     frobenius_exact,
     sample_isometry,
-    second_singular_scaling,
     singular_spectrum,
 )
 from randmera.spectra import SingularSpectrum, _frobenius_mass, _superop_from_matrix
@@ -68,7 +67,7 @@ def test_spectrum_length_is_the_square_of_the_output_dimension():
 @pytest.mark.parametrize("dims", [(4, 2, 3), (6, 3, 4), (9, 3, 3)])
 def test_vectorized_builder_matches_the_explicit_partial_trace(dims):
     d_A, d_B, d_E = dims
-    w = sample_isometry(d_A, d_B * d_E, seed=(1, *dims)).matrix
+    w = sample_isometry(d_A, d_B * d_E, seed=(1, *dims))
     fast = _superop_from_matrix(w, d_A, d_B, d_E)
     slow = _superop_by_explicit_partial_trace(w, d_A, d_B, d_E)
     assert fast.shape == (d_B * d_B, d_A * d_A)
@@ -143,13 +142,6 @@ def test_the_spectrum_peak_stays_near_two_maps():
     assert peak <= 2.25 * map_bytes
 
 
-def test_second_value_rows_match_a_complex_svd_of_each_draw():
-    (row,) = second_singular_scaling([5], trials=1, seed=4)
-    w = sample_isometry(5, 25, (4, 5, 0)).matrix
-    oracle = np.linalg.svd(_superop_from_matrix(w, 5, 5, 5), compute_uv=False)
-    assert abs(row.mean - float(oracle[1])) < 1e-13
-
-
 def test_map_output_is_deterministic_in_the_spec_seed():
     spec = SuperOperatorSpec(d_A=5, d_B=3, d_E=2, seed=9)
     assert np.array_equal(build_superop(spec), build_superop(spec))
@@ -192,7 +184,7 @@ def test_frobenius_closed_form_values():
 @pytest.mark.parametrize("dims", [(50, 10, 10), (6, 3, 4), (1, 3, 5)])
 def test_gram_frobenius_mass_equals_the_superoperator_mass(dims):
     d_A, d_B, d_E = dims
-    w = sample_isometry(d_A, d_B * d_E, seed=(2, *dims)).matrix
+    w = sample_isometry(d_A, d_B * d_E, seed=(2, *dims))
     exact = float(np.sum(np.abs(_superop_from_matrix(w, d_A, d_B, d_E)) ** 2))
     assert float(_frobenius_mass(w, d_A, d_B, d_E)) == pytest.approx(exact, rel=1e-12)
     batch = _frobenius_mass(np.stack([w, w]), d_A, d_B, d_E)
@@ -218,19 +210,18 @@ def test_leading_value_sits_near_one_with_a_clear_gap():
     assert min(gaps) > 0.02
 
 
+def _mean_second_value(d, seeds):
+    values = [singular_spectrum(SuperOperatorSpec(d, d, d, seed=s)).values[1] for s in seeds]
+    return float(np.mean(values))
+
+
 def test_second_value_scaling_tracks_the_inverse_square_root():
-    rows = second_singular_scaling([6, 10, 14], trials=4, seed=3)
-    assert [r.d for r in rows] == [6, 10, 14]
-    ratios = [r.mean / r.ref_inv_sqrt_d for r in rows]
+    ratios = [_mean_second_value(d, range(3, 7)) * math.sqrt(d) for d in (6, 10, 14)]
     mid = sum(ratios) / len(ratios)
     assert all(abs(r - mid) < 0.25 * mid for r in ratios)
     # doubling d shrinks the second value by roughly 1/sqrt(2)
-    ten, twenty = second_singular_scaling([10, 20], trials=6, seed=5)
-    assert 0.6 < twenty.mean / ten.mean < 0.82
-
-
-def test_a_numpy_integer_seed_gives_the_rows_of_the_equal_int():
-    assert second_singular_scaling([4], 2, np.int64(3)) == second_singular_scaling([4], 2, 3)
+    ten, twenty = (_mean_second_value(d, range(5, 11)) for d in (10, 20))
+    assert 0.6 < twenty / ten < 0.82
 
 
 def test_collapse_rows_drop_the_leading_value_and_rescale():
