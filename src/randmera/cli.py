@@ -17,7 +17,8 @@ Conventions shared by every command:
   ``--units bits`` is given,
 * exit codes: 0 success, 2 usage problem, 3 feasibility limit.
 
-The dense-simulation memory cap can be overridden through the
+The amplitude budget, which caps dense simulation and the maps that
+``spectra`` and ``collapse`` draw, can be overridden through the
 ``RANDMERA_MAX_AMPLITUDES`` environment variable.
 """
 
@@ -416,18 +417,35 @@ def _cmd_cuts(args: dict) -> int:
     return 0
 
 
+def _check_map_sizes(specs: list[spectra.SuperOperatorSpec]) -> None:
+    """Refuse, before any draw, a map whose largest array is over the amplitude budget.
+
+    The largest arrays of one map are its ``d_B^2 x d_A^2`` matrix and the
+    ``d_B d_E x d_A`` isometry it is built from.
+    """
+    cap = simulator.max_amplitudes_from_env()
+    for spec in specs:
+        need = max(spec.d_B**2 * spec.d_A**2, spec.d_B * spec.d_E * spec.d_A)
+        if need > cap:
+            raise FeasibilityError(f"map {spec.label} needs {need} amplitudes, budget is {cap}")
+
+
 def _cmd_spectra(args: dict) -> int:
     if args["seeds"] < 1:
         raise UsageError("--seeds must be positive")
     if args["dB"] < 2:
         raise UsageError("--dB must be at least 2: the summary reads the second singular value")
+    specs = [
+        spectra.SuperOperatorSpec(
+            d_A=args["dA"], d_B=args["dB"], d_E=args["dE"], seed=args["seed"] + idx
+        )
+        for idx in range(args["seeds"])
+    ]
+    _check_map_sizes(specs)
     rows = []
     series = {}
     lam0, lam1, min_gap = [], [], math.inf
-    for idx in range(args["seeds"]):
-        spec = spectra.SuperOperatorSpec(
-            d_A=args["dA"], d_B=args["dB"], d_E=args["dE"], seed=args["seed"] + idx
-        )
+    for spec in specs:
         values = spectra.singular_spectrum(spec).values
         lam0.append(float(values[0]))
         lam1.append(float(values[1]))
@@ -466,6 +484,7 @@ def _cmd_collapse(args: dict) -> int:
             else:
                 d_a, d_b, d_e = parts
             specs.append(spectra.SuperOperatorSpec(d_A=d_a, d_B=d_b, d_E=d_e, seed=args["seed"] + idx))
+    _check_map_sizes(specs)
     rows = spectra.collapse_experiment(specs, mode, shift=args["shift"], alpha=args["alpha"])
     if args["out"]:
         _write_csv(

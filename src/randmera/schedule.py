@@ -80,7 +80,8 @@ class DimensionSchedule:
 def _ceil_exp(x: float) -> int:
     if x > _MAX_LOG_DIM:
         raise FeasibilityError(
-            f"schedule dimension exp({x:.1f}) exceeds the exact integer range; "
+            f"schedule dimension exp({x:.1f}) is outside the float range the solver "
+            f"guards (exp(x) for x <= {_MAX_LOG_DIM:.0f}; exp overflows near x = 709.8); "
             "increase epsilon"
         )
     return max(1, math.ceil(math.exp(x)))

@@ -17,7 +17,16 @@ below 1e-12 are dropped before logs.  Snapshots are read-only.
 
 `mc_entropy_sweep` is the one Monte Carlo trial loop: trial ``t`` builds
 the network from seed ``(*seed, t)``, reads the entropies of every
-requested region off that draw and frees it before the next one.
+requested region off that draw and frees it before the next one.  It reads
+an ``after_W`` region without the ``after_W`` state.  An isometry lying
+wholly on one side of a cut leaves that side's nonzero spectrum unchanged,
+so a region at level ``k`` is read off the ``(k, after_V)`` snapshot with
+only the (at most two) rotation pairs that cross its boundary applied: the
+region's state pulled back through the rotation layer.  The build stops at
+the deepest ``after_V`` stage a region needs, so the leaf ``after_W``
+state, the largest of the trajectory, is never formed.  On 8 leaves of dimension 6,
+the balanced cut then reads a 256 x 256 Gram (odd start) or a 576 x 576 one
+(even start) instead of a 1296 x 1296 one.
 `mc_entropy_stats` (one region) and `mc_mutual_information` (left, right
 and union regions of adjacent pairs) are read off the sweep, and every mean
 and standard error comes from `haar.McEstimate.of`.
@@ -141,8 +150,32 @@ def _frozen(psi: np.ndarray) -> np.ndarray:
     return flat
 
 
-def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -> StateTrajectory:
-    """Sample every isometry of the network and contract the full state.
+def _rotate_pair(psi: np.ndarray, iso: np.ndarray, p: int, q: int, d: int) -> np.ndarray:
+    """``psi`` with ``iso`` applied to the site pair ``(p, q)``, each now of dimension ``d``."""
+    t = np.moveaxis(psi, (p, q), (0, 1))
+    rest = t.shape[2:]
+    t = iso @ t.reshape(iso.shape[1], -1)
+    return np.moveaxis(t.reshape((d, d) + rest), (0, 1), (p, q))
+
+
+def _stop_of(network: MeraNetwork, stop) -> tuple[int, Stage]:
+    """The ``(level, stage)`` a build ends at; ``None`` is the leaf ``after_W``."""
+    if stop is None:
+        return network.levels, Stage.AFTER_W
+    level, stage = int(stop[0]), Stage(stop[1])
+    if not 0 <= level <= network.levels or (level, stage) == (0, Stage.AFTER_V):
+        raise UsageError(f"no stage to stop at: level={level}, stage={stage.value}")
+    return level, stage
+
+
+def build_state(
+    network: MeraNetwork,
+    seed,
+    max_amplitudes: int | None = None,
+    *,
+    stop: tuple[int, Stage] | None = None,
+) -> StateTrajectory:
+    """Sample the network's isometries and contract its state, stage by stage.
 
     Parameters
     ----------
@@ -152,11 +185,18 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
         so any single tensor is reproducible without rebuilding the rest.
     max_amplitudes : int, optional
         Amplitude budget (default ``DEFAULT_MAX_AMPLITUDES``); the peak
-        intermediate size is checked before any allocation.
+        intermediate size of the full build is checked before any
+        allocation, whatever ``stop`` says.
+    stop : (level, stage), optional
+        The last stage to build; the default is the leaf ``after_W`` stage.
+        The stages up to ``stop`` are the full build's, bit for bit, and
+        the later ones are neither drawn nor kept.  `mc_entropy_sweep`
+        stops at an ``after_V`` stage and reads ``after_W`` regions off it
+        (see `_pulled_back`).
 
     Returns
     -------
-    StateTrajectory with snapshots at every ``(level, stage)``.
+    StateTrajectory with snapshots at every ``(level, stage)`` up to ``stop``.
     """
     cap = DEFAULT_MAX_AMPLITUDES if max_amplitudes is None else int(max_amplitudes)
     est = memory_estimate(network.schedule)
@@ -165,13 +205,14 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
             f"dense build needs {_approx_int(est.peak)} amplitudes at level "
             f"{est.peak_level} ({est.peak_stage}), budget is {cap}"
         )
+    stop_level, stop_stage = _stop_of(network, stop)
     base = seed_key(seed)
     sched = network.schedule
     psi = np.ones((1,), dtype=np.complex128)  # level 0: one site of dimension 1
     snaps: dict[tuple[int, Stage], DenseState] = {
         (0, Stage.AFTER_W): DenseState(0, Stage.AFTER_W, (1,), _frozen(psi))
     }
-    for k in range(1, sched.levels + 1):
+    for k in range(1, stop_level + 1):
         dv, dk = sched.dims_v[k], sched.dims[k]
         n_prev = 1 << (k - 1)
         n = 1 << k
@@ -181,15 +222,51 @@ def build_state(network: MeraNetwork, seed, max_amplitudes: int | None = None) -
             psi = np.moveaxis(np.tensordot(iso, psi, axes=(1, s)), 0, s)
         psi = psi.reshape((dv,) * n)
         snaps[(k, Stage.AFTER_V)] = DenseState(k, Stage.AFTER_V, (dv,) * n, _frozen(psi))
+        if (k, Stage.AFTER_V) == (stop_level, stop_stage):
+            break
         # rotation: staggered pairs, the last one wrapping around the ring
         for slot, (p, q) in enumerate(network.w_pairs(k)):
             iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, slot))
-            t = np.moveaxis(psi, (p, q), (0, 1))
-            rest = t.shape[2:]
-            t = iso @ t.reshape(dv * dv, -1)
-            psi = np.moveaxis(t.reshape((dk, dk) + rest), (0, 1), (p, q))
+            psi = _rotate_pair(psi, iso, p, q, dk)
         snaps[(k, Stage.AFTER_W)] = DenseState(k, Stage.AFTER_W, (dk,) * n, _frozen(psi))
     return StateTrajectory(network=network, snapshots=snaps)
+
+
+def _pulled_back(traj: StateTrajectory, region: Interval, seed) -> DenseState:
+    """A state with the nonzero spectrum of ``region``, as small as the draw allows.
+
+    An ``after_V`` region, and the level-0 ring, read their snapshot.  An
+    ``after_W`` region at level ``k`` reads the ``(k, after_V)`` snapshot
+    with only the rotation pairs that cross its boundary applied, each
+    re-drawn from its slot key under ``seed``, the master seed the
+    trajectory was built from.  A pair with both sites on one side of the
+    cut is an isometry on that side alone: it leaves the nonzero spectrum
+    of either side unchanged.  The result lives on the same ring with the
+    same site indices; its sites have dimension ``dims[k]`` where a
+    crossing pair was applied and ``dims_v[k]`` elsewhere.  With no pair
+    crossing, it is the snapshot itself.
+    """
+    k = region.level
+    if region.stage == Stage.AFTER_V or k == 0:
+        return traj.state_at(k, region.stage)
+    split = traj.state_at(k, Stage.AFTER_V)
+    sched = traj.network.schedule
+    dv, dk = sched.dims_v[k], sched.dims[k]
+    inside = set(region.sites())
+    crossing = [
+        (slot, p, q)
+        for slot, (p, q) in enumerate(traj.network.w_pairs(k))
+        if (p in inside) != (q in inside)
+    ]
+    if not crossing:
+        return split
+    base = seed_key(seed)
+    psi, dims = split.as_tensor(), list(split.site_dims)
+    for slot, p, q in crossing:
+        iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, slot))
+        psi = _rotate_pair(psi, iso, p, q, dk)
+        dims[p] = dims[q] = dk
+    return DenseState(k, Stage.AFTER_W, tuple(dims), _frozen(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +459,26 @@ def mc_entropy_sweep(
 
     Trial ``t`` uses master seed ``(*seed, t)``, so any subset of trials is
     reproducible independently of sweep composition.  A region listed more
-    than once is computed once.
+    than once is computed once.  Each draw is built up to the ``after_V``
+    stage of the deepest region's level (level 0 alone if every region is
+    there); an ``after_W`` region is read off its pulled-back state (see
+    `_pulled_back`), whose isometries are re-drawn from the slot keys the
+    full build uses, so the draw is the same network.  The amplitude budget
+    is checked against the full build.
     """
     if trials < 1:
         raise UsageError("trials must be positive")
     base = seed_key(seed)
+    top = max((iv.level for iv in intervals), default=0)
+    stop = (top, Stage.AFTER_V) if top else (0, Stage.AFTER_W)
     acc_s = {iv: np.empty(trials) for iv in intervals}
     acc_s2 = {iv: np.empty(trials) for iv in intervals}
     for t in range(trials):
-        traj = build_state(network, (*base, t), max_amplitudes=max_amplitudes)
+        key = (*base, t)
+        traj = build_state(network, key, max_amplitudes=max_amplitudes, stop=stop)
         for iv in acc_s:
-            spec = interval_spectrum(traj.state_at(iv.level, iv.stage), iv)
+            # the pulled-back state is dropped as soon as its spectrum is read
+            spec = interval_spectrum(_pulled_back(traj, iv, key), iv)
             acc_s[iv][t] = entropy_vn(spec)
             acc_s2[iv][t] = entropy_renyi2(spec)
         del traj  # free this draw before the next one is built

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from randmera import Interval, MeraNetwork, Stage, cut_dp
+from randmera import Interval, MeraNetwork, Stage, cut_dp, spectra
 from randmera.cli import main
 
 L3_EPS = "0.35"
@@ -252,3 +252,42 @@ def test_affine_collapse_rejects_a_bad_y(y, capsys):
     argv = ["collapse", "--mode", "affine", "--specs", "8:4", "--y", y]
     assert main(argv) == 2
     assert "--y" in capsys.readouterr().err
+
+
+def test_spectra_and_collapse_refuse_an_oversized_map_before_any_draw(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a map was drawn before its size was checked")
+
+    monkeypatch.setattr(spectra, "sample_isometry", no_draw)
+    monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES", raising=False)
+    for argv in (
+        # d_E = 2e9: a 4e9 x 8 isometry
+        ["collapse", "--mode", "affine", "--specs", "8:4", "--y", "1e-9"],
+        # the second map has 1e8 entries
+        ["collapse", "--mode", "sqrt-d", "--dims", "10,100"],
+        ["spectra", "--dA", "100", "--dB", "100", "--dE", "2"],
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+
+
+@pytest.mark.parametrize(
+    "dims,need",
+    [
+        (("4", "4", "4"), 256),  # the 16 x 16 map
+        (("2", "2", "100"), 400),  # the 200 x 2 isometry
+    ],
+)
+def test_the_map_size_cap_is_the_amplitude_budget(dims, need, monkeypatch, capsys):
+    argv = ["spectra", "--dA", dims[0], "--dB", dims[1], "--dE", dims[2], "--seeds", "1"]
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(need))
+    assert main(argv) == 0
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(need - 1))
+    assert main(argv) == 3
+    assert f"needs {need} amplitudes" in capsys.readouterr().err
+
+
+def test_a_schedule_past_the_float_range_exits_with_the_resource_code(capsys):
+    assert main(["schedule", "--epsilon", "0.03"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible:") and "outside the float range" in err

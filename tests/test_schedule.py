@@ -115,6 +115,12 @@ def test_tiny_epsilon_overflows_the_exact_integer_range():
         solve_schedule(2, 0.03)
 
 
+def test_the_overflow_guard_names_the_float_range():
+    with pytest.raises(FeasibilityError, match=r"outside the float range .*x <= 600") as err:
+        solve_schedule(2, 0.03)
+    assert "integer" not in str(err.value)
+
+
 def test_report_rows_cover_every_level_with_doubling_scales():
     s = solve_schedule(2, find_epsilon(2, 4))
     rows = schedule_report(s)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from randmera import (
     FeasibilityError,
@@ -20,6 +22,7 @@ from randmera import (
     entropy_vn,
     interval_spectrum,
     mc_entropy_stats,
+    mc_entropy_sweep,
     mc_mutual_information,
     memory_estimate,
     mutual_information,
@@ -159,6 +162,121 @@ def test_gram_spectra_match_the_svd_on_every_interval(net_l4, seed):
         assert len(gram) == len(svd)
         assert np.max(np.abs(gram - svd)) <= 1e-14
         assert abs(entropy_vn(gram) - entropy_vn(svd)) <= 1e-13
+
+
+def _padded(a, b):
+    k = max(len(a), len(b))
+    return np.pad(a, (0, k - len(a))), np.pad(b, (0, k - len(b)))
+
+
+def _assert_the_sweep_matches_the_full_snapshots(net, seed, regions):
+    """Trial 0 of the sweep against the SVD of the full build's snapshots.
+
+    The sweep stops its build at an ``after_V`` stage and reads ``after_W``
+    regions off the pulled-back state; the oracle builds every stage and
+    splits the snapshot the region lives on.
+    """
+    res = mc_entropy_sweep(net, regions, trials=1, seed=seed)
+    key = (*seed, 0)
+    traj = build_state(net, key)
+    for iv in regions:
+        pulled = interval_spectrum(simulator._pulled_back(traj, iv, key), iv)
+        oracle = _svd_spectrum(traj.state_at(iv.level, iv.stage), iv.sites())
+        a, b = _padded(pulled, oracle)
+        assert np.max(np.abs(a - b)) <= 1e-14, iv
+        assert abs(res[iv].samples_s[0] - entropy_vn(oracle)) <= 1e-13, iv
+        assert abs(res[iv].samples_s2[0] - entropy_renyi2(oracle)) <= 1e-13, iv
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("levels", [3, 4])
+def test_pulled_back_spectra_match_the_leaf_snapshot(net_l3, net_l4, levels, seed):
+    net = net_l3 if levels == 3 else net_l4
+    n = net.n_leaves
+    regions = [Interval.empty(levels, Stage.AFTER_W), Interval.whole_ring(levels, Stage.AFTER_W)]
+    regions += [
+        Interval.of_length(levels, Stage.AFTER_W, i, m) for i in range(n) for m in range(1, n)
+    ]
+    _assert_the_sweep_matches_the_full_snapshots(net, (61, seed), regions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pulled_back_spectra_match_on_drawn_schedules(data):
+    leaf = data.draw(st.integers(2, 6), label="leaf")
+    eps = data.draw(st.floats(0.25, math.log(leaf)), label="epsilon")
+    net = MeraNetwork.build(leaf, eps)
+    assume(memory_estimate(net.schedule).peak <= 1 << 16)
+    level = data.draw(st.integers(0, net.levels), label="level")
+    stages = [Stage.AFTER_W] if level == 0 else [Stage.AFTER_W, Stage.AFTER_V]
+    stage = data.draw(st.sampled_from(stages), label="stage")
+    n = 1 << level
+    regions = [
+        Interval.of_length(
+            level,
+            stage,
+            data.draw(st.integers(0, n - 1), label="start"),
+            data.draw(st.integers(0, n), label="length"),
+        )
+    ]
+    seed = (62, data.draw(st.integers(0, 1 << 16), label="seed"))
+    _assert_the_sweep_matches_the_full_snapshots(net, seed, regions)
+
+
+def test_a_stopped_build_keeps_the_full_builds_stages_bit_for_bit(net_l4):
+    full = build_state(net_l4, seed=(63, 1))
+    order = list(full.snapshots)  # build order
+    for end, stop in enumerate(order):
+        part = build_state(net_l4, seed=(63, 1), stop=stop)
+        assert list(part.snapshots) == order[: end + 1]
+        for key, state in part.snapshots.items():
+            assert state.site_dims == full.snapshots[key].site_dims
+            assert state.amplitudes.tobytes() == full.snapshots[key].amplitudes.tobytes()
+    for bad in ((0, Stage.AFTER_V), (5, Stage.AFTER_W), (-1, Stage.AFTER_W)):
+        with pytest.raises(UsageError, match="no stage to stop at"):
+            build_state(net_l4, seed=0, stop=bad)
+    # the budget is checked against the full build, wherever it stops
+    peak = memory_estimate(net_l4.schedule).peak
+    with pytest.raises(FeasibilityError):
+        build_state(net_l4, seed=0, max_amplitudes=peak - 1, stop=(1, Stage.AFTER_V))
+
+
+def test_the_sweep_builds_no_stage_past_the_after_v_ring_it_reads(net_l3, monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        traj = build_state(*args, **kwargs)
+        built.append(set(traj.snapshots))
+        return traj
+
+    monkeypatch.setattr(simulator, "build_state", spy)
+    up_to = [(0, Stage.AFTER_W)]
+    for k in (1, 2, 3):
+        up_to += [(k, Stage.AFTER_V), (k, Stage.AFTER_W)]
+    mc_entropy_sweep(net_l3, [Interval.of_length(3, Stage.AFTER_W, 2, 3)], 2, seed=4)
+    assert built == [set(up_to[:-1])] * 2
+    mc_entropy_sweep(net_l3, [Interval.of_length(2, Stage.AFTER_V, 1, 2)], 1, seed=4)
+    mc_entropy_sweep(net_l3, [Interval.of_length(2, Stage.AFTER_W, 1, 2)], 1, seed=4)
+    mc_entropy_sweep(net_l3, [Interval.whole_ring(0, Stage.AFTER_W)], 1, seed=4)
+    assert built[2:] == [set(up_to[:4]), set(up_to[:4]), set(up_to[:1])]
+
+
+def test_a_sweep_of_the_d6_network_never_holds_its_leaf_state():
+    # 8 leaves of dimension 6: the leaf snapshot alone is 25.6 MiB, while an
+    # even start of length 4 crosses two rotation pairs (576 x 576 Gram)
+    net = MeraNetwork.build(6, 0.5777)
+    leaf_bytes = 16 * 6**8
+    regions = [
+        Interval.of_length(net.levels, Stage.AFTER_W, i, m) for i in (0, 1) for m in (1, 2, 3, 4)
+    ]
+    mc_entropy_sweep(net, regions[:1], 1, seed=8)  # first call: numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        mc_entropy_sweep(net, regions, 1, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < leaf_bytes / 2
 
 
 def test_tiles_of_uneven_size_give_the_dense_results():
@@ -383,14 +501,24 @@ def _cli_pairs(level, offset, lengths):
 
 
 def test_monte_carlo_mutual_information_matches_a_manual_loop(net_l3):
+    # the sweep reads every region off its pulled-back state, and so does
+    # this loop; `test_pulled_back_spectra_match_the_leaf_snapshot` compares
+    # that route with the leaf state at a stated tolerance
     pairs = _cli_pairs(3, 5, (1, 2, 4))
     res = mc_mutual_information(net_l3, pairs, trials=4, seed=14)
     assert [(r.left, r.right) for r in res] == pairs
+
+    def s_vn(traj, region, key):
+        return entropy_vn(interval_spectrum(simulator._pulled_back(traj, region, key), region))
+
     for t in range(4):
         traj = build_state(net_l3, (14, t))
         for r in res:
+            union = Interval.of_length(3, Stage.AFTER_W, r.left.i, r.left.length + r.right.length)
+            manual = s_vn(traj, r.left, (14, t)) + s_vn(traj, r.right, (14, t))
+            manual -= s_vn(traj, union, (14, t))
             assert len(r.samples) == 4
-            assert r.samples[t] == mutual_information(traj.leaf, r.left, r.right)
+            assert r.samples[t] == manual
             assert r.samples[t] >= -1e-8
 
 
