@@ -11,7 +11,7 @@ Modules
 -------
 haar       - Haar isometry sampling and fourth-moment closed forms.
 schedule   - the level-dimension recursion, its feasibility and scaling.
-network    - ring geometry: pairings, intervals, modular arithmetic.
+network    - ring geometry: stages, rotation pairs, intervals.
 simulator  - exact dense states, reduced spectra, entropies, Monte Carlo.
 cutbounds  - reduction-sequence dynamic programs and entropy brackets.
 spectra    - coarse-graining channel spectra and rescaling collapses.
@@ -32,7 +32,7 @@ from .haar import (
     sample_isometry,
     sample_isometry_batch,
 )
-from .network import Interval, MeraNetwork, Stage, modular_distance, v_children, w_partner
+from .network import Interval, MeraNetwork, Stage
 from .schedule import (
     DimensionSchedule,
     MemoryEstimate,
@@ -45,15 +45,12 @@ from .simulator import (
     DenseState,
     StateTrajectory,
     build_state,
-    correlation_proxies,
     entropy_renyi2,
     entropy_vn,
     interval_spectrum,
     mc_entropy_stats,
     mc_entropy_sweep,
     mc_mutual_information,
-    mutual_information,
-    reduced_density,
 )
 from .cutbounds import (
     CutBounds,
@@ -61,7 +58,6 @@ from .cutbounds import (
     ReductionStep,
     SandwichBounds,
     cut_dp,
-    interval_entropy_scaling,
     mi_prediction,
     sandwich,
 )
@@ -70,7 +66,6 @@ from .spectra import (
     SuperOperatorSpec,
     build_superop,
     collapse_experiment,
-    frobenius_check,
     frobenius_exact,
     singular_spectrum,
 )
@@ -94,9 +89,6 @@ __all__ = [
     "Interval",
     "MeraNetwork",
     "Stage",
-    "modular_distance",
-    "v_children",
-    "w_partner",
     "DimensionSchedule",
     "MemoryEstimate",
     "find_epsilon",
@@ -106,28 +98,23 @@ __all__ = [
     "DenseState",
     "StateTrajectory",
     "build_state",
-    "correlation_proxies",
     "entropy_renyi2",
     "entropy_vn",
     "interval_spectrum",
     "mc_entropy_stats",
     "mc_entropy_sweep",
     "mc_mutual_information",
-    "mutual_information",
-    "reduced_density",
     "CutBounds",
     "ReductionSequence",
     "ReductionStep",
     "SandwichBounds",
     "cut_dp",
-    "interval_entropy_scaling",
     "mi_prediction",
     "sandwich",
     "SingularSpectrum",
     "SuperOperatorSpec",
     "build_superop",
     "collapse_experiment",
-    "frobenius_check",
     "frobenius_exact",
     "singular_spectrum",
     "__version__",

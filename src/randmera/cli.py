@@ -343,6 +343,8 @@ def _cmd_entropy(args: dict) -> int:
 
 
 def _cmd_mutual_info(args: dict) -> int:
+    if not args["lengths"]:
+        raise UsageError("--lengths needs at least one length")
     network = _network(args)
     n = network.n_leaves
     level, stage = network.levels, Stage.AFTER_W

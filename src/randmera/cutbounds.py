@@ -49,10 +49,8 @@ __all__ = [
     "ReductionSequence",
     "ReductionStep",
     "SandwichBounds",
-    "ScalingRow",
     "cut_dp",
     "engine_for",
-    "interval_entropy_scaling",
     "mi_prediction",
     "sandwich",
 ]
@@ -149,16 +147,6 @@ class MiPrediction:
     left: SandwichBounds
     right: SandwichBounds
     union: SandwichBounds
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    """One line of the entropy-versus-length table."""
-
-    length: int
-    upper: float
-    lower: float
-    ref_log_dim: float
 
 
 _Entry = tuple[float, float, float, "ReductionStep | None", "_State | None"]
@@ -339,31 +327,3 @@ def mi_prediction(network: MeraNetwork, left: Interval, right: Interval) -> MiPr
         i_upper=i_upper, i_lower=i_lower, left=s_left, right=s_right, union=s_union
     )
 
-
-def interval_entropy_scaling(network: MeraNetwork, lengths: list[int]) -> list[ScalingRow]:
-    """Entropy brackets for leaf intervals of the given lengths.
-
-    Intervals start at site 1 (aligned with the rotation pairing) so the
-    table is deterministic.  The reference column is the log dimension of
-    the ring whose scale matches the length, i.e. ``length`` halvings up
-    from the leaves.  Lengths must stay below half the ring: at exactly
-    half, complementary-interval symmetry changes the regime.
-    """
-    n = network.n_leaves
-    sched = network.schedule
-    rows = []
-    for length in lengths:
-        if not 1 <= length < n // 2:
-            raise UsageError(f"length {length} not in [1, {n // 2 - 1}]")
-        iv = Interval.of_length(network.levels, Stage.AFTER_W, 1, length)
-        s = sandwich(network, iv)
-        m = min(network.levels, int(math.floor(math.log2(length))))
-        rows.append(
-            ScalingRow(
-                length=length,
-                upper=s.upper,
-                lower=s.lower,
-                ref_log_dim=math.log(sched.dims[network.levels - m]),
-            )
-        )
-    return rows

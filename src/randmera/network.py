@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 from .errors import UsageError
 from .schedule import DimensionSchedule, solve_schedule
 
-__all__ = [
-    "Interval",
-    "MeraNetwork",
-    "Stage",
-    "modular_distance",
-    "v_children",
-    "v_parent",
-    "w_partner",
-]
+__all__ = ["Interval", "MeraNetwork", "Stage"]
 
 
 class Stage(str, enum.Enum):
@@ -38,40 +30,6 @@ class Stage(str, enum.Enum):
 
     AFTER_V = "after_V"
     AFTER_W = "after_W"
-
-
-def modular_distance(n_sites: int, a: int, b: int) -> int:
-    """Signed distance ``a - b`` on a ring, reduced to the representative of
-    smallest absolute value; the tie at ``n_sites/2`` resolves positive."""
-    if n_sites < 1:
-        raise UsageError("ring must have at least one site")
-    r = (a - b) % n_sites
-    if 2 * r > n_sites:
-        return r - n_sites
-    return r
-
-
-def w_partner(level: int, site: int) -> int:
-    """Partner of ``site`` under the staggered pairing ``(2j+1, 2j+2 mod n)``."""
-    n = 1 << level
-    site %= n
-    return (site + 1) % n if site % 2 == 1 else (site - 1) % n
-
-
-def v_children(level: int, parent_site: int) -> tuple[int, int]:
-    """Children at ``level`` of a site at ``level - 1``: ``(2s, 2s+1)``."""
-    if level < 1:
-        raise UsageError("splitting is defined for level >= 1")
-    n_prev = 1 << (level - 1)
-    s = parent_site % n_prev
-    return (2 * s, 2 * s + 1)
-
-
-def v_parent(level: int, site: int) -> int:
-    """Parent at ``level - 1`` of a site at ``level``."""
-    if level < 1:
-        raise UsageError("splitting is defined for level >= 1")
-    return (site % (1 << level)) // 2
 
 
 @dataclass(frozen=True)
@@ -103,13 +61,11 @@ class Interval:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def of_length(cls, level: int, stage: Stage, i: int, length: int, *, whole_ok=True) -> "Interval":
+    def of_length(cls, level: int, stage: Stage, i: int, length: int) -> "Interval":
         n = 1 << level
         if not (0 <= length <= n):
             raise UsageError(f"length {length} outside 0..{n}")
         i %= n
-        if length == n and not whole_ok:
-            raise UsageError("whole ring not allowed here")
         j = (i + length - 1) % n
         return cls(level=level, stage=stage, i=i, j=j, n_sites=n, whole=(length == n))
 

@@ -73,9 +73,6 @@ class DimensionSchedule:
     def log_dim(self, level: int) -> float:
         return math.log(self.dims[level])
 
-    def log_dim_v(self, level: int) -> float:
-        return math.log(self.dims_v[level])
-
 
 def _ceil_exp(x: float) -> int:
     if x > _MAX_LOG_DIM:

@@ -42,13 +42,12 @@ import numpy as np
 
 from .errors import FeasibilityError, UsageError
 from .haar import McEstimate, sample_isometry, seed_key
-from .network import Interval, MeraNetwork, Stage, w_partner
+from .network import Interval, MeraNetwork, Stage
 from .schedule import memory_estimate
 
 __all__ = [
     "DEFAULT_MAX_AMPLITUDES",
     "MAX_AMPLITUDES_ENV",
-    "CorrelationProxies",
     "DenseState",
     "EntropySamples",
     "MiSamples",
@@ -61,9 +60,6 @@ __all__ = [
     "mc_entropy_stats",
     "mc_entropy_sweep",
     "mc_mutual_information",
-    "mutual_information",
-    "correlation_proxies",
-    "reduced_density",
 ]
 
 DEFAULT_MAX_AMPLITUDES = 1 << 26
@@ -310,7 +306,7 @@ def _boxes(shape: tuple[int, ...], cap: int):
             yield head + (slice(lo, lo + step),)
 
 
-def _gram(state: DenseState, rows: list[int], cols: list[int], full: bool) -> np.ndarray:
+def _gram(state: DenseState, rows: list[int], cols: list[int]) -> np.ndarray:
     """``A A^dagger`` for ``A`` the amplitudes split into ``rows`` against ``cols``.
 
     Column panels of ``A`` are copied from a strided view of the snapshot
@@ -318,14 +314,14 @@ def _gram(state: DenseState, rows: list[int], cols: list[int], full: bool) -> np
     from one reused tile.  A buffer holds at most ``_TILE_AMPLITUDES``
     amplitudes and at most a sixteenth of the state (or one column of ``A``
     if that is more); all are freed on return.  Only the lower triangle is
-    filled unless ``full``.
+    filled.
     """
     t = state.as_tensor().transpose(rows + cols)
     d = math.prod(t.shape[: len(rows)])
     cap = max(d, min(_TILE_AMPLITUDES, t.size >> 4))
     rb = min(d, math.isqrt(cap))
     blocks = [(lo, min(lo + rb, d)) for lo in range(0, d, rb)]
-    pairs = [(bi, bj) for bi in blocks for bj in blocks if full or bj[0] <= bi[0]]
+    pairs = [(bi, bj) for bi in blocks for bj in blocks if bj[0] <= bi[0]]
     g = np.zeros((d, d), dtype=np.complex128)
     panel = np.empty(min(cap, t.size), dtype=np.complex128)
     conj = np.empty_like(panel)
@@ -343,18 +339,6 @@ def _gram(state: DenseState, rows: list[int], cols: list[int], full: bool) -> np
     return g
 
 
-def reduced_density(state: DenseState, region) -> np.ndarray:
-    """Reduced density matrix of an interval or explicit site list.
-
-    The site order of ``region`` fixes the tensor factor order of the
-    result.  The empty region gives the 1x1 matrix [[1.0]].  The matrix is
-    the Gram matrix of the amplitudes split into ``region`` against the
-    rest, built tile by tile without a full-size copy of the state.
-    """
-    sites, rest = _cut(state, region)
-    return _gram(state, sites, rest, full=True)
-
-
 def interval_spectrum(state: DenseState, region) -> np.ndarray:
     """Eigenvalues of the reduced state of ``region``, descending.
 
@@ -368,16 +352,14 @@ def interval_spectrum(state: DenseState, region) -> np.ndarray:
         state.site_dims[s] for s in rest
     ):
         sites, rest = rest, sites
-    p = np.linalg.eigvalsh(_gram(state, sites, rest, full=False), UPLO="L")
+    p = np.linalg.eigvalsh(_gram(state, sites, rest), UPLO="L")
     return np.clip(p, 0.0, None)[::-1]
 
 
-def _probs_of(rho) -> np.ndarray:
-    rho = np.asarray(rho)
-    if rho.ndim == 2:
-        p = np.linalg.eigvalsh(rho)
-    else:
-        p = rho  # already a spectrum
+def _probs_of(spectrum) -> np.ndarray:
+    p = np.asarray(spectrum)
+    if p.ndim != 1 or p.size == 0:
+        raise UsageError(f"expected a nonempty 1-D spectrum, got an array of shape {p.shape}")
     if np.min(p) < -1e-9:
         raise UsageError(f"not a state: eigenvalue {np.min(p):.3e}")
     total = float(np.sum(p))
@@ -386,28 +368,17 @@ def _probs_of(rho) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def entropy_vn(rho) -> float:
-    """Von Neumann entropy in nats of a density matrix or spectrum."""
-    p = _probs_of(rho)
+def entropy_vn(spectrum) -> float:
+    """Von Neumann entropy in nats of a spectrum (a 1-D array of weights)."""
+    p = _probs_of(spectrum)
     p = p[p > _EIG_CLAMP]
     return float(-(p * np.log(p)).sum())
 
 
-def entropy_renyi2(rho) -> float:
-    """Order-2 Renyi entropy ``-log tr(rho^2)`` in nats."""
-    p = _probs_of(rho)
+def entropy_renyi2(spectrum) -> float:
+    """Order-2 Renyi entropy ``-log sum(p^2)`` in nats of a spectrum."""
+    p = _probs_of(spectrum)
     return float(-math.log(float((p * p).sum())))
-
-
-def mutual_information(state: DenseState, left: Interval, right: Interval) -> float:
-    """``S(left) + S(right) - S(left+right)`` for disjoint regions, in nats."""
-    ls, rs = left.sites(), right.sites()
-    if set(ls) & set(rs):
-        raise UsageError("regions overlap")
-    s_l = entropy_vn(interval_spectrum(state, ls))
-    s_r = entropy_vn(interval_spectrum(state, rs))
-    s_u = entropy_vn(interval_spectrum(state, ls + rs))
-    return s_l + s_r - s_u
 
 
 # ---------------------------------------------------------------------------
@@ -553,61 +524,3 @@ def mc_mutual_information(
         for (left, right), union in zip(pairs, unions)
     ]
 
-
-# ---------------------------------------------------------------------------
-# correlation proxies
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorrelationProxies:
-    """Cheap witnesses of correlations between two separated regions.
-
-    ``trace_norm_bound``   - ``|| rho_XY - rho_X x rho_Y ||_1``, which upper
-    bounds any normalized connected correlator between the regions.
-
-    ``schmidt_max``        - largest eigenvalue of the reduced state across
-    the cut that groups X with its rotation partner sites against the rest.
-
-    ``l2_bound``           - ``sqrt(tr rho_cut^2) * sqrt(dim X)``: the
-    Cauchy-Schwarz relaxation of the correlator through that cut, using the
-    purity of the cut rather than ``schmidt_max * sqrt(rank)`` (always at
-    least as tight).
-    """
-
-    trace_norm_bound: float
-    l2_bound: float
-    schmidt_max: float
-
-
-def correlation_proxies(state: DenseState, x: Interval, y: Interval) -> CorrelationProxies:
-    """Correlation witnesses between disjoint regions of one state.
-
-    Empty ``y`` (or ``x``) is a valid degenerate call: all proxies are 0.
-    """
-    xs, ys = x.sites(), y.sites()
-    if set(xs) & set(ys):
-        raise UsageError("regions overlap")
-    if not xs or not ys:
-        return CorrelationProxies(0.0, 0.0, 0.0)
-
-    rho_xy = reduced_density(state, xs + ys)
-    rho_x = reduced_density(state, xs)
-    rho_y = reduced_density(state, ys)
-    diff = rho_xy - np.kron(rho_x, rho_y)
-    trace_norm = float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-    # cut: X plus the rotation partners of its boundary sites vs the rest
-    cut = list(xs)
-    for s in (xs[0], xs[-1]):
-        p = w_partner(state.level, s)
-        if p not in cut and p not in ys:
-            cut.append(p)
-    spec = interval_spectrum(state, cut)
-    schmidt_max = float(spec[0])
-    purity = float((spec * spec).sum())
-    dim_x = float(np.prod([state.site_dims[s] for s in xs]))
-    l2_bound = math.sqrt(purity) * math.sqrt(dim_x)
-    return CorrelationProxies(
-        trace_norm_bound=trace_norm, l2_bound=l2_bound, schmidt_max=schmidt_max
-    )

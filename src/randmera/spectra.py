@@ -23,9 +23,9 @@ real SVD runs on ``R`` or its transpose, whichever is tall.  It gives
 ``min(d_A, d_B)^2`` values; the map has rank at most ``d_A^2``, so when
 ``d_A < d_B`` the spectrum is padded with exact zeros to ``d_B^2`` values.
 
-The module also provides the Frobenius-mass check (the squared singular
-values sum to about ``d_A``), and the rescaling experiments that overlay
-spectra of different sizes on a common curve.
+The module also provides the closed-form Frobenius mass (the squared
+singular values sum to about ``d_A`` on average), and the rescaling
+experiments that overlay spectra of different sizes on a common curve.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .haar import McEstimate, moment_constants, sample_isometry, sample_isometry_batch
+from .haar import moment_constants, sample_isometry
 
 __all__ = [
     "CollapseRow",
@@ -44,7 +44,6 @@ __all__ = [
     "SuperOperatorSpec",
     "build_superop",
     "collapse_experiment",
-    "frobenius_check",
     "frobenius_exact",
     "singular_spectrum",
 ]
@@ -147,27 +146,6 @@ def frobenius_exact(d_A: int, d_B: int, d_E: int) -> float:
     t_direct = d_B * d_E**2 * d_A + d_B**2 * d_E * d_A**2
     t_swapped = d_B * d_E**2 * d_A**2 + d_B**2 * d_E * d_A
     return (d_B / d_A) * (mc.c * t_direct + mc.c_prime * t_swapped)
-
-
-def _frobenius_mass(w: np.ndarray, d_A: int, d_B: int, d_E: int) -> np.ndarray:
-    """Squared Frobenius mass of the scaled channel of each isometry in ``w``.
-
-    With ``P[(b, a), e] = W[b, e, a]`` the matricized map is
-    ``sqrt(d_B/d_A) P P^dagger`` up to a reordering of entries, so its mass
-    is ``(d_B/d_A) ||P^dagger P||_F^2``, read off a ``d_E x d_E`` Gram
-    matrix instead of the ``d_B^2 x d_A^2`` map.  ``w`` has shape
-    ``(..., d_B * d_E, d_A)``.
-    """
-    lead = w.shape[:-2]
-    p = np.swapaxes(w.reshape(lead + (d_B, d_E, d_A)), -1, -2).reshape(lead + (d_B * d_A, d_E))
-    g = np.swapaxes(p, -1, -2).conj() @ p
-    return (d_B / d_A) * np.sum(np.abs(g) ** 2, axis=(-2, -1))
-
-
-def frobenius_check(spec: SuperOperatorSpec, trials: int, seed) -> McEstimate:
-    """Monte Carlo mean of the squared Frobenius mass over fresh draws."""
-    w = sample_isometry_batch(spec.d_A, spec.d_B * spec.d_E, trials, seed)
-    return McEstimate.of(_frobenius_mass(w, spec.d_A, spec.d_B, spec.d_E))
 
 
 @dataclass(frozen=True)

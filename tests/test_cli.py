@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from randmera import Interval, MeraNetwork, Stage, cut_dp, spectra
+from randmera import Interval, MeraNetwork, Stage, cut_dp, simulator, spectra
 from randmera.cli import main
 
 L3_EPS = "0.35"
@@ -127,6 +127,27 @@ def test_an_empty_interval_is_a_usage_error(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "empty interval" in err and argv[argv.index("--interval") + 1] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_an_empty_length_list_is_a_usage_error_before_any_draw(
+    form, tmp_path, monkeypatch, capsys
+):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a network was drawn before the lengths were checked")
+
+    monkeypatch.setattr(simulator, "build_state", no_draw)
+    out = tmp_path / "mi.csv"
+    argv = ["mutual-info", "--epsilon", L3_EPS, "--out", str(out)]
+    if form == "flag":
+        argv += ["--lengths", ","]
+    else:
+        cfg = tmp_path / "mi.cfg"
+        cfg.write_text("lengths =\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "--lengths" in capsys.readouterr().err
     assert not out.exists()
 
 

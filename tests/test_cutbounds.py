@@ -18,7 +18,6 @@ from randmera import (
     Stage,
     UsageError,
     cut_dp,
-    interval_entropy_scaling,
     mi_prediction,
     sandwich,
 )
@@ -325,6 +324,27 @@ def test_reflection_is_an_exact_symmetry_of_the_bounds(net_l3, net_l4):
             assert b.lower_bound == pytest.approx(a.lower_bound, abs=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_reflection_is_a_symmetry_on_drawn_schedules(data):
+    leaf = data.draw(st.integers(2, 6), label="leaf")
+    eps = data.draw(st.floats(0.25, math.log(leaf)), label="epsilon")
+    net = MeraNetwork.build(leaf, eps)
+    level = data.draw(st.integers(0, net.levels), label="level")
+    stages = [Stage.AFTER_W] if level == 0 else [Stage.AFTER_W, Stage.AFTER_V]
+    stage = data.draw(st.sampled_from(stages), label="stage")
+    n = 1 << level
+    length = data.draw(st.integers(0, n), label="length")
+    iv = Interval.of_length(level, stage, data.draw(st.integers(0, n - 1), label="start"), length)
+    mirrored = Interval.of_length(level, stage, (n - 1 - iv.j) % n, length)
+    a, b = cut_dp(net, iv), cut_dp(net, mirrored)
+    # min and lower bound are minima over mirrored sequences of equal cost;
+    # lse sums its branches in mirrored order, so its last bits may differ
+    assert (b.min_cost, b.lower_bound) == (a.min_cost, a.lower_bound)
+    assert b.lse == pytest.approx(a.lse, abs=1e-12)
+    assert b.argmin.cost == a.min_cost
+
+
 def test_translations_are_not_symmetries(net_l4):
     # Site parity fixes which endpoint alignments are free, so a shift by
     # one flips the price: at level 3 the pair-aligned [1,2] pays two
@@ -400,24 +420,23 @@ def test_bracket_lower_edge_grows_on_a_deep_network(net_big):
 
 
 def test_entropy_scaling_table_on_a_deep_network(net_big):
+    # brackets of leaf intervals starting at site 1, aligned with the rotation pairing
     lengths = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-    rows = interval_entropy_scaling(net_big, lengths)
-    assert [r.length for r in rows] == lengths
+
+    def table():
+        return [
+            sandwich(net_big, Interval.of_length(net_big.levels, Stage.AFTER_W, 1, length))
+            for length in lengths
+        ]
+
+    rows = table()
     lowers = [r.lower for r in rows]
     uppers = [r.upper for r in rows]
     assert all(0.0 <= lo <= up for lo, up in zip(lowers, uppers))
     assert all(a <= b + 1e-12 for a, b in zip(lowers, lowers[1:]))
     assert lowers[-1] > 200.0
     assert uppers[0] == pytest.approx(math.log(2.0), abs=1e-12)
-    assert rows[0].ref_log_dim == pytest.approx(math.log(2.0), abs=1e-12)
-    assert interval_entropy_scaling(net_big, lengths) == rows  # deterministic
-
-
-def test_entropy_scaling_rejects_lengths_past_half_the_ring(net_big):
-    with pytest.raises(UsageError):
-        interval_entropy_scaling(net_big, [0])
-    with pytest.raises(UsageError):
-        interval_entropy_scaling(net_big, [2048])
+    assert table() == rows  # deterministic
 
 
 def test_deep_reductions_use_at_least_logarithmic_height(net_big):

@@ -1,26 +1,36 @@
-"""Ring geometry: pairings, parent/child maps, and interval conventions."""
+"""Ring geometry: rotation pairs, the child map, and interval conventions."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from randmera import Interval, Stage, UsageError, modular_distance, v_children, w_partner
-from randmera.network import v_parent
+from randmera import Interval, Stage, UsageError, build_state, interval_spectrum
 
 
-def test_rotation_partner_examples():
-    assert w_partner(2, 1) == 2
-    assert w_partner(2, 0) == 3  # the wrap pair on a ring of four
-    assert w_partner(1, 1) == 0
-    assert w_partner(3, 5) == 6
+def _partners(net, level):
+    """The rotation partner of every site of ``level``, read off `MeraNetwork.w_pairs`."""
+    partner = {}
+    for a, b in net.w_pairs(level):
+        partner[a], partner[b] = b, a
+    return partner
+
+
+def test_rotation_partner_examples(net_l4):
+    assert _partners(net_l4, 2)[1] == 2
+    assert _partners(net_l4, 2)[0] == 3  # the wrap pair on a ring of four
+    assert _partners(net_l4, 1)[1] == 0
+    assert _partners(net_l4, 3)[5] == 6
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
-def test_rotation_partner_is_an_involution_pairing_odd_with_even(level):
+def test_rotation_partner_is_an_involution_pairing_odd_with_even(net_l4, level):
     n = 1 << level
+    partner = _partners(net_l4, level)
+    assert sorted(partner) == list(range(n))
     for site in range(n):
-        p = w_partner(level, site)
-        assert w_partner(level, p) == site
+        p = partner[site]
+        assert partner[p] == site
         assert p != site
         assert {site % 2, p % 2} == {0, 1}
         if site % 2 == 1:
@@ -28,41 +38,18 @@ def test_rotation_partner_is_an_involution_pairing_odd_with_even(level):
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
-def test_children_tile_the_ring_and_invert_the_parent_map(level):
-    n_prev = 1 << (level - 1)
-    seen = []
-    for s in range(n_prev):
-        a, b = v_children(level, s)
-        assert b == a + 1
-        assert v_parent(level, a) == s
-        assert v_parent(level, b) == s
-        seen += [a, b]
-    assert sorted(seen) == list(range(1 << level))
-
-
-def test_child_map_examples():
-    assert v_children(1, 0) == (0, 1)
-    assert v_children(4, 5) == (10, 11)
-    with pytest.raises(UsageError):
-        v_children(0, 0)
-
-
-def test_modular_distance_picks_the_short_way_around():
-    assert modular_distance(8, 7, 0) == -1
-    assert modular_distance(8, 4, 0) == 4  # the tie resolves positive
-    assert modular_distance(8, 3, 3) == 0
-    assert modular_distance(16, 1, 15) == 2
-    with pytest.raises(UsageError):
-        modular_distance(0, 0, 0)
-
-
-@pytest.mark.parametrize("n", [2, 4, 8, 16])
-def test_modular_distance_is_the_minimal_representative(n):
-    for a in range(n):
-        for b in range(n):
-            d = modular_distance(n, a, b)
-            assert (a - b) % n == d % n
-            assert abs(d) <= n // 2
+def test_children_tile_the_ring_and_invert_the_parent_map(net_l4, level):
+    # The splitting stage sends parent site s to the children (2s, 2s+1), so
+    # each such pair carries exactly its parent's reduced spectrum: splitting
+    # is an isometry on the parent.
+    traj = build_state(net_l4, seed=(12, level))
+    split = traj.state_at(level, Stage.AFTER_V)
+    parent = traj.state_at(level - 1, Stage.AFTER_W)
+    for s in range(1 << (level - 1)):
+        a = interval_spectrum(split, [2 * s, 2 * s + 1])
+        b = interval_spectrum(parent, [s])
+        k = max(len(a), len(b))
+        assert np.max(np.abs(np.pad(a, (0, k - len(a))) - np.pad(b, (0, k - len(b))))) < 1e-10
 
 
 def test_interval_constructors_and_length():
@@ -97,8 +84,6 @@ def test_interval_validation_rejects_inconsistent_data():
         Interval(2, Stage.AFTER_W, 0, 1, n_sites=4, whole=True)  # not closed
     with pytest.raises(UsageError):
         Interval.of_length(2, Stage.AFTER_W, 0, 5)  # longer than the ring
-    with pytest.raises(UsageError):
-        Interval.of_length(2, Stage.AFTER_W, 0, 4, whole_ok=False)
 
 
 def test_network_ring_sizes_and_site_dimensions(net_l4):
@@ -124,5 +109,5 @@ def test_rotation_pairs_partition_the_ring(net_l4, level):
     flat = [s for p in pairs for s in p]
     assert sorted(flat) == list(range(n))
     for a, b in pairs:
-        assert w_partner(level, a) == b
+        assert a % 2 == 1 and b == (a + 1) % n
     assert pairs[-1] == (n - 1, 0)  # the wrap pair comes last

@@ -17,7 +17,6 @@ from randmera import (
     Stage,
     UsageError,
     build_state,
-    correlation_proxies,
     entropy_renyi2,
     entropy_vn,
     interval_spectrum,
@@ -25,8 +24,6 @@ from randmera import (
     mc_entropy_sweep,
     mc_mutual_information,
     memory_estimate,
-    mutual_information,
-    reduced_density,
     sample_isometry,
 )
 from randmera import simulator
@@ -95,11 +92,12 @@ def test_entropies_of_a_hand_computed_spectrum():
     assert entropy_renyi2(spec) == pytest.approx(math.log(16.0 / 10.0), abs=1e-14)
 
 
-def test_entropy_accepts_matrix_wrapper_and_spectrum_forms():
-    spec = np.array([0.75, 0.25])
-    mat = np.diag(spec).astype(complex)
-    vals = {entropy_vn(spec), entropy_vn(mat)}
-    assert max(vals) - min(vals) < 1e-12
+def test_entropy_rejects_a_matrix_form():
+    mat = np.diag([0.75, 0.25]).astype(complex)
+    for entropy in (entropy_vn, entropy_renyi2):
+        for bad in (mat, np.float64(1.0), np.array([])):
+            with pytest.raises(UsageError, match="nonempty 1-D spectrum"):
+                entropy(bad)
 
 
 def test_entropy_edge_cases_and_order():
@@ -122,18 +120,10 @@ def test_non_states_are_rejected():
         entropy_vn(np.array([1.2, -0.2]))  # negative weight
 
 
-def test_reduced_density_is_a_density_matrix(traj_l3):
-    m = reduced_density(traj_l3.leaf, Interval.of_length(3, Stage.AFTER_W, 2, 3))
-    assert m.shape == (8, 8)
-    assert np.max(np.abs(m - m.conj().T)) < 1e-12
-    assert np.trace(m).real == pytest.approx(1.0, abs=1e-10)
-    assert np.min(np.linalg.eigvalsh(m)) > -1e-10
-
-
 def test_empty_and_whole_regions_are_trivial(traj_l3, net_l3):
-    empty = reduced_density(traj_l3.leaf, Interval.empty(3, Stage.AFTER_W))
-    assert empty.shape == (1, 1)
-    assert empty[0, 0] == pytest.approx(1.0, abs=1e-12)
+    empty = interval_spectrum(traj_l3.leaf, Interval.empty(3, Stage.AFTER_W))
+    assert empty.shape == (1,)
+    assert empty[0] == pytest.approx(1.0, abs=1e-12)
     whole = interval_spectrum(traj_l3.leaf, Interval.whole_ring(3, Stage.AFTER_W))
     assert whole[0] == pytest.approx(1.0, abs=1e-10)
     assert entropy_vn(whole) == pytest.approx(0.0, abs=1e-10)
@@ -292,8 +282,28 @@ def test_tiles_of_uneven_size_give_the_dense_results():
         assert np.max(np.abs(spec - _svd_spectrum(state, region))) < 1e-14
         a = np.moveaxis(state.as_tensor(), region, range(len(region)))
         a = a.reshape(math.prod(dims[s] for s in region), -1)
-        rho = reduced_density(state, region)
-        assert np.max(np.abs(rho - a @ a.conj().T)) < 1e-14
+        # the Gram fills the lower triangle, and its diagonal tiles whole
+        gram = simulator._gram(state, *simulator._cut(state, region))
+        assert np.max(np.abs(np.tril(gram) - np.tril(a @ a.conj().T))) < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gram_spectra_match_the_svd_on_drawn_site_dimensions(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=6), label="dims"))
+    assume(math.prod(dims) <= 1 << 12)
+    rng = np.random.default_rng(data.draw(st.integers(0, 1 << 16), label="seed"))
+    amps = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
+    state = DenseState(
+        level=0, stage=Stage.AFTER_W, site_dims=dims, amplitudes=amps / np.linalg.norm(amps)
+    )
+    # any sites in any order: gaps and reversals make non-contiguous cuts
+    region = data.draw(st.permutations(range(len(dims))), label="order")
+    region = region[: data.draw(st.integers(0, len(dims)), label="size")]
+    spec = interval_spectrum(state, region)
+    svd = _svd_spectrum(state, region)
+    assert len(spec) == len(svd)
+    assert np.max(np.abs(spec - svd)) <= 1e-14
 
 
 def test_a_known_spectrum_across_the_clamp_is_recovered():
@@ -414,33 +424,35 @@ def test_moving_an_endpoint_changes_entropy_by_at_most_the_site_log(traj_l4):
             assert s_base <= s_moved + step * (abs(di) + abs(dj)) + 1e-8
 
 
-def test_mutual_information_basics(traj_l4):
+def test_mutual_information_basics(net_l4):
+    def mi(left, right):
+        return mc_mutual_information(net_l4, [(left, right)], trials=1, seed=11)[0].samples[0]
+
     left = Interval.span(4, Stage.AFTER_W, 0, 3)
     right = Interval.span(4, Stage.AFTER_W, 4, 7)
-    assert mutual_information(traj_l4.leaf, left, right) >= -1e-8
+    assert mi(left, right) >= -1e-8
 
-    empty = Interval.empty(4, Stage.AFTER_W)
-    assert mutual_information(traj_l4.leaf, left, empty) == pytest.approx(0.0, abs=1e-10)
+    empty = Interval.of_length(4, Stage.AFTER_W, 4, 0)  # the empty region after ``left``
+    assert mi(left, empty) == pytest.approx(0.0, abs=1e-10)
 
     half = Interval.span(4, Stage.AFTER_W, 0, 7)
     other = Interval.span(4, Stage.AFTER_W, 8, 15)
-    s_half = entropy_vn(interval_spectrum(traj_l4.leaf, half))
-    assert mutual_information(traj_l4.leaf, half, other) == pytest.approx(
-        2 * s_half, abs=1e-8
-    )
+    leaf = build_state(net_l4, seed=(11, 0)).leaf  # trial 0 of seed 11
+    s_half = entropy_vn(interval_spectrum(leaf, half))
+    assert mi(half, other) == pytest.approx(2 * s_half, abs=1e-8)
 
     with pytest.raises(UsageError):
-        mutual_information(traj_l4.leaf, half, Interval.span(4, Stage.AFTER_W, 7, 9))
+        mi(half, Interval.span(4, Stage.AFTER_W, 7, 9))
 
 
 def test_two_site_state_mutual_information_saturates_purity(net_tiny):
     # On a pure two-site state S(union) = 0 and S(x) = S(y), so the mutual
     # information equals 2 S(x) exactly and stays below 2 log 2.
-    traj = build_state(net_tiny, seed=6)
+    traj = build_state(net_tiny, seed=(6, 0))  # trial 0 of seed 6
     x = Interval.of_length(1, Stage.AFTER_W, 0, 1)
     y = Interval.of_length(1, Stage.AFTER_W, 1, 1)
     s_x = entropy_vn(interval_spectrum(traj.leaf, x))
-    mi = mutual_information(traj.leaf, x, y)
+    mi = mc_mutual_information(net_tiny, [(x, y)], trials=1, seed=6)[0].samples[0]
     assert mi == pytest.approx(2 * s_x, abs=1e-10)
     assert 0.0 < mi <= 2 * math.log(2.0) + 1e-12
 
@@ -459,9 +471,11 @@ def test_product_state_has_zero_correlation_witness():
     )
     x = Interval.of_length(2, Stage.AFTER_W, 0, 2)
     y = Interval.of_length(2, Stage.AFTER_W, 2, 2)
-    prox = correlation_proxies(state, x, y)
-    assert prox.trace_norm_bound == pytest.approx(0.0, abs=1e-10)
-    assert mutual_information(state, x, y) == pytest.approx(0.0, abs=1e-10)
+
+    def s(region):
+        return entropy_vn(interval_spectrum(state, region))
+
+    assert s(x) + s(y) - s(x.sites() + y.sites()) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_monte_carlo_entropies_match_a_manual_loop(net_l3):
@@ -579,27 +593,13 @@ def test_a_second_trial_does_not_hold_the_first_draw(net_l4, sweep):
     assert peaks[1] <= 1.1 * peaks[0]
 
 
-def test_correlation_proxies_are_bounded_witnesses(traj_l3):
-    x = Interval.of_length(3, Stage.AFTER_W, 1, 1)
-    y = Interval.of_length(3, Stage.AFTER_W, 5, 1)
-    prox = correlation_proxies(traj_l3.leaf, x, y)
-    assert 0.0 <= prox.trace_norm_bound <= 2.0 + 1e-9
-    assert 0.0 < prox.schmidt_max <= 1.0 + 1e-12
-    assert prox.l2_bound > 0.0
-    empty = correlation_proxies(traj_l3.leaf, x, Interval.empty(3, Stage.AFTER_W))
-    assert (empty.trace_norm_bound, empty.l2_bound, empty.schmidt_max) == (0.0, 0.0, 0.0)
-    with pytest.raises(UsageError):
-        correlation_proxies(traj_l3.leaf, x, x)
-
-
 def test_mean_top_schmidt_weight_tracks_the_site_dimension(net_single):
     # Single-level ring of two sites: the top reduced eigenvalue of one site,
     # rescaled by the site dimension, stays within a small fixed band.
     tops = []
     x = Interval.of_length(1, Stage.AFTER_W, 0, 1)
-    y = Interval.of_length(1, Stage.AFTER_W, 1, 1)
     for s in range(30):
         traj = build_state(net_single, seed=(31, s))
-        tops.append(correlation_proxies(traj.leaf, x, y).schmidt_max)
+        tops.append(interval_spectrum(traj.leaf, x)[0])
     scaled = 9.0 * float(np.mean(tops))
     assert 0.5 <= scaled <= 10.0

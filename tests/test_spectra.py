@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 from randmera import (
+    McEstimate,
     SuperOperatorSpec,
     UsageError,
     build_superop,
     collapse_experiment,
-    frobenius_check,
     frobenius_exact,
     sample_isometry,
     singular_spectrum,
 )
-from randmera.spectra import SingularSpectrum, _frobenius_mass, _superop_from_matrix
+from randmera.spectra import SingularSpectrum, _superop_from_matrix
 
 
 def _superop_by_explicit_partial_trace(w, d_A, d_B, d_E):
@@ -181,22 +181,15 @@ def test_frobenius_closed_form_values():
     )
 
 
-@pytest.mark.parametrize("dims", [(50, 10, 10), (6, 3, 4), (1, 3, 5)])
-def test_gram_frobenius_mass_equals_the_superoperator_mass(dims):
-    d_A, d_B, d_E = dims
-    w = sample_isometry(d_A, d_B * d_E, seed=(2, *dims))
-    exact = float(np.sum(np.abs(_superop_from_matrix(w, d_A, d_B, d_E)) ** 2))
-    assert float(_frobenius_mass(w, d_A, d_B, d_E)) == pytest.approx(exact, rel=1e-12)
-    batch = _frobenius_mass(np.stack([w, w]), d_A, d_B, d_E)
-    assert batch.shape == (2,)
-    assert np.allclose(batch, exact, rtol=1e-12, atol=0.0)
-
-
 @pytest.mark.parametrize("dims", [(50, 10, 10), (12, 4, 5), (9, 3, 3)])
 def test_frobenius_monte_carlo_agrees_with_the_closed_form(dims):
     d_A, d_B, d_E = dims
     exact = frobenius_exact(d_A, d_B, d_E)
-    est = frobenius_check(SuperOperatorSpec(d_A, d_B, d_E, seed=0), trials=200, seed=77)
+    masses = [
+        np.sum(np.abs(build_superop(SuperOperatorSpec(d_A, d_B, d_E, seed=77_000 + t))) ** 2)
+        for t in range(200)
+    ]
+    est = McEstimate.of(np.array(masses))
     assert est.trials == 200
     assert abs(est.value - exact) < 4 * est.stderr + 1e-9
 
