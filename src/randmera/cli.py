@@ -291,7 +291,7 @@ def _network(args: dict) -> MeraNetwork:
 def _ring_interval(level: int, stage: Stage, ij: tuple[int, int]) -> Interval:
     """The nonempty interval ``i:j`` (inclusive, modular) on one ring."""
     interval = Interval.span(level, stage, *ij)
-    if interval.is_empty:
+    if not interval.length:
         raise UsageError(
             f"--interval {ij[0]}:{ij[1]} is the empty interval on the level {level} "
             f"ring of {interval.n_sites} sites (i = j+1 mod {interval.n_sites})"
@@ -314,7 +314,7 @@ def _cmd_schedule(args: dict) -> int:
         series = {"log D_k": [(k, math.log(d)) for k, d, _dv, _sc, _r in schedule_report(sched)]}
         _write_svg(args["svg"], series, "dimension schedule", "level", "log dim")
     print(
-        f"schedule: levels={sched.levels} sites={sched.n_sites(sched.levels)} "
+        f"schedule: levels={sched.levels} sites={1 << sched.levels} "
         f"leaf_dim={sched.leaf_dim} epsilon={sched.epsilon!r} peak_amplitudes={est.peak}"
     )
     return 0
@@ -323,8 +323,7 @@ def _cmd_schedule(args: dict) -> int:
 def _cmd_entropy(args: dict) -> int:
     network = _network(args)
     interval = _ring_interval(network.levels, Stage.AFTER_W, args["interval"])
-    cap = simulator.max_amplitudes_from_env()
-    stats = simulator.mc_entropy_stats(network, interval, args["trials"], args["seed"], cap)
+    stats = simulator.mc_entropy_stats(network, interval, args["trials"], args["seed"])
     bounds = cutbounds.cut_dp(network, interval)
     f = _unit_factor(args["units"])
     if args["out"]:
@@ -357,8 +356,7 @@ def _cmd_mutual_info(args: dict) -> int:
         right = Interval.of_length(level, stage, (args["offset"] + length) % n, length)
         pairs.append((left, right))
         predictions.append(cutbounds.mi_prediction(network, left, right))
-    cap = simulator.max_amplitudes_from_env()
-    mc = simulator.mc_mutual_information(network, pairs, args["trials"], args["seed"], cap)
+    mc = simulator.mc_mutual_information(network, pairs, args["trials"], args["seed"])
     f = _unit_factor(args["units"])
     rows = []
     for length, pred, samples in zip(args["lengths"], predictions, mc):

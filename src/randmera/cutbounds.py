@@ -175,8 +175,7 @@ class CutEngine:
             raise UsageError(
                 f"interval level {interval.level} exceeds network depth {self._levels}"
             )
-        length = interval.length
-        return (interval.level, interval.stage, 0 if length == 0 else interval.i, length)
+        return (interval.level, interval.stage, interval.i, interval.length)
 
     def _solve(self, state: _State) -> _Entry:
         """``(min_cost, log_z, min_mod, argmin step, argmin successor)`` of ``state``.
@@ -240,8 +239,10 @@ class CutEngine:
                 if best is None or key < best[0]:
                     best = (key, cost, nxt)
             (_, m, nn, _), cost, nxt = best
+            # fsum is exactly rounded, so the mirror image's branches, met in
+            # another order, give the same bits
             top = max(terms)
-            log_z = top + math.log(sum(math.exp(v - top) for v in terms))
+            log_z = top + math.log(math.fsum(math.exp(v - top) for v in terms))
             entry = (min_cost, log_z, min_mod, ReductionStep(kind, level, m, nn, cost), nxt)
         self._min[state] = entry
         return entry
@@ -295,29 +296,13 @@ def sandwich(network: MeraNetwork, interval: Interval) -> SandwichBounds:
     return SandwichBounds(upper=b.min_cost, lower=max(0.0, b.lower_bound))
 
 
-def _union_interval(left: Interval, right: Interval) -> Interval:
-    total = left.length + right.length
-    return Interval.of_length(left.level, left.stage, left.i, total)
-
-
 def mi_prediction(network: MeraNetwork, left: Interval, right: Interval) -> MiPrediction:
     """Bracket for the average mutual information of adjacent regions.
 
-    ``right`` must start on the site after ``left`` ends and have the same
-    length (an empty ``right`` is allowed and gives the trivial bracket).
+    The union of ``left`` and ``right`` is `Interval.join`'s, under its
+    adjacency rule; an empty side gives the trivial bracket.
     """
-    if (left.level, left.stage) != (right.level, right.stage):
-        raise UsageError("regions must live on one ring and stage")
-    if right.is_empty or left.is_empty:
-        union = right if left.is_empty else left
-    else:
-        if right.length != left.length:
-            raise UsageError("regions must have equal length")
-        if right.i != (left.j + 1) % left.n_sites:
-            raise UsageError("right region must start immediately after the left one")
-        if left.length + right.length > left.n_sites:
-            raise UsageError("regions wrap into each other")
-        union = _union_interval(left, right)
+    union = left.join(right)
     s_left = sandwich(network, left)
     s_right = sandwich(network, right)
     s_union = sandwich(network, union)

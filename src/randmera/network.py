@@ -8,16 +8,15 @@ two stages:
 * ``after_W``  - the staggered pairs ``(2j+1, 2j+2 mod 2**k)`` have been
   rotated together, including the pair that wraps around the ring.
 
-Intervals are inclusive index ranges ``i..j`` on the ring.  Because the pair
-``(i, j)`` with ``i == j+1 (mod n)`` describes both the empty set and the
-whole ring, an interval carries an explicit ``whole`` flag; lengths run over
-``0 .. n_sites`` with both extremes representable.
+An interval is a start site ``i`` and a ``length`` in ``0 .. n_sites``: the
+sites ``i, i+1, ..`` taken modulo the ring size, so the empty set and the
+whole ring are told apart by their lengths.  The empty interval starts at 0.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UsageError
 from .schedule import DimensionSchedule, solve_schedule
@@ -34,71 +33,64 @@ class Stage(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Interval:
-    """Inclusive interval ``i..j`` on the ring of a given level and stage.
+    """The ``length`` sites from ``i`` on, modulo the ring of a given level and stage.
 
-    Construct through `of_length`, `span`, `empty`, or `whole_ring`; the
-    ``whole`` flag disambiguates the full ring from the empty set, which
-    share the endpoint relation ``i == j+1 (mod n_sites)``.
+    Construct through `of_length` or `span`; ``j``, the last site, is
+    ``i - 1`` when the interval is empty.
     """
 
     level: int
     stage: Stage
     i: int
-    j: int
-    n_sites: int
-    whole: bool = field(default=False)
+    length: int
 
     def __post_init__(self):
-        if self.n_sites != 1 << self.level:
-            raise UsageError(
-                f"level {self.level} ring has {1 << self.level} sites, got {self.n_sites}"
-            )
-        if not (0 <= self.i < self.n_sites and 0 <= self.j < self.n_sites):
-            raise UsageError(f"endpoints ({self.i}, {self.j}) outside ring of {self.n_sites}")
-        if self.whole and (self.j + 1) % self.n_sites != self.i:
-            raise UsageError("whole-ring interval must close on itself")
-
-    # -- constructors ------------------------------------------------------
+        n = self.n_sites
+        if not 0 <= self.length <= n:
+            raise UsageError(f"length {self.length} outside 0..{n}")
+        if not 0 <= self.i < n or (self.length == 0 and self.i != 0):
+            raise UsageError(f"start {self.i} of a length {self.length} interval on a ring of {n}")
 
     @classmethod
     def of_length(cls, level: int, stage: Stage, i: int, length: int) -> "Interval":
-        n = 1 << level
-        if not (0 <= length <= n):
-            raise UsageError(f"length {length} outside 0..{n}")
-        i %= n
-        j = (i + length - 1) % n
-        return cls(level=level, stage=stage, i=i, j=j, n_sites=n, whole=(length == n))
+        return cls(level, stage, i % (1 << level) if length else 0, length)
 
     @classmethod
     def span(cls, level: int, stage: Stage, i: int, j: int) -> "Interval":
-        """Interval ``i..j``; ``i == j+1 (mod n)`` means empty (not whole)."""
-        n = 1 << level
-        return cls(level=level, stage=stage, i=i % n, j=j % n, n_sites=n, whole=False)
-
-    @classmethod
-    def empty(cls, level: int, stage: Stage) -> "Interval":
-        n = 1 << level
-        return cls(level=level, stage=stage, i=0, j=n - 1, n_sites=n, whole=False)
-
-    @classmethod
-    def whole_ring(cls, level: int, stage: Stage) -> "Interval":
-        n = 1 << level
-        return cls(level=level, stage=stage, i=0, j=n - 1, n_sites=n, whole=True)
-
-    # -- queries -----------------------------------------------------------
+        """Interval ``i..j``, inclusive; ``i == j+1 (mod n)`` means empty (not whole)."""
+        return cls.of_length(level, stage, i, (j - i + 1) % (1 << level))
 
     @property
-    def length(self) -> int:
-        if self.whole:
-            return self.n_sites
-        return (self.j - self.i + 1) % self.n_sites
+    def n_sites(self) -> int:
+        return 1 << self.level
 
     @property
-    def is_empty(self) -> bool:
-        return self.length == 0
+    def j(self) -> int:
+        return (self.i + self.length - 1) % self.n_sites
+
+    @property
+    def whole(self) -> bool:
+        return self.length == self.n_sites
 
     def sites(self) -> list[int]:
-        return [(self.i + t) % self.n_sites for t in range(self.length)]
+        n = self.n_sites
+        return [(self.i + t) % n for t in range(self.length)]
+
+    def join(self, right: "Interval") -> "Interval":
+        """The union of this interval and ``right``, the one that follows it.
+
+        An empty side gives back the other; otherwise ``right`` must begin
+        where this interval ends, and the pair must fit on the ring.
+        """
+        if (self.level, self.stage) != (right.level, right.stage):
+            raise UsageError("pair must live on one ring and stage")
+        if not self.length or not right.length:
+            return right if not self.length else self
+        if right.i != (self.i + self.length) % self.n_sites:
+            raise UsageError("right region must start on the site after the left one")
+        if self.length + right.length > self.n_sites:
+            raise UsageError("pair does not fit on the ring")
+        return Interval(self.level, self.stage, self.i, self.length + right.length)
 
 
 class MeraNetwork:
@@ -118,20 +110,6 @@ class MeraNetwork:
     @property
     def n_leaves(self) -> int:
         return 1 << self.schedule.levels
-
-    def n_sites(self, level: int) -> int:
-        if not (0 <= level <= self.levels):
-            raise UsageError(f"level {level} outside 0..{self.levels}")
-        return 1 << level
-
-    def site_dim(self, level: int, stage: Stage) -> int:
-        if not (0 <= level <= self.levels):
-            raise UsageError(f"level {level} outside 0..{self.levels}")
-        if stage == Stage.AFTER_V:
-            if level == 0:
-                raise UsageError("level 0 has no splitting stage")
-            return self.schedule.dims_v[level]
-        return self.schedule.dims[level]
 
     def w_pairs(self, level: int) -> list[tuple[int, int]]:
         """Rotated pairs of ``level`` in slot order, wrap pair last."""

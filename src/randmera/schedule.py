@@ -67,9 +67,6 @@ class DimensionSchedule:
     dims: tuple[int, ...]
     dims_v: tuple[int, ...]
 
-    def n_sites(self, level: int) -> int:
-        return 1 << level
-
     def log_dim(self, level: int) -> float:
         return math.log(self.dims[level])
 

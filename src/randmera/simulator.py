@@ -70,11 +70,11 @@ _EIG_CLAMP = 1e-12
 _TILE_AMPLITUDES = 1 << 18
 
 
-def max_amplitudes_from_env(default: int = DEFAULT_MAX_AMPLITUDES) -> int:
+def max_amplitudes_from_env() -> int:
     """Amplitude budget, overridable through the environment."""
     raw = os.environ.get(MAX_AMPLITUDES_ENV)
     if raw is None:
-        return default
+        return DEFAULT_MAX_AMPLITUDES
     try:
         val = int(raw)
     except ValueError as exc:
@@ -167,7 +167,6 @@ def _stop_of(network: MeraNetwork, stop) -> tuple[int, Stage]:
 def build_state(
     network: MeraNetwork,
     seed,
-    max_amplitudes: int | None = None,
     *,
     stop: tuple[int, Stage] | None = None,
 ) -> StateTrajectory:
@@ -179,10 +178,6 @@ def build_state(
         Master seed.  The isometry in slot ``(level, stage, position)``
         draws from the derived key ``(*seed, level, stage_index, position)``,
         so any single tensor is reproducible without rebuilding the rest.
-    max_amplitudes : int, optional
-        Amplitude budget (default ``DEFAULT_MAX_AMPLITUDES``); the peak
-        intermediate size of the full build is checked before any
-        allocation, whatever ``stop`` says.
     stop : (level, stage), optional
         The last stage to build; the default is the leaf ``after_W`` stage.
         The stages up to ``stop`` are the full build's, bit for bit, and
@@ -193,8 +188,11 @@ def build_state(
     Returns
     -------
     StateTrajectory with snapshots at every ``(level, stage)`` up to ``stop``.
+
+    Before any allocation, the peak intermediate size of the full build,
+    whatever ``stop`` says, is checked against `max_amplitudes_from_env`.
     """
-    cap = DEFAULT_MAX_AMPLITUDES if max_amplitudes is None else int(max_amplitudes)
+    cap = max_amplitudes_from_env()
     est = memory_estimate(network.schedule)
     if est.peak > cap:
         raise FeasibilityError(
@@ -407,16 +405,8 @@ class EntropySamples:
         return McEstimate.of(self.samples_s2).value
 
     @property
-    def stderr_s2(self) -> float:
-        return McEstimate.of(self.samples_s2).stderr
-
-    @property
     def mean_exp_neg_s2(self) -> float:
         return McEstimate.of(np.exp(-self.samples_s2)).value
-
-    @property
-    def stderr_exp_neg_s2(self) -> float:
-        return McEstimate.of(np.exp(-self.samples_s2)).stderr
 
 
 def mc_entropy_sweep(
@@ -424,7 +414,6 @@ def mc_entropy_sweep(
     intervals: list[Interval],
     trials: int,
     seed,
-    max_amplitudes: int | None = None,
 ) -> dict[Interval, EntropySamples]:
     """Sample ``trials`` networks once and read all intervals off each draw.
 
@@ -446,7 +435,7 @@ def mc_entropy_sweep(
     acc_s2 = {iv: np.empty(trials) for iv in intervals}
     for t in range(trials):
         key = (*base, t)
-        traj = build_state(network, key, max_amplitudes=max_amplitudes, stop=stop)
+        traj = build_state(network, key, stop=stop)
         for iv in acc_s:
             # the pulled-back state is dropped as soon as its spectrum is read
             spec = interval_spectrum(_pulled_back(traj, iv, key), iv)
@@ -464,10 +453,9 @@ def mc_entropy_stats(
     interval: Interval,
     trials: int,
     seed,
-    max_amplitudes: int | None = None,
 ) -> EntropySamples:
     """Monte Carlo entropies of a single region; see `mc_entropy_sweep`."""
-    return mc_entropy_sweep(network, [interval], trials, seed, max_amplitudes)[interval]
+    return mc_entropy_sweep(network, [interval], trials, seed)[interval]
 
 
 @dataclass(frozen=True)
@@ -492,29 +480,17 @@ def mc_mutual_information(
     pairs: list[tuple[Interval, Interval]],
     trials: int,
     seed,
-    max_amplitudes: int | None = None,
 ) -> list[MiSamples]:
     """Monte Carlo mutual information of adjacent region pairs off shared draws.
 
-    Each ``right`` must start on the site after its ``left``, on the same
-    ring and stage, and the pair must fit on the ring; every pair is checked
-    before the first draw.  The left, right and union regions of all pairs
-    go through one `mc_entropy_sweep`, and trial ``t`` of a pair is
-    ``S(left) + S(right) - S(union)``.
+    The union of each pair is `Interval.join`'s, under its adjacency rule;
+    every pair is joined before the first draw.  The left, right and union
+    regions of all pairs go through one `mc_entropy_sweep`, and trial ``t``
+    of a pair is ``S(left) + S(right) - S(union)``.
     """
-    unions = []
-    for left, right in pairs:
-        if (left.level, left.stage) != (right.level, right.stage):
-            raise UsageError("pair must live on one ring and stage")
-        if right.i != (left.j + 1) % left.n_sites:
-            raise UsageError("right region must start on the site after the left one")
-        if left.length + right.length > left.n_sites:
-            raise UsageError("pair does not fit on the ring")
-        unions.append(
-            Interval.of_length(left.level, left.stage, left.i, left.length + right.length)
-        )
+    unions = [left.join(right) for left, right in pairs]
     regions = [iv for (left, right), union in zip(pairs, unions) for iv in (left, right, union)]
-    ent = mc_entropy_sweep(network, regions, trials, seed, max_amplitudes)
+    ent = mc_entropy_sweep(network, regions, trials, seed)
     return [
         MiSamples(
             left=left,

@@ -1,11 +1,24 @@
-"""Ring geometry: rotation pairs, the child map, and interval conventions."""
+"""Ring geometry: rotation pairs, the child map, interval conventions and the pair rule."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randmera import Interval, Stage, UsageError, build_state, interval_spectrum
+from randmera import (
+    Interval,
+    MeraNetwork,
+    Stage,
+    UsageError,
+    build_state,
+    interval_spectrum,
+    mc_entropy_sweep,
+    mc_mutual_information,
+    mi_prediction,
+    simulator,
+)
 
 
 def _partners(net, level):
@@ -57,48 +70,56 @@ def test_interval_constructors_and_length():
     assert (iv.i, iv.j) == (6, 1)  # wraps around the ring of eight
     assert iv.length == 4
     assert iv.sites() == [6, 7, 0, 1]
-    assert not iv.is_empty and not iv.whole
+    assert not iv.whole
 
 
 def test_empty_and_whole_share_endpoints_but_not_meaning():
-    empty = Interval.empty(3, Stage.AFTER_W)
-    whole = Interval.whole_ring(3, Stage.AFTER_W)
+    empty = Interval.of_length(3, Stage.AFTER_W, 0, 0)
+    whole = Interval.of_length(3, Stage.AFTER_W, 0, 8)
     assert (empty.i, empty.j) == (whole.i, whole.j)
-    assert empty.length == 0 and empty.is_empty
-    assert whole.length == 8 and not whole.is_empty
+    assert empty.length == 0 and not empty.whole
+    assert whole.length == 8 and whole.whole
     assert empty != whole
 
 
 def test_span_treats_closing_endpoints_as_empty():
     iv = Interval.span(2, Stage.AFTER_V, 1, 0)
-    assert iv.is_empty
+    assert iv.length == 0
     assert iv.sites() == []
 
 
 def test_interval_validation_rejects_inconsistent_data():
     with pytest.raises(UsageError):
-        Interval(3, Stage.AFTER_W, 0, 2, n_sites=4)  # wrong ring size
-    with pytest.raises(UsageError):
-        Interval(2, Stage.AFTER_W, 5, 1, n_sites=4)  # endpoint off the ring
-    with pytest.raises(UsageError):
-        Interval(2, Stage.AFTER_W, 0, 1, n_sites=4, whole=True)  # not closed
+        Interval(2, Stage.AFTER_W, 5, 1)  # start off the ring
     with pytest.raises(UsageError):
         Interval.of_length(2, Stage.AFTER_W, 0, 5)  # longer than the ring
+
+
+def test_the_empty_interval_starts_at_zero(net_l3, monkeypatch):
+    assert Interval.of_length(3, Stage.AFTER_W, 5, 0) == Interval.of_length(3, Stage.AFTER_W, 0, 0)
+    assert Interval.span(3, Stage.AFTER_W, 5, 4) == Interval.of_length(3, Stage.AFTER_W, 0, 0)
+    with pytest.raises(UsageError):
+        Interval(3, Stage.AFTER_W, 5, 0)
+    read = []
+
+    def spectrum(state, region):
+        read.append(region)
+        return interval_spectrum(state, region)
+
+    monkeypatch.setattr(simulator, "interval_spectrum", spectrum)
+    empties = [Interval.of_length(3, Stage.AFTER_W, i, 0) for i in (0, 5, 7)]
+    res = mc_entropy_sweep(net_l3, empties, trials=1, seed=2)
+    assert read == [Interval.of_length(3, Stage.AFTER_W, 0, 0)]
+    assert list(res) == read
 
 
 def test_network_ring_sizes_and_site_dimensions(net_l4):
     assert net_l4.levels == 4
     assert net_l4.n_leaves == 16
-    assert [net_l4.n_sites(k) for k in range(5)] == [1, 2, 4, 8, 16]
-    assert net_l4.site_dim(4, Stage.AFTER_W) == 2
-    assert net_l4.site_dim(4, Stage.AFTER_V) == 2
-    assert net_l4.site_dim(2, Stage.AFTER_W) == 6
-    assert net_l4.site_dim(2, Stage.AFTER_V) == 3
-    assert net_l4.site_dim(0, Stage.AFTER_W) == 1
-    with pytest.raises(UsageError):
-        net_l4.site_dim(0, Stage.AFTER_V)
-    with pytest.raises(UsageError):
-        net_l4.n_sites(5)
+    sched = net_l4.schedule
+    assert (sched.dims[4], sched.dims_v[4]) == (2, 2)
+    assert (sched.dims[2], sched.dims_v[2]) == (6, 3)
+    assert sched.dims[0] == 1
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -111,3 +132,58 @@ def test_rotation_pairs_partition_the_ring(net_l4, level):
     for a, b in pairs:
         assert a % 2 == 1 and b == (a + 1) % n
     assert pairs[-1] == (n - 1, 0)  # the wrap pair comes last
+
+
+class _Drawn(Exception):
+    """Raised by a patched `build_state`: the pair was accepted before any draw."""
+
+
+def _verdict(call) -> str:
+    try:
+        call()
+    except UsageError as err:
+        return str(err)
+    except _Drawn:
+        pass
+    return "accepted"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_bracket_and_the_monte_carlo_accept_the_same_pairs(data):
+    net = MeraNetwork.build(2, 0.35)
+    levels = st.integers(0, net.levels)
+    stages = st.sampled_from([Stage.AFTER_W, Stage.AFTER_V])
+    level = data.draw(levels, label="level")
+    n = 1 << level
+    left = Interval.of_length(
+        level,
+        data.draw(stages, label="left stage"),
+        data.draw(st.integers(-n, 2 * n), label="left start"),
+        data.draw(st.integers(0, n), label="left length"),
+    )
+    right_level = data.draw(st.one_of(st.just(level), levels), label="right level")
+    m = 1 << right_level
+    gap = data.draw(st.one_of(st.just(0), st.integers(-2, 2)), label="gap")
+    right = Interval.of_length(
+        right_level,
+        data.draw(st.one_of(st.just(left.stage), stages), label="right stage"),
+        left.i + left.length + gap,
+        data.draw(st.integers(0, m), label="right length"),
+    )
+
+    def no_draw(*args, **kwargs):
+        raise _Drawn
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "build_state", no_draw)
+        mc = _verdict(lambda: mc_mutual_information(net, [(left, right)], trials=1, seed=0))
+    dp = _verdict(lambda: mi_prediction(net, left, right))
+    assert dp == mc
+    if dp == "accepted":
+        assert left.join(right).sites() == left.sites() + right.sites()
+    i = data.draw(st.integers(-2 * n, 2 * n), label="i")
+    j = data.draw(st.integers(-2 * n, 2 * n), label="j")
+    iv = Interval.span(level, left.stage, i, j)
+    if iv.length:
+        assert (iv.i, iv.j) == (i % n, j % n)

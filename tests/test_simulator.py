@@ -41,11 +41,12 @@ def traj_l4(net_l4):
 
 
 def test_every_snapshot_is_normalized(traj_l4, net_l4):
+    sched = net_l4.schedule
     for k in range(1, net_l4.levels + 1):
         for stage in (Stage.AFTER_V, Stage.AFTER_W):
             st = traj_l4.state_at(k, stage)
             assert st.norm() == pytest.approx(1.0, abs=1e-10)
-            expected = net_l4.site_dim(k, stage)
+            expected = (sched.dims_v if stage is Stage.AFTER_V else sched.dims)[k]
             assert st.site_dims == (expected,) * (1 << k)
     assert traj_l4.leaf is traj_l4.state_at(net_l4.levels, Stage.AFTER_W)
 
@@ -65,11 +66,13 @@ def test_missing_snapshot_is_reported(traj_l3):
         traj_l3.state_at(0, Stage.AFTER_V)
 
 
-def test_amplitude_budget_is_enforced_at_the_exact_peak(net_l3):
+def test_amplitude_budget_is_enforced_at_the_exact_peak(net_l3, monkeypatch):
     peak = memory_estimate(net_l3.schedule).peak
-    build_state(net_l3, seed=0, max_amplitudes=peak)  # just enough
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(peak))
+    build_state(net_l3, seed=0)  # just enough
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(peak - 1))
     with pytest.raises(FeasibilityError) as err:
-        build_state(net_l3, seed=0, max_amplitudes=peak - 1)
+        build_state(net_l3, seed=0)
     assert "level" in str(err.value)
 
 
@@ -121,10 +124,10 @@ def test_non_states_are_rejected():
 
 
 def test_empty_and_whole_regions_are_trivial(traj_l3, net_l3):
-    empty = interval_spectrum(traj_l3.leaf, Interval.empty(3, Stage.AFTER_W))
+    empty = interval_spectrum(traj_l3.leaf, Interval.of_length(3, Stage.AFTER_W, 0, 0))
     assert empty.shape == (1,)
     assert empty[0] == pytest.approx(1.0, abs=1e-12)
-    whole = interval_spectrum(traj_l3.leaf, Interval.whole_ring(3, Stage.AFTER_W))
+    whole = interval_spectrum(traj_l3.leaf, Interval.of_length(3, Stage.AFTER_W, 0, 8))
     assert whole[0] == pytest.approx(1.0, abs=1e-10)
     assert entropy_vn(whole) == pytest.approx(0.0, abs=1e-10)
 
@@ -144,8 +147,8 @@ def _svd_spectrum(state, sites):
 def test_gram_spectra_match_the_svd_on_every_interval(net_l4, seed):
     leaf = build_state(net_l4, seed=(40, seed)).leaf
     n = leaf.n_sites
-    regions = [Interval.empty(4, Stage.AFTER_W), Interval.whole_ring(4, Stage.AFTER_W)]
-    regions += [Interval.of_length(4, Stage.AFTER_W, i, m) for i in range(n) for m in range(1, n)]
+    regions = [Interval.of_length(4, Stage.AFTER_W, i, m) for i in range(n) for m in range(1, n)]
+    regions += [Interval.of_length(4, Stage.AFTER_W, 0, m) for m in (0, n)]
     for iv in regions:
         gram = interval_spectrum(leaf, iv)
         svd = _svd_spectrum(leaf, iv.sites())
@@ -183,7 +186,7 @@ def _assert_the_sweep_matches_the_full_snapshots(net, seed, regions):
 def test_pulled_back_spectra_match_the_leaf_snapshot(net_l3, net_l4, levels, seed):
     net = net_l3 if levels == 3 else net_l4
     n = net.n_leaves
-    regions = [Interval.empty(levels, Stage.AFTER_W), Interval.whole_ring(levels, Stage.AFTER_W)]
+    regions = [Interval.of_length(levels, Stage.AFTER_W, 0, m) for m in (0, n)]
     regions += [
         Interval.of_length(levels, Stage.AFTER_W, i, m) for i in range(n) for m in range(1, n)
     ]
@@ -213,7 +216,7 @@ def test_pulled_back_spectra_match_on_drawn_schedules(data):
     _assert_the_sweep_matches_the_full_snapshots(net, seed, regions)
 
 
-def test_a_stopped_build_keeps_the_full_builds_stages_bit_for_bit(net_l4):
+def test_a_stopped_build_keeps_the_full_builds_stages_bit_for_bit(net_l4, monkeypatch):
     full = build_state(net_l4, seed=(63, 1))
     order = list(full.snapshots)  # build order
     for end, stop in enumerate(order):
@@ -227,8 +230,9 @@ def test_a_stopped_build_keeps_the_full_builds_stages_bit_for_bit(net_l4):
             build_state(net_l4, seed=0, stop=bad)
     # the budget is checked against the full build, wherever it stops
     peak = memory_estimate(net_l4.schedule).peak
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(peak - 1))
     with pytest.raises(FeasibilityError):
-        build_state(net_l4, seed=0, max_amplitudes=peak - 1, stop=(1, Stage.AFTER_V))
+        build_state(net_l4, seed=0, stop=(1, Stage.AFTER_V))
 
 
 def test_the_sweep_builds_no_stage_past_the_after_v_ring_it_reads(net_l3, monkeypatch):
@@ -247,7 +251,7 @@ def test_the_sweep_builds_no_stage_past_the_after_v_ring_it_reads(net_l3, monkey
     assert built == [set(up_to[:-1])] * 2
     mc_entropy_sweep(net_l3, [Interval.of_length(2, Stage.AFTER_V, 1, 2)], 1, seed=4)
     mc_entropy_sweep(net_l3, [Interval.of_length(2, Stage.AFTER_W, 1, 2)], 1, seed=4)
-    mc_entropy_sweep(net_l3, [Interval.whole_ring(0, Stage.AFTER_W)], 1, seed=4)
+    mc_entropy_sweep(net_l3, [Interval.of_length(0, Stage.AFTER_W, 0, 1)], 1, seed=4)
     assert built[2:] == [set(up_to[:4]), set(up_to[:4]), set(up_to[:1])]
 
 
@@ -370,7 +374,7 @@ def test_children_of_one_parent_inherit_its_spectrum(traj_l4, net_l4):
     # their rank is capped by the parent dimension (6), not the ambient 9.
     child_spec = interval_spectrum(traj_l4.state_at(3, Stage.AFTER_V), [2, 3])
     parent_spec = interval_spectrum(traj_l4.state_at(2, Stage.AFTER_W), [1])
-    assert (child_spec > 1e-12).sum() <= net_l4.site_dim(2, Stage.AFTER_W)
+    assert (child_spec > 1e-12).sum() <= net_l4.schedule.dims[2]
     k = max(len(child_spec), len(parent_spec))
     a = np.pad(child_spec, (0, k - len(child_spec)))
     b = np.pad(parent_spec, (0, k - len(parent_spec)))
@@ -391,7 +395,6 @@ def test_interval_and_complement_have_the_same_spectrum(traj_l4):
 def test_pair_aligned_intervals_ignore_the_rotation_layer(traj_l4, net_l4, level, i, j):
     # Start odd, end even: the interval covers whole rotated pairs, so
     # undoing the rotation cannot change its reduced spectrum.
-    n = net_l4.n_sites(level)
     after_w = interval_spectrum(
         traj_l4.state_at(level, Stage.AFTER_W), Interval.span(level, Stage.AFTER_W, i, j)
     )
@@ -407,9 +410,10 @@ def test_pair_aligned_intervals_ignore_the_rotation_layer(traj_l4, net_l4, level
 def test_single_site_entropy_is_capped_by_the_site_dimension(traj_l4, net_l4):
     for level in range(1, net_l4.levels + 1):
         for stage in (Stage.AFTER_V, Stage.AFTER_W):
-            cap = math.log(net_l4.site_dim(level, stage))
+            sched = net_l4.schedule
+            cap = math.log((sched.dims_v if stage is Stage.AFTER_V else sched.dims)[level])
             st = traj_l4.state_at(level, stage)
-            for site in range(net_l4.n_sites(level)):
+            for site in range(1 << level):
                 assert entropy_vn(interval_spectrum(st, [site])) <= cap + 1e-9
 
 
@@ -432,7 +436,7 @@ def test_mutual_information_basics(net_l4):
     right = Interval.span(4, Stage.AFTER_W, 4, 7)
     assert mi(left, right) >= -1e-8
 
-    empty = Interval.of_length(4, Stage.AFTER_W, 4, 0)  # the empty region after ``left``
+    empty = Interval.of_length(4, Stage.AFTER_W, 0, 0)
     assert mi(left, empty) == pytest.approx(0.0, abs=1e-10)
 
     half = Interval.span(4, Stage.AFTER_W, 0, 7)
