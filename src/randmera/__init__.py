@@ -19,16 +19,14 @@ svgplot    - dependency-free SVG line plots.
 cli        - the ``randmera`` command-line front end.
 """
 
-from .errors import DegenerateMomentError, FeasibilityError, UsageError
+from .errors import FeasibilityError, UsageError
 from .haar import (
     CANONICAL_CONTRACTIONS,
     MIXED_CONTRACTION,
     McEstimate,
-    MomentConstants,
     fourth_moment_exact,
     fourth_moment_mc,
     moment_constants,
-    pure_state_moment_constant,
     sample_isometry,
     sample_isometry_batch,
 )
@@ -75,15 +73,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CANONICAL_CONTRACTIONS",
     "MIXED_CONTRACTION",
-    "DegenerateMomentError",
     "FeasibilityError",
     "UsageError",
     "McEstimate",
-    "MomentConstants",
     "fourth_moment_exact",
     "fourth_moment_mc",
     "moment_constants",
-    "pure_state_moment_constant",
     "sample_isometry",
     "sample_isometry_batch",
     "Interval",

@@ -507,7 +507,6 @@ def _cmd_collapse(args: dict) -> int:
 
 def _cmd_moments_check(args: dict) -> int:
     d1, d2 = args["d1"], args["d2"]
-    constants = moment_constants(d1, d2)
     rows = []
     worst = 0.0
     patterns = {**CANONICAL_CONTRACTIONS, "mixed": MIXED_CONTRACTION}
@@ -526,9 +525,10 @@ def _cmd_moments_check(args: dict) -> int:
             rows,
         )
     all_ok = all(r[5] for r in rows)
+    c, c_prime = moment_constants(d2)
     print(
-        f"moments-check d1={d1} d2={d2} trials={args['trials']}: c={constants.c!r} "
-        f"c_prime={constants.c_prime!r} max_sigma={worst:.3f} all_within_4se={all_ok}"
+        f"moments-check d1={d1} d2={d2} trials={args['trials']}: c={c!r} "
+        f"c_prime={c_prime!r} max_sigma={worst:.3f} all_within_4se={all_ok}"
     )
     return 0 if all_ok else 1
 

@@ -34,7 +34,7 @@ All costs are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from weakref import WeakKeyDictionary
 
@@ -78,15 +78,6 @@ class ReductionStep:
     n: int
     cost: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "level": self.level,
-            "m": self.m,
-            "n": self.n,
-            "cost": self.cost,
-        }
-
 
 @dataclass(frozen=True)
 class ReductionSequence:
@@ -111,7 +102,7 @@ class ReductionSequence:
             },
             "cost": self.cost,
             "height": self.height,
-            "steps": [s.to_json_dict() for s in self.steps],
+            "steps": [asdict(s) for s in self.steps],
         }
 
 

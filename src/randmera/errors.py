@@ -12,13 +12,5 @@ class UsageError(ValueError):
     """Invalid argument, option, or configuration value."""
 
 
-class DegenerateMomentError(UsageError):
-    """Second-moment constants requested where the defining system is singular.
-
-    The pair-delta expansion has a vanishing denominator whenever either
-    dimension equals 1; the rank-one special case must be used instead.
-    """
-
-
 class FeasibilityError(RuntimeError):
     """Requested computation exceeds a resource bound or numeric range."""

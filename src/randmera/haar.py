@@ -14,11 +14,15 @@ The fourth moment of matrix elements,
     E[ W_ij  conj(W)_kl  W_ab  conj(W)_cd ],
 
 is a combination of four delta patterns with two coefficients ``c`` and
-``c'`` fixed by contracting both sides with two independent delta patterns.
-``moment_constants`` returns the closed-form coefficients;
+``c'``.  An isometry into dimension ``d`` is the first columns of a Haar
+unitary of U(d), so by Weingarten calculus (Collins and Sniady,
+math-ph/0402073) the coefficients are the Weingarten values of U(d), the
+same for every input width; ``moment_constants`` returns them.
 ``fourth_moment_exact`` and ``fourth_moment_mc`` evaluate an arbitrary
 delta-pattern contraction in closed form and by Monte Carlo, which is the
-oracle used to validate the closed forms.
+oracle used to validate the closed forms.  The 2x2 system got by
+contracting both sides with two independent delta patterns is a second
+route to the coefficients, kept in the tests.
 """
 
 from __future__ import annotations
@@ -27,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMomentError, UsageError
+from .errors import UsageError
 
 __all__ = [
     "McEstimate",
-    "MomentConstants",
     "CANONICAL_CONTRACTIONS",
     "COL_PAIRINGS",
     "MIXED_CONTRACTION",
@@ -39,7 +42,6 @@ __all__ = [
     "fourth_moment_exact",
     "fourth_moment_mc",
     "moment_constants",
-    "pure_state_moment_constant",
     "sample_isometry",
     "sample_isometry_batch",
     "seed_key",
@@ -114,59 +116,22 @@ def sample_isometry(d_in: int, d_out: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentConstants:
-    """Coefficients of the two delta-pattern families in the fourth moment."""
+def moment_constants(d: int) -> tuple[float, float]:
+    """The fourth-moment coefficients ``(c, c')`` of a Haar isometry into dimension ``d``.
 
-    d1: int
-    d2: int
-    c: float
-    c_prime: float
-
-
-def moment_constants(d1: int, d2: int) -> MomentConstants:
-    """Closed-form fourth-moment coefficients for a ``d1 -> d2`` Haar isometry.
-
-    The coefficients solve the 2x2 linear system obtained by tracing the
-    moment identity against the two independent delta patterns, whose traces
-    equal ``d1**2`` and ``d1``.  For the square case ``d1 == d2 == d`` they
-    reduce to ``c = 1/(d**2 - 1)`` and ``c' = -1/(d (d**2 - 1))``.
+    They are the Weingarten values of U(d), ``c = 1/(d**2 - 1)`` and
+    ``c' = -1/(d (d**2 - 1))``, whatever the input width: an isometry is
+    the first columns of a Haar unitary.
 
     Raises
     ------
-    DegenerateMomentError
-        If ``d1 == 1`` or ``d2 == 1``; the defining system is singular there
-        and `pure_state_moment_constant` applies instead.
+    UsageError
+        If ``d < 2``; an isometry into dimension 1 is a phase, and U(1) has
+        no Weingarten values.
     """
-    if d1 < 1 or d2 < 1 or d1 > d2:
-        raise UsageError(f"invalid dimensions ({d1}, {d2})")
-    if d1 == 1 or d2 == 1:
-        raise DegenerateMomentError(
-            f"moment constants are singular at ({d1}, {d2}); "
-            "use pure_state_moment_constant for the rank-one case"
-        )
-    a = d1 * d1 * d2 * d2 + d1 * d2
-    b = d1 * d1 * d2 + d1 * d2 * d2
-    den = a * a - b * b  # = d1 d2 (d1-1)(d2-1) * d1 d2 (d1+1)(d2+1)
-    c = (d1 * d1 * a - d1 * b) / den
-    c_prime = (d1 * a - d1 * d1 * b) / den
-    return MomentConstants(d1=d1, d2=d2, c=c, c_prime=c_prime)
-
-
-def pure_state_moment_constant(d2: int) -> float:
-    """Fourth-moment coefficient for an isometry out of a one-dimensional space.
-
-    Such an isometry is a Haar-random unit vector ``w`` in dimension ``d2``;
-    the second moment of ``|w><w|`` is the projector onto the symmetric
-    subspace divided by its dimension ``d2 (d2 + 1) / 2``, so
-
-        E[ w_i conj(w)_k w_a conj(w)_c ] = (d_ik d_ac + d_ic d_ka) / (d2 (d2 + 1)).
-
-    Returns the common coefficient ``1 / (d2 (d2 + 1))``.
-    """
-    if d2 < 1:
-        raise UsageError(f"dimension must be positive, got {d2}")
-    return 1.0 / (d2 * (d2 + 1))
+    if d < 2:
+        raise UsageError(f"no Weingarten values at output dimension {d}: it must be at least 2")
+    return 1 / (d * d - 1), -1 / (d * (d * d - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +144,10 @@ def pure_state_moment_constant(d2: int) -> float:
 ROW_PAIRINGS = ("ik|ac", "ic|ka", "ia|kc")
 COL_PAIRINGS = ("jl|bd", "jd|lb", "jb|ld")
 
-# The four patterns that appear in the moment identity itself.  Contracting
-# the identity against the first gives d1**2 and against the third gives d1,
-# independent of the sample; those two exact values pin down c and c'.
+# The four patterns that appear in the moment identity itself, with weights
+# c, c, c', c' in this order.  Contracting the identity against the first
+# gives d1**2 and against the third gives d1, independent of the sample;
+# those two exact values pin down c and c'.
 CANONICAL_CONTRACTIONS = {
     "direct": ("ik|ac", "jl|bd"),
     "exchange": ("ic|ka", "jd|lb"),
@@ -203,23 +169,6 @@ def _parse_pairing(pairing: str, allowed: tuple[str, ...]) -> tuple[tuple[str, s
     return tuple((pair[0], pair[1]) for pair in pairing.split("|"))
 
 
-def _components(p: tuple[tuple[str, str], ...], q: tuple[tuple[str, str], ...]) -> int:
-    """Connected components of the union of two matchings on four symbols."""
-    parent = {}
-    for pair in (*p, *q):
-        for e in pair:
-            parent.setdefault(e, e)
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for a, b in (*p, *q):
-        parent[find(a)] = find(b)
-    return len({find(e) for e in parent})
-
-
 def fourth_moment_exact(d1: int, d2: int, contraction: tuple[str, str]) -> float:
     """Closed-form value of the fourth moment contracted with a delta pattern.
 
@@ -229,32 +178,24 @@ def fourth_moment_exact(d1: int, d2: int, contraction: tuple[str, str]) -> float
         Strings drawn from `ROW_PAIRINGS` and `COL_PAIRINGS`, e.g. the
         entries of `CANONICAL_CONTRACTIONS` or a mixed pattern such as
         ``("ia|kc", "jb|ld")``.
+
+    Each term of the moment identity pairs with the pattern through one
+    pairing of the rows and one of the columns.  Two perfect matchings of
+    four indices close into two loops when they are equal and into one
+    otherwise, so a pairing contributes its dimension squared or to the
+    first power.
     """
-    row_q = _parse_pairing(contraction[0], ROW_PAIRINGS)
-    col_q = _parse_pairing(contraction[1], COL_PAIRINGS)
-    rows_direct = _parse_pairing("ik|ac", ROW_PAIRINGS)
-    rows_exch = _parse_pairing("ic|ka", ROW_PAIRINGS)
-    cols_direct = _parse_pairing("jl|bd", COL_PAIRINGS)
-    cols_exch = _parse_pairing("jd|lb", COL_PAIRINGS)
-
-    if d1 == 1:
-        # rank-one special case: both surviving patterns share one weight
-        w = pure_state_moment_constant(d2)
-        return w * (
-            d2 ** _components(rows_direct, row_q) + d2 ** _components(rows_exch, row_q)
-        )
-
-    mc = moment_constants(d1, d2)
-    terms = (
-        (mc.c, rows_direct, cols_direct),
-        (mc.c, rows_exch, cols_exch),
-        (mc.c_prime, rows_direct, cols_exch),
-        (mc.c_prime, rows_exch, cols_direct),
-    )
+    rows, cols = contraction
+    _parse_pairing(rows, ROW_PAIRINGS)
+    _parse_pairing(cols, COL_PAIRINGS)
+    if not 1 <= d1 <= d2:
+        raise UsageError(f"invalid dimensions ({d1}, {d2})")
+    c, c_prime = moment_constants(d2)
+    weights = (c, c, c_prime, c_prime)
     return float(
         sum(
-            w * d2 ** _components(rp, row_q) * d1 ** _components(cp, col_q)
-            for w, rp, cp in terms
+            w * d2 ** (1 + (rp == rows)) * d1 ** (1 + (cp == cols))
+            for w, (rp, cp) in zip(weights, CANONICAL_CONTRACTIONS.values())
         )
     )
 

@@ -45,6 +45,8 @@ class Interval:
     length: int
 
     def __post_init__(self):
+        if self.level == 0 and self.stage == Stage.AFTER_V:
+            raise UsageError("level 0 has no after_V stage")
         n = self.n_sites
         if not 0 <= self.length <= n:
             raise UsageError(f"length {self.length} outside 0..{n}")

@@ -123,7 +123,7 @@ class StateTrajectory:
     def state_at(self, level: int, stage: Stage) -> DenseState:
         key = (level, Stage(stage))
         if key not in self.snapshots:
-            raise UsageError(f"no snapshot at level={level}, stage={stage}")
+            raise UsageError(f"no snapshot at level={level}, stage={key[1].value}")
         return self.snapshots[key]
 
 

@@ -134,18 +134,16 @@ def frobenius_exact(d_A: int, d_B: int, d_E: int) -> float:
         (d_B/d_A) * [ c*(d_B d_E^2 d_A + d_B^2 d_E d_A^2)
                       + c'*(d_B d_E^2 d_A^2 + d_B^2 d_E d_A) ]
 
-    which approaches ``d_A`` when ``d_A`` is well below ``d_B * d_E``.  The
-    one-dimensional input is a special case (a random pure state instead of
-    an isometry) and reduces to ``2 d_B (d_B + d_E) / (d_B d_E + 1)``.
+    with ``c`` and ``c'`` the Weingarten values of U(d_B d_E) (see
+    `moment_constants`), which approaches ``d_A`` when ``d_A`` is well
+    below ``d_B * d_E``.
     """
     if d_B * d_E < d_A:
         raise UsageError("d_B*d_E must be at least d_A")
-    if d_A == 1:
-        return 2.0 * d_B * (d_B + d_E) / (d_B * d_E + 1.0)
-    mc = moment_constants(d_A, d_B * d_E)
+    c, c_prime = moment_constants(d_B * d_E)
     t_direct = d_B * d_E**2 * d_A + d_B**2 * d_E * d_A**2
     t_swapped = d_B * d_E**2 * d_A**2 + d_B**2 * d_E * d_A
-    return (d_B / d_A) * (mc.c * t_direct + mc.c_prime * t_swapped)
+    return (d_B / d_A) * (c * t_direct + c_prime * t_swapped)
 
 
 @dataclass(frozen=True)

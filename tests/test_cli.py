@@ -223,6 +223,15 @@ def test_moments_check_validates_all_patterns(tmp_path, capsys):
     assert "all_within_4se=True" in capsys.readouterr().out
 
 
+def test_moments_check_runs_at_input_width_one(capsys):
+    code = main(["moments-check", "--d1", "1", "--d2", "5", "--trials", "20000"])
+    assert code == 0
+    assert "all_within_4se=True" in capsys.readouterr().out
+    # into dimension 1 the isometry is a phase, with no Weingarten values
+    assert main(["moments-check", "--d1", "1", "--d2", "1"]) == 2
+    assert "no Weingarten values" in capsys.readouterr().err
+
+
 def test_config_file_supplies_flags_and_explicit_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epsilon = 0.35\nleaf-dim = 2\n# a comment\n", encoding="utf-8")

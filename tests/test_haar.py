@@ -10,12 +10,10 @@ import pytest
 from randmera import (
     CANONICAL_CONTRACTIONS,
     MIXED_CONTRACTION,
-    DegenerateMomentError,
     UsageError,
     fourth_moment_exact,
     fourth_moment_mc,
     moment_constants,
-    pure_state_moment_constant,
     sample_isometry,
     sample_isometry_batch,
 )
@@ -94,48 +92,62 @@ def test_matrix_entries_are_spread_uniformly_over_columns():
     assert abs(sq.mean() - 0.25) < 4 * se
 
 
-@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 4), (3, 9), (4, 4), (5, 7)])
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 4), (3, 9), (4, 4), (5, 7), (1, 2), (1, 5)])
 def test_moment_constants_solve_their_defining_equations(d1, d2):
-    mc = moment_constants(d1, d2)
+    # The second route: contracting the moment identity of a d1 -> d2
+    # isometry against the two trace patterns gives a 2x2 linear system in
+    # (c, c'), whose right-hand sides are d1**2 and d1.  It is singular at
+    # d1 = 1, where its two rows coincide, but the Weingarten values still
+    # solve it.
+    c, c_prime = moment_constants(d2)
     a = d1**2 * d2**2 + d1 * d2
     b = d1**2 * d2 + d1 * d2**2
-    assert mc.c * a + mc.c_prime * b == pytest.approx(d1**2, abs=1e-12)
-    assert mc.c_prime * a + mc.c * b == pytest.approx(d1, abs=1e-12)
+    assert c * a + c_prime * b == pytest.approx(d1**2, abs=1e-12)
+    assert c_prime * a + c * b == pytest.approx(d1, abs=1e-12)
 
 
 def test_moment_constants_match_hand_computed_values():
-    mc = moment_constants(2, 4)
-    assert mc.c == pytest.approx(1 / 15, abs=1e-15)
-    assert mc.c_prime == pytest.approx(-1 / 60, abs=1e-15)
-    mc = moment_constants(2, 2)
-    assert mc.c == pytest.approx(1 / 3, abs=1e-15)
-    assert mc.c_prime == pytest.approx(-1 / 6, abs=1e-15)
+    c, c_prime = moment_constants(4)
+    assert c == pytest.approx(1 / 15, abs=1e-15)
+    assert c_prime == pytest.approx(-1 / 60, abs=1e-15)
+    c, c_prime = moment_constants(2)
+    assert c == pytest.approx(1 / 3, abs=1e-15)
+    assert c_prime == pytest.approx(-1 / 6, abs=1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_square_case_reduces_to_the_unitary_constants(d):
-    mc = moment_constants(d, d)
-    assert mc.c == pytest.approx(1 / (d**2 - 1), rel=1e-13)
-    assert mc.c_prime == pytest.approx(-1 / (d * (d**2 - 1)), rel=1e-13)
+    c, c_prime = moment_constants(d)
+    assert c == pytest.approx(1 / (d**2 - 1), rel=1e-13)
+    assert c_prime == pytest.approx(-1 / (d * (d**2 - 1)), rel=1e-13)
 
 
-@pytest.mark.parametrize("d1,d2", [(1, 1), (1, 5)])
-def test_degenerate_dimensions_are_rejected(d1, d2):
-    with pytest.raises(DegenerateMomentError):
-        moment_constants(d1, d2)
+@pytest.mark.parametrize("d_out,d_in", [(1, 1), (1, 5)])
+def test_degenerate_dimensions_are_rejected(d_out, d_in):
+    # Into dimension 1 an isometry is a phase, with no Weingarten values,
+    # whatever width it comes from: there are no constants to read, and no
+    # closed form for a moment built from them.
+    with pytest.raises(UsageError, match="no Weingarten values at output dimension 1"):
+        moment_constants(d_out)
+    with pytest.raises(UsageError):
+        fourth_moment_exact(d_in, d_out, MIXED_CONTRACTION)
 
 
 def test_input_wider_than_output_is_rejected_for_constants():
-    with pytest.raises(UsageError):
-        moment_constants(3, 1)
+    with pytest.raises(UsageError, match=r"invalid dimensions \(3, 1\)"):
+        fourth_moment_exact(3, 1, MIXED_CONTRACTION)
 
 
 def test_pure_state_constant_matches_direct_enumeration():
-    assert pure_state_moment_constant(4) == pytest.approx(1 / 20, abs=1e-15)
-    assert pure_state_moment_constant(2) == pytest.approx(1 / 6, abs=1e-15)
+    # For a unit vector in dimension d, E[w_i conj(w)_k w_a conj(w)_c] is
+    # (d_ik d_ac + d_ic d_ka) / (d (d + 1)), the symmetric-subspace projector
+    # over its dimension; the two Weingarten values sum to that coefficient.
+    for d in (2, 4):
+        c, c_prime = moment_constants(d)
+        assert c + c_prime == pytest.approx(1 / (d * (d + 1)), abs=1e-15)
 
 
-@pytest.mark.parametrize("d1,d2", [(2, 4), (3, 9), (4, 4)])
+@pytest.mark.parametrize("d1,d2", [(2, 4), (3, 9), (4, 4), (1, 4)])
 def test_trace_patterns_have_exact_closed_forms(d1, d2):
     assert fourth_moment_exact(d1, d2, CANONICAL_CONTRACTIONS["direct"]) == pytest.approx(
         d1**2, rel=1e-12
@@ -161,7 +173,7 @@ def test_trace_patterns_are_sample_independent():
 
 def test_mixed_pattern_value_uses_the_pure_state_constant_at_width_one():
     val = fourth_moment_exact(1, 4, MIXED_CONTRACTION)
-    assert val == pytest.approx(2 * 4 * pure_state_moment_constant(4), rel=1e-12)
+    assert val == pytest.approx(2 * 4 / (4 * 5), rel=1e-12)
 
 
 @pytest.mark.parametrize("d1,d2", [(2, 4), (3, 9), (4, 4), (1, 4)])

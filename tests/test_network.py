@@ -93,6 +93,8 @@ def test_interval_validation_rejects_inconsistent_data():
         Interval(2, Stage.AFTER_W, 5, 1)  # start off the ring
     with pytest.raises(UsageError):
         Interval.of_length(2, Stage.AFTER_W, 0, 5)  # longer than the ring
+    with pytest.raises(UsageError, match="level 0 has no after_V stage"):
+        Interval.of_length(0, Stage.AFTER_V, 0, 1)  # the root ring is never split
 
 
 def test_the_empty_interval_starts_at_zero(net_l3, monkeypatch):
@@ -153,12 +155,15 @@ def _verdict(call) -> str:
 def test_the_bracket_and_the_monte_carlo_accept_the_same_pairs(data):
     net = MeraNetwork.build(2, 0.35)
     levels = st.integers(0, net.levels)
-    stages = st.sampled_from([Stage.AFTER_W, Stage.AFTER_V])
+
+    def stages(level):  # the root ring has no after_V stage
+        return st.sampled_from([Stage.AFTER_W] if level == 0 else [Stage.AFTER_W, Stage.AFTER_V])
+
     level = data.draw(levels, label="level")
     n = 1 << level
     left = Interval.of_length(
         level,
-        data.draw(stages, label="left stage"),
+        data.draw(stages(level), label="left stage"),
         data.draw(st.integers(-n, 2 * n), label="left start"),
         data.draw(st.integers(0, n), label="left length"),
     )
@@ -167,7 +172,10 @@ def test_the_bracket_and_the_monte_carlo_accept_the_same_pairs(data):
     gap = data.draw(st.one_of(st.just(0), st.integers(-2, 2)), label="gap")
     right = Interval.of_length(
         right_level,
-        data.draw(st.one_of(st.just(left.stage), stages), label="right stage"),
+        data.draw(
+            st.one_of(st.just(left.stage), stages(right_level)) if right_level else stages(0),
+            label="right stage",
+        ),
         left.i + left.length + gap,
         data.draw(st.integers(0, m), label="right length"),
     )

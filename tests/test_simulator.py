@@ -62,7 +62,7 @@ def test_builds_are_reproducible_and_seed_sensitive(net_l3):
 def test_missing_snapshot_is_reported(traj_l3):
     with pytest.raises(UsageError):
         traj_l3.state_at(9, Stage.AFTER_W)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"no snapshot at level=0, stage=after_V$"):
         traj_l3.state_at(0, Stage.AFTER_V)
 
 

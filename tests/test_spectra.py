@@ -175,13 +175,12 @@ def test_frobenius_closed_form_values():
     assert frobenius_exact(50, 10, 10) == pytest.approx(50.495049504950494, rel=1e-12)
     # unitary conjugation preserves the full Frobenius weight d_B^2
     assert frobenius_exact(8, 8, 1) == pytest.approx(64.0, rel=1e-12)
-    # width-one input: the map sends 1x1 operators to d_B x d_B ones
-    assert frobenius_exact(1, 2, 2) == pytest.approx(
-        2 * 2 * (2 + 2) / (2 * 2 + 1), rel=1e-12
-    )
+    # width-one input, a random pure state: the mass is d_B E[tr rho_B^2],
+    # which is d_B (d_B + d_E) / (d_B d_E + 1)
+    assert frobenius_exact(1, 2, 2) == pytest.approx(2 * (2 + 2) / (2 * 2 + 1), rel=1e-12)
 
 
-@pytest.mark.parametrize("dims", [(50, 10, 10), (12, 4, 5), (9, 3, 3)])
+@pytest.mark.parametrize("dims", [(50, 10, 10), (12, 4, 5), (9, 3, 3), (1, 3, 5)])
 def test_frobenius_monte_carlo_agrees_with_the_closed_form(dims):
     d_A, d_B, d_E = dims
     exact = frobenius_exact(d_A, d_B, d_E)
