@@ -1,18 +1,19 @@
 """Cut-counting bounds on interval entropies via reduction sequences.
 
-An interval on some ring of the network can be peeled back through the
-layers: before removing a rotation layer the interval's endpoints must align
-with the rotation pairing (left endpoint odd, right endpoint even), and
-before removing a splitting layer they must align with sibling pairs (left
-even, right odd).  Each endpoint that has the wrong parity moves by one site
-in either direction at a price of the log site dimension; a splitting step
-then halves indices and lengths.  A full choice of endpoint moves down to
-the empty interval is a *reduction sequence*; its accumulated price is an
-upper bound on the entanglement entropy of every sampled state, and
-aggregates over all sequences bound the averages from below.
+An interval's boundary is its two walls, ordered so that the region runs
+clockwise from the first to the second (`Interval.walls`).  The network is
+peeled back one layer at a time: removing a rotation layer wants both walls
+in odd gaps, between rotated pairs, and removing a splitting layer wants
+both in even gaps, between sibling pairs, whose positions then halve.  A
+misaligned wall moves one gap either way at a price of the log site
+dimension.  Walls that land on the same gap annihilate: the region is then
+empty or the whole ring, a pure state, and the sequence ends.  The summed
+price of such a *reduction sequence* is an upper bound on the entanglement
+entropy of every sampled state, and aggregates over all sequences bound the
+averages from below.
 
 This module computes, by one memoised recursion over the (level, stage,
-position, length) states an interval can reach, all of:
+wall, wall) states an interval can reach, all of:
 
 * ``min_cost``     - the cheapest reduction sequence (per-sample upper bound
   on the von Neumann entropy, hence also on the order-2 entropy),
@@ -24,9 +25,9 @@ position, length) states an interval can reach, all of:
 
 together with the argmin sequence itself.  Each state is solved once, for
 all three aggregates and its argmin choice, and the states of a network are
-shared across queries; no table of unreachable states is ever built.
-Whole-ring intervals climb with zero price (a pure state has no entropy),
-and a length that ever reaches the ring size is clamped to whole.
+shared across queries; no table of unreachable states is ever built.  The
+rules treat both walls alike, so an interval and its complement, which has
+the same walls in the other order, have the same aggregates.
 
 All costs are in nats.
 """
@@ -57,19 +58,20 @@ __all__ = [
 
 LOG_BRANCH = math.log(8.0)
 
-# DP states are (level, stage, left_site, length); length == ring size means
-# the whole ring and length == 0 the empty interval (left_site normalized 0).
+# DP states are (level, stage, a, b): the region runs clockwise from gap a
+# to gap b, and a == b (empty or whole) ends the sequence.
 _State = tuple[int, Stage, int, int]
 
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One peeling step: endpoint alignment plus removal of one layer.
+    """One peeling step: wall alignment plus removal of one layer.
 
     ``kind`` is "W" when a rotation layer is removed and "V" for a splitting
-    layer; ``m``/``n`` are the aligned endpoints just before removal (for a
-    whole ring they are the full ring and no alignment is needed); ``cost``
-    is the alignment price paid in this step, in nats.
+    layer; ``m``/``n`` are the first and last site between the aligned walls
+    just before removal (``m == n + 1`` modulo the ring size when the walls
+    met, which ends the sequence); ``cost`` is the alignment price paid in
+    this step, in nats.
     """
 
     kind: str
@@ -148,10 +150,10 @@ class CutEngine:
 
     `_solve` computes all three aggregates of a state and its argmin choice
     in one pass over the state's branches, and stores them in the single
-    memo ``_min`` (one entry per state reached).  `argmin_sequence` replays
-    the stored choices; `bounds` reads one entry.  The engine keeps the
-    level count and log dimensions, not the network, so that `engine_for`
-    can drop it together with its network.
+    memo ``_min`` (one entry per state reached whose walls have not met).
+    `argmin_sequence` replays the stored choices; `bounds` reads one entry.
+    The engine keeps the level count and log dimensions, not the network,
+    so that `engine_for` can drop it together with its network.
     """
 
     def __init__(self, network: MeraNetwork):
@@ -166,75 +168,58 @@ class CutEngine:
             raise UsageError(
                 f"interval level {interval.level} exceeds network depth {self._levels}"
             )
-        return (interval.level, interval.stage, interval.i, interval.length)
+        return (interval.level, interval.stage, *interval.walls)
 
     def _solve(self, state: _State) -> _Entry:
         """``(min_cost, log_z, min_mod, argmin step, argmin successor)`` of ``state``.
 
         ``log_z`` is the ``log`` of the sum of ``exp(-cost)`` over all
         sequences and ``min_mod`` the minimum of ``cost - log(8) * steps``.
-        A terminal state has no step; a step that empties the interval has
-        no successor.  Among branches whose totals agree to 12 decimals the
-        smallest ``(m, n, branch index)`` is the argmin, so replays are
-        deterministic for golden tests.
+        A state whose walls meet ends every sequence: it costs nothing, has
+        no step and is not stored.  Among branches whose totals agree to 12
+        decimals the smallest ``(m, n, branch index)`` is the argmin, so
+        replays are deterministic for golden tests.
         """
+        level, stage, a, b = state
+        if a == b:
+            # -0.0 so that the empty interval's lse is +0.0
+            return (0.0, -0.0, 0.0, None, None)
         entry = self._min.get(state)
         if entry is not None:
             return entry
-        level, stage, i, length = state
         n = 1 << level
         after_w = stage is Stage.AFTER_W
-        kind = "W" if after_w else "V"
-        if length == 0:
-            # -0.0 so that the empty interval's lse is +0.0
-            entry = (0.0, -0.0, 0.0, None, None)
-        elif level == 0:
-            t = self._log_d[0] * length
-            entry = (t, -t, t, None, None)
-        elif length == n:
-            # a whole ring is a pure state and climbs one layer for free
-            nxt = (level, Stage.AFTER_V, 0, n) if after_w else (level - 1, Stage.AFTER_W, 0, n // 2)
+        # after_W wants both walls in odd gaps, after_V both in even ones; a
+        # misaligned wall moves one gap either way at the penalty
+        penalty = (self._log_d if after_w else self._log_dv)[level]
+        moves = ((-1, penalty), (1, penalty))
+        left = ((0, 0.0),) if a % 2 == after_w else moves
+        right = ((0, 0.0),) if b % 2 == after_w else moves
+        min_cost = min_mod = math.inf
+        terms = []
+        best = None
+        for idx, ((da, cost_a), (db, cost_b)) in enumerate(product(left, right)):
+            cost = cost_a + cost_b
+            a2, b2 = (a + da) % n, (b + db) % n
+            if after_w:
+                nxt = (level, Stage.AFTER_V, a2, b2)
+            else:
+                nxt = (level - 1, Stage.AFTER_W, a2 // 2, b2 // 2)
             c, lz, mod, _, _ = self._solve(nxt)
-            entry = (c, lz, -LOG_BRANCH + mod, ReductionStep(kind, level, 0, n - 1, 0.0), nxt)
-        else:
-            # after_W wants (odd, even) endpoints, after_V wants (even, odd);
-            # a misaligned endpoint moves one site either way at the penalty
-            penalty = (self._log_d if after_w else self._log_dv)[level]
-            j = (i + length - 1) % n
-            moves = ((-1, penalty), (1, penalty))
-            left = ((0, 0.0),) if i % 2 == after_w else moves
-            right = ((0, 0.0),) if j % 2 != after_w else moves
-            min_cost = min_mod = math.inf
-            terms = []
-            best = None
-            for idx, ((di, cost_l), (dj, cost_r)) in enumerate(product(left, right)):
-                cost = cost_l + cost_r
-                new_len = length - di + dj
-                m = (i + di) % n
-                if new_len <= 0:
-                    nxt = None
-                    c = lz = mod = 0.0
-                else:
-                    if after_w:
-                        nxt = (level, Stage.AFTER_V, 0 if new_len >= n else m, min(new_len, n))
-                    elif new_len >= n:
-                        nxt = (level - 1, Stage.AFTER_W, 0, n // 2)
-                    else:
-                        nxt = (level - 1, Stage.AFTER_W, m // 2, new_len // 2)
-                    c, lz, mod, _, _ = self._solve(nxt)
-                total = cost + c
-                min_cost = min(min_cost, total)
-                min_mod = min(min_mod, cost - LOG_BRANCH + mod)
-                terms.append(-cost + lz)
-                key = (round(total, 12), m, (j + dj) % n, idx)
-                if best is None or key < best[0]:
-                    best = (key, cost, nxt)
-            (_, m, nn, _), cost, nxt = best
-            # fsum is exactly rounded, so the mirror image's branches, met in
-            # another order, give the same bits
-            top = max(terms)
-            log_z = top + math.log(math.fsum(math.exp(v - top) for v in terms))
-            entry = (min_cost, log_z, min_mod, ReductionStep(kind, level, m, nn, cost), nxt)
+            total = cost + c
+            min_cost = min(min_cost, total)
+            min_mod = min(min_mod, cost - LOG_BRANCH + mod)
+            terms.append(-cost + lz)
+            key = (round(total, 12), a2, (b2 - 1) % n, idx)
+            if best is None or key < best[0]:
+                best = (key, cost, nxt)
+        (_, m, nn, _), cost, nxt = best
+        # fsum is exactly rounded, so the mirror image's or the complement's
+        # branches, met in another order, give the same bits
+        top = max(terms)
+        log_z = top + math.log(math.fsum(math.exp(v - top) for v in terms))
+        step = ReductionStep("W" if after_w else "V", level, m, nn, cost)
+        entry = (min_cost, log_z, min_mod, step, nxt)
         self._min[state] = entry
         return entry
 
@@ -244,9 +229,7 @@ class CutEngine:
         steps: list[ReductionStep] = []
         while step is not None:
             steps.append(step)
-            if nxt is None:
-                break
-            _, _, _, step, nxt = self._min[nxt]
+            _, _, _, step, nxt = self._solve(nxt)
         return ReductionSequence(start=interval, steps=tuple(steps), cost=cost)
 
     def bounds(self, interval: Interval) -> CutBounds:

@@ -11,6 +11,9 @@ two stages:
 An interval is a start site ``i`` and a ``length`` in ``0 .. n_sites``: the
 sites ``i, i+1, ..`` taken modulo the ring size, so the empty set and the
 whole ring are told apart by their lengths.  The empty interval starts at 0.
+Its boundary is its two *walls*, the gaps ``i`` and ``i + length`` (modulo
+the ring size), where gap ``g`` lies just before site ``g``; the walls of
+the empty set and of the whole ring meet.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ class Interval:
     @property
     def whole(self) -> bool:
         return self.length == self.n_sites
+
+    @property
+    def walls(self) -> tuple[int, int]:
+        """Gaps ``i`` and ``i + length``, in the order the sites run; equal if empty or whole."""
+        return self.i, (self.i + self.length) % self.n_sites
 
     def sites(self) -> list[int]:
         n = self.n_sites

@@ -231,7 +231,7 @@ def _pulled_back(traj: StateTrajectory, region: Interval, seed) -> DenseState:
 
     An ``after_V`` region, and the level-0 ring, read their snapshot.  An
     ``after_W`` region at level ``k`` reads the ``(k, after_V)`` snapshot
-    with only the rotation pairs that cross its boundary applied, each
+    with only the rotation pairs its walls cut applied, each
     re-drawn from its slot key under ``seed``, the master seed the
     trajectory was built from.  A pair with both sites on one side of the
     cut is an isometry on that side alone: it leaves the nonzero spectrum
@@ -246,17 +246,18 @@ def _pulled_back(traj: StateTrajectory, region: Interval, seed) -> DenseState:
     split = traj.state_at(k, Stage.AFTER_V)
     sched = traj.network.schedule
     dv, dk = sched.dims_v[k], sched.dims[k]
-    inside = set(region.sites())
-    crossing = [
-        (slot, p, q)
-        for slot, (p, q) in enumerate(traj.network.w_pairs(k))
-        if (p in inside) != (q in inside)
-    ]
-    if not crossing:
+    # a wall in the even gap 2s + 2 cuts rotation pair s = (2s + 1, 2s + 2);
+    # walls that meet, around an empty or whole region, cut nothing
+    a, b = region.walls
+    half = region.n_sites // 2
+    slots = sorted({(g // 2 - 1) % half for g in (a, b) if g % 2 == 0 and a != b})
+    if not slots:
         return split
+    pairs = traj.network.w_pairs(k)
     base = seed_key(seed)
     psi, dims = split.as_tensor(), list(split.site_dims)
-    for slot, p, q in crossing:
+    for slot in slots:
+        p, q = pairs[slot]
         iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, slot))
         psi = _rotate_pair(psi, iso, p, q, dk)
         dims[p] = dims[q] = dk

@@ -28,10 +28,8 @@ def enumerate_reduction_costs(
     layer only when it starts on a left child (even) and ends on a right
     child (odd), after which indices and lengths halve.  A misaligned
     endpoint must step one site either way, paying the log dimension of a
-    site on the current ring.  An interval that covers its whole ring is a
-    pure state and climbs one layer per step for free; one that empties
-    terminates.  At the top the single remaining site costs its log
-    dimension per covered site.
+    site on the current ring.  An interval that empties or covers its whole
+    ring (a pure state) ends the sequence at no further cost.
     """
     dims = network.schedule.dims
     dims_v = network.schedule.dims_v
@@ -39,17 +37,8 @@ def enumerate_reduction_costs(
 
     def walk(level: int, stage: Stage, start: int, length: int, cost: float, steps: int):
         n = 1 << level
-        if length == 0:
+        if length == 0 or length == n:
             results.append((cost, steps))
-            return
-        if level == 0:
-            results.append((cost + math.log(dims[0]) * length, steps))
-            return
-        if length == n:
-            if stage is Stage.AFTER_W:
-                walk(level, Stage.AFTER_V, 0, n, cost, steps + 1)
-            else:
-                walk(level - 1, Stage.AFTER_W, 0, n // 2, cost, steps + 1)
             return
         if stage is Stage.AFTER_W:
             price = math.log(dims[level])
@@ -66,19 +55,10 @@ def enumerate_reduction_costs(
                 new_len = length - dl + dr
                 new_start = (start + dl) % n
                 c = cost + pl + pr
-                if new_len <= 0:
+                if new_len <= 0 or new_len >= n:
                     results.append((c, steps + 1))
                 elif stage is Stage.AFTER_W:
-                    walk(
-                        level,
-                        Stage.AFTER_V,
-                        0 if new_len >= n else new_start,
-                        min(new_len, n),
-                        c,
-                        steps + 1,
-                    )
-                elif new_len >= n:
-                    walk(level - 1, Stage.AFTER_W, 0, n // 2, c, steps + 1)
+                    walk(level, Stage.AFTER_V, new_start, new_len, c, steps + 1)
                 else:
                     walk(level - 1, Stage.AFTER_W, new_start // 2, new_len // 2, c, steps + 1)
 

@@ -82,6 +82,30 @@ def test_empty_and_whole_share_endpoints_but_not_meaning():
     assert empty != whole
 
 
+def test_walls_are_ordered_and_meet_for_the_empty_set_and_the_whole_ring():
+    iv = Interval.of_length(3, Stage.AFTER_W, 6, 4)
+    rest = Interval.of_length(3, Stage.AFTER_W, 2, 4)
+    assert iv.walls == (6, 2)
+    assert rest.walls == (2, 6)  # the complement: the same walls, swapped
+    assert Interval.of_length(3, Stage.AFTER_W, 0, 0).walls == (0, 0)
+    assert Interval.of_length(3, Stage.AFTER_W, 5, 8).walls == (5, 5)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_rotated_pair_is_cut_exactly_when_a_wall_sits_between_its_sites(net_l3, level):
+    n = 1 << level
+    for length in range(n + 1):
+        for i in range(n):
+            iv = Interval.of_length(level, Stage.AFTER_W, i, length)
+            a, b = iv.walls
+            inside = set(iv.sites())
+            for p, q in net_l3.w_pairs(level):
+                # gap q lies between p and q; a ring of two has a second gap, p
+                between = {q, p} if n == 2 else {q}
+                cut = a != b and bool(between & {a, b})
+                assert ((p in inside) != (q in inside)) == cut, (iv, p, q)
+
+
 def test_span_treats_closing_endpoints_as_empty():
     iv = Interval.span(2, Stage.AFTER_V, 1, 0)
     assert iv.length == 0
