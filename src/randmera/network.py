@@ -125,3 +125,9 @@ class MeraNetwork:
         """Rotated pairs of ``level`` in slot order, wrap pair last."""
         n = 1 << level
         return [((2 * j + 1) % n, (2 * j + 2) % n) for j in range(n // 2)]
+
+    def w_slots_cut(self, region: Interval) -> list[int]:
+        """Ascending slots of the `w_pairs` whose gap ``2j + 2`` holds a wall; meeting walls cut none."""
+        a, b = region.walls
+        half = region.n_sites // 2
+        return sorted({(g // 2 - 1) % half for g in (a, b) if g % 2 == 0 and a != b})

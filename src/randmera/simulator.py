@@ -246,11 +246,7 @@ def _pulled_back(traj: StateTrajectory, region: Interval, seed) -> DenseState:
     split = traj.state_at(k, Stage.AFTER_V)
     sched = traj.network.schedule
     dv, dk = sched.dims_v[k], sched.dims[k]
-    # a wall in the even gap 2s + 2 cuts rotation pair s = (2s + 1, 2s + 2);
-    # walls that meet, around an empty or whole region, cut nothing
-    a, b = region.walls
-    half = region.n_sites // 2
-    slots = sorted({(g // 2 - 1) % half for g in (a, b) if g % 2 == 0 and a != b})
+    slots = traj.network.w_slots_cut(region)
     if not slots:
         return split
     pairs = traj.network.w_pairs(k)

@@ -97,13 +97,13 @@ def test_a_rotated_pair_is_cut_exactly_when_a_wall_sits_between_its_sites(net_l3
     for length in range(n + 1):
         for i in range(n):
             iv = Interval.of_length(level, Stage.AFTER_W, i, length)
-            a, b = iv.walls
             inside = set(iv.sites())
-            for p, q in net_l3.w_pairs(level):
-                # gap q lies between p and q; a ring of two has a second gap, p
-                between = {q, p} if n == 2 else {q}
-                cut = a != b and bool(between & {a, b})
-                assert ((p in inside) != (q in inside)) == cut, (iv, p, q)
+            crossing = [
+                slot
+                for slot, (p, q) in enumerate(net_l3.w_pairs(level))
+                if (p in inside) != (q in inside)
+            ]
+            assert net_l3.w_slots_cut(iv) == crossing, iv
 
 
 def test_span_treats_closing_endpoints_as_empty():
