@@ -10,7 +10,7 @@ controls correlation decay.
 Modules
 -------
 haar       - Haar isometry sampling and fourth-moment closed forms.
-schedule   - the level-dimension recursion, its feasibility and scaling.
+schedule   - the log-dimension recursion, its dense-build sizes and scaling.
 network    - ring geometry: stages, rotation pairs, intervals.
 simulator  - exact dense states, reduced spectra, entropies, Monte Carlo.
 cutbounds  - reduction-sequence dynamic programs and entropy brackets.

@@ -15,7 +15,9 @@ Conventions shared by every command:
   a one-line summary always goes to stdout,
 * entropic quantities are computed in nats and converted when
   ``--units bits`` is given,
-* exit codes: 0 success, 2 usage problem, 3 feasibility limit.
+* exit codes: 0 success, 2 usage problem, 3 feasibility limit: a schedule
+  over 128 levels, or a dense build (never past 2**53 per site) or a map
+  over the amplitude budget.
 
 The amplitude budget, which caps dense simulation and the maps that
 ``spectra`` and ``collapse`` draw, can be overridden through the
@@ -309,13 +311,14 @@ def _cmd_schedule(args: dict) -> int:
     rows = [list(row) for row in schedule_report(sched)]
     est = memory_estimate(sched)
     if args["out"]:
-        _write_csv(args["out"], ["k", "D_k", "Dprime_k", "scale", "ratio"], rows)
+        _write_csv(args["out"], ["k", "log_D_k", "log_Dprime_k", "scale", "ratio"], rows)
     if args["svg"]:
-        series = {"log D_k": [(k, math.log(d)) for k, d, _dv, _sc, _r in schedule_report(sched)]}
+        series = {"log D_k": [(k, log_d) for k, log_d, *_ in rows]}
         _write_svg(args["svg"], series, "dimension schedule", "level", "log dim")
     print(
         f"schedule: levels={sched.levels} sites={1 << sched.levels} "
-        f"leaf_dim={sched.leaf_dim} epsilon={sched.epsilon!r} peak_amplitudes={est.peak}"
+        f"leaf_dim={sched.leaf_dim} epsilon={sched.epsilon!r} "
+        f"log_peak_amplitudes={est.log_peak!r}"
     )
     return 0
 

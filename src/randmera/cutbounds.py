@@ -158,9 +158,8 @@ class CutEngine:
 
     def __init__(self, network: MeraNetwork):
         self._levels = network.levels
-        sched = network.schedule
-        self._log_d = tuple(math.log(d) for d in sched.dims)
-        self._log_dv = tuple(math.log(d) for d in sched.dims_v)
+        self._log_d = network.schedule.log_dims
+        self._log_dv = network.schedule.log_dims_v
         self._min: dict[_State, _Entry] = {}
 
     def state_of(self, interval: Interval) -> _State:

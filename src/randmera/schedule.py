@@ -3,16 +3,19 @@
 A network with ``L`` levels has ``2**k`` sites at level ``k``.  Going down a
 level, each site first splits into two (dimension ``dims_v[k]`` per child),
 then staggered pairs are rotated into larger sites of dimension ``dims[k]``.
-The schedule solver fixes the integer dimensions from the leaf dimension and
-a decay rate ``epsilon`` by iterating, upward from the leaves with
-``m = L - k`` counting height,
+The schedule solver fixes the dimensions from the leaf dimension and a decay
+rate ``epsilon`` by iterating, upward from the leaves with ``m = L - k``
+counting height,
 
     dims_v[k]   = ceil(exp(log dims[k]     - epsilon * 2**m))
     dims[k - 1] = ceil(exp(2 log dims_v[k] - epsilon * 2**m))
 
-until the top dimension reaches 1, which defines ``L``.  Both rows of level
-``k`` share the scale factor ``2**(L-k)``, the number of leaves under one
-site; ignoring the ceilings the iteration then telescopes to the closed form
+until the top dimension reaches 1, which defines ``L``.  The rows run on
+log dimensions ``x``: the ceiling, and the integer kept, only while
+``exp(x) < 2**53``; past that every float is an integer, the ceiling does
+nothing and ``x`` is kept alone.  Both rows of level ``k`` share the scale
+factor ``2**(L-k)``, the number of leaves under one site; ignoring the
+ceilings the iteration then telescopes to the closed form
 
     log dims[L - m] = 2**m log dims[L] - 3 m epsilon 2**(m - 1).
 
@@ -37,48 +40,43 @@ __all__ = [
     "unrounded_log_dims",
 ]
 
-# ceil(exp(x)) is the exact ceiling only while exp(x) stays below 2**53
-# (x below about 36.7); past that the float carries 53 bits and the integer
-# is a rounded value.  Against a 400-digit decimal ceiling, the (2, 0.05)
-# schedule departs at m = 6 (an 18-digit dimension) and its dims_v from
-# m = 7.  This cap only keeps exp(x) finite (it overflows near x = 709.8).
-_MAX_LOG_DIM = 600.0
-_MAX_LEVELS = 64
+# `cutbounds.CutEngine` recurses two frames per level (one per stage), so
+# 128 levels stay far inside Python's default recursion limit of 1000
+_MAX_LEVELS = 128
 
 
 @dataclass(frozen=True)
 class DimensionSchedule:
-    """Integer dimensions of a solved network.
+    """Log dimensions of a solved network, and its integer dimensions below 2**53.
 
     Attributes
     ----------
     leaf_dim, epsilon : solver inputs.
     levels : number of levels ``L``; level 0 is the single top site.
-    dims : tuple of length ``L + 1``; ``dims[k]`` is the site dimension at
-        level ``k`` after the pair rotation (``dims[0] == 1``).
-    dims_v : tuple of length ``L + 1``; ``dims_v[k]`` is the site dimension
-        at level ``k`` after the splitting step, ``k >= 1``.  Entry 0 is the
-        sentinel 1 (the top site is never split into).
+    log_dims : tuple of length ``L + 1``; the log site dimension at level
+        ``k`` after the pair rotation (``log_dims[0] == 0.0``).
+    log_dims_v : the same after the splitting step, ``k >= 1``; entry 0 is
+        the sentinel 0.0 (the top site is never split into).
+    dims, dims_v : their integers, ``None`` from ``2**53`` on; only dense
+        simulation reads them.
     """
 
     leaf_dim: int
     epsilon: float
     levels: int
-    dims: tuple[int, ...]
-    dims_v: tuple[int, ...]
+    log_dims: tuple[float, ...]
+    log_dims_v: tuple[float, ...]
+    dims: tuple[int | None, ...]
+    dims_v: tuple[int | None, ...]
 
-    def log_dim(self, level: int) -> float:
-        return math.log(self.dims[level])
 
-
-def _ceil_exp(x: float) -> int:
-    if x > _MAX_LOG_DIM:
-        raise FeasibilityError(
-            f"schedule dimension exp({x:.1f}) is outside the float range the solver "
-            f"guards (exp(x) for x <= {_MAX_LOG_DIM:.0f}; exp overflows near x = 709.8); "
-            "increase epsilon"
-        )
-    return max(1, math.ceil(math.exp(x)))
+def _ceil_log(x: float) -> tuple[float, int | None]:
+    """``(log d, d)`` for ``d = max(1, ceil(exp(x)))``; ``(x, None)`` from ``2**53`` on."""
+    e = math.exp(min(x, 37.0))  # exp(37) > 2**53
+    if e < 2.0**53:
+        d = max(1, math.ceil(e))
+        return math.log(d), d
+    return x, None
 
 
 def solve_schedule(leaf_dim: int, epsilon: float) -> DimensionSchedule:
@@ -102,27 +100,21 @@ def solve_schedule(leaf_dim: int, epsilon: float) -> DimensionSchedule:
             f"epsilon={epsilon:.6g} exceeds log(leaf_dim)={math.log(leaf_dim):.6g}; "
             "no level survives the first contraction"
         )
-    dims_up = [leaf_dim]  # dims_up[m] = dims[L - m]
-    dims_v_up = []  # dims_v_up[m] = dims_v[L - m]
+    up = [(math.log(leaf_dim), leaf_dim)]  # up[m] = (log_dims, dims)[L - m]
+    up_v = []  # up_v[m] = (log_dims_v, dims_v)[L - m]
     m = 0
     while True:
         scale = epsilon * (1 << m)
-        dv = _ceil_exp(math.log(dims_up[m]) - scale)
-        dims_v_up.append(dv)
-        d_next = _ceil_exp(2.0 * math.log(dv) - scale)
-        dims_up.append(d_next)
+        up_v.append(_ceil_log(up[m][0] - scale))
+        up.append(_ceil_log(2.0 * up_v[m][0] - scale))
         m += 1
-        if d_next == 1:
+        if up[m][1] == 1:
             break
         if m >= _MAX_LEVELS:
             raise FeasibilityError(f"no termination within {_MAX_LEVELS} levels")
-    return DimensionSchedule(
-        leaf_dim=leaf_dim,
-        epsilon=float(epsilon),
-        levels=m,
-        dims=tuple(reversed(dims_up)),
-        dims_v=(1, *reversed(dims_v_up)),
-    )
+    log_dims, dims = zip(*reversed(up))
+    log_dims_v, dims_v = zip((0.0, 1), *reversed(up_v))
+    return DimensionSchedule(leaf_dim, float(epsilon), m, log_dims, log_dims_v, dims, dims_v)
 
 
 def unrounded_log_dims(leaf_dim: int, epsilon: float, m_max: int) -> list[float]:
@@ -152,25 +144,25 @@ def find_epsilon(leaf_dim: int, target_levels: int) -> float:
     """Return an epsilon whose solved schedule has exactly ``target_levels`` levels.
 
     The level count is a nonincreasing step function of epsilon; bisect the
-    plateau edges and return the plateau midpoint.  Raises FeasibilityError
-    if no epsilon in range produces the requested count.
+    plateau edges and return the plateau midpoint.  An epsilon whose
+    schedule passes `_MAX_LEVELS` counts as infinitely deep.  Raises
+    FeasibilityError if no epsilon produces the requested count.
     """
     if target_levels < 1:
         raise UsageError("target_levels must be at least 1")
     hi = math.log(leaf_dim)  # L(hi) == 1
 
-    def levels_at(eps: float) -> int:
-        return solve_schedule(leaf_dim, eps).levels
+    def levels_at(eps: float) -> float:
+        try:
+            return solve_schedule(leaf_dim, eps).levels
+        except FeasibilityError:
+            return math.inf
 
     if target_levels == 1:
         return hi
-    lo = hi
-    for _ in range(200):
+    lo = hi / 1.5
+    while levels_at(lo) < target_levels:  # ends: a small enough epsilon passes the cap
         lo /= 1.5
-        if levels_at(lo) >= target_levels:
-            break
-    else:
-        raise FeasibilityError(f"no epsilon found for {target_levels} levels")
 
     def upper_edge(count: int) -> float:
         # sup{eps : levels(eps) >= count}; levels(a) >= count <= levels(b)
@@ -193,44 +185,57 @@ def find_epsilon(leaf_dim: int, target_levels: int) -> float:
     return eps
 
 
-def schedule_report(schedule: DimensionSchedule) -> list[tuple[int, int, int, int, float]]:
-    """Tabulate the schedule: rows ``(k, dims[k], dims_v[k], scale, ratio)``.
+def schedule_report(schedule: DimensionSchedule) -> list[tuple[int, float, float, int, float]]:
+    """Tabulate the schedule: rows ``(k, log_dims[k], log_dims_v[k], scale, ratio)``.
 
     ``scale = 2**(L-k)`` is the leaf count under one site and
-    ``ratio = log(dims[k]) / (epsilon * scale)`` measures how far the level
+    ``ratio = log_dims[k] / (epsilon * scale)`` measures how far the level
     sits above the decay floor (0 at the trivial top).
     """
     rows = []
     for k in range(schedule.levels + 1):
         scale = 1 << (schedule.levels - k)
-        ratio = schedule.log_dim(k) / (schedule.epsilon * scale)
-        rows.append((k, schedule.dims[k], schedule.dims_v[k], scale, ratio))
+        log_d = schedule.log_dims[k]
+        rows.append((k, log_d, schedule.log_dims_v[k], scale, log_d / (schedule.epsilon * scale)))
     return rows
 
 
 @dataclass(frozen=True)
 class MemoryEstimate:
-    """Exact per-stage state-vector sizes for dense simulation.
+    """Per-stage state-vector sizes of a dense build, in log amplitudes.
 
-    ``per_stage`` rows are ``(level, stage, amplitudes)`` with stage naming
-    the splitting step ("after_V") or the pair rotation ("after_W");
-    amplitude counts are exact Python integers.
+    ``per_stage`` rows are ``(level, stage, site_dim, log_amplitudes)``: the
+    state after the splitting step ("after_V") or the pair rotation
+    ("after_W") has ``site_dim ** 2**level`` amplitudes (``site_dim`` may be
+    ``None``, see `DimensionSchedule`).
     """
 
-    per_stage: tuple[tuple[int, str, int], ...]
-    peak: int
+    per_stage: tuple[tuple[int, str, int | None, float], ...]
+    log_peak: float
     peak_level: int
     peak_stage: str
 
+    def fits(self, budget: int) -> bool:
+        """Whether every stage holds at most ``budget`` amplitudes, decided exactly.
+
+        A count is formed only once its log is within 1 of ``log(budget)``,
+        and a stage without an integer site dimension never fits.
+        """
+        log_cap = math.log(budget) + 1.0
+        return all(
+            d is not None and log_amps <= log_cap and d ** (1 << level) <= budget
+            for level, _, d, log_amps in self.per_stage
+        )
+
 
 def memory_estimate(schedule: DimensionSchedule) -> MemoryEstimate:
-    """Exact amplitude counts of every intermediate state of a dense build."""
-    rows: list[tuple[int, str, int]] = [(0, "after_W", 1)]
+    """Log amplitude counts of every intermediate state of a dense build."""
+    rows: list[tuple[int, str, int | None, float]] = [(0, "after_W", 1, 0.0)]
     for k in range(1, schedule.levels + 1):
         n = 1 << k
-        rows.append((k, "after_V", schedule.dims_v[k] ** n))
-        rows.append((k, "after_W", schedule.dims[k] ** n))
-    peak_level, peak_stage, peak = max(rows, key=lambda r: r[2])
+        rows.append((k, "after_V", schedule.dims_v[k], n * schedule.log_dims_v[k]))
+        rows.append((k, "after_W", schedule.dims[k], n * schedule.log_dims[k]))
+    peak_level, peak_stage, _, log_peak = max(rows, key=lambda r: r[3])
     return MemoryEstimate(
-        per_stage=tuple(rows), peak=peak, peak_level=peak_level, peak_stage=peak_stage
+        per_stage=tuple(rows), log_peak=log_peak, peak_level=peak_level, peak_stage=peak_stage
     )

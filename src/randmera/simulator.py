@@ -127,14 +127,6 @@ class StateTrajectory:
         return self.snapshots[key]
 
 
-def _approx_int(n: int) -> str:
-    """Format an arbitrarily large integer compactly (exact if short)."""
-    s = str(n)
-    if len(s) <= 12:
-        return s
-    return f"{s[0]}.{s[1:4]}e+{len(s) - 1}"
-
-
 def _frozen(psi: np.ndarray) -> np.ndarray:
     """Flat read-only snapshot of ``psi``, copied only if ``psi`` is not contiguous.
 
@@ -189,14 +181,14 @@ def build_state(
     -------
     StateTrajectory with snapshots at every ``(level, stage)`` up to ``stop``.
 
-    Before any allocation, the peak intermediate size of the full build,
-    whatever ``stop`` says, is checked against `max_amplitudes_from_env`.
+    Before any allocation, every stage of the full build, whatever ``stop``
+    says, is checked against `max_amplitudes_from_env` (`MemoryEstimate.fits`).
     """
     cap = max_amplitudes_from_env()
     est = memory_estimate(network.schedule)
-    if est.peak > cap:
+    if not est.fits(cap):
         raise FeasibilityError(
-            f"dense build needs {_approx_int(est.peak)} amplitudes at level "
+            f"dense build needs exp({est.log_peak:.4g}) amplitudes at level "
             f"{est.peak_level} ({est.peak_stage}), budget is {cap}"
         )
     stop_level, stop_stage = _stop_of(network, stop)

@@ -28,15 +28,18 @@ def test_schedule_writes_the_expected_table(tmp_path, capsys):
     code = main(["schedule", "--epsilon", L4_EPS, "--out", str(out), "--svg", str(svg)])
     assert code == 0
     rows = _read_csv(out)
-    assert rows[0] == ["k", "D_k", "Dprime_k", "scale", "ratio"]
+    assert rows[0] == ["k", "log_D_k", "log_Dprime_k", "scale", "ratio"]
     assert [r[:4] for r in rows[1:]] == [
-        ["0", "1", "1", "16"],
-        ["1", "4", "1", "8"],
-        ["2", "6", "3", "4"],
-        ["3", "4", "3", "2"],
-        ["4", "2", "2", "1"],
+        ["0", repr(math.log(1)), repr(math.log(1)), "16"],
+        ["1", repr(math.log(4)), repr(math.log(1)), "8"],
+        ["2", repr(math.log(6)), repr(math.log(3)), "4"],
+        ["3", repr(math.log(4)), repr(math.log(3)), "2"],
+        ["4", repr(math.log(2)), repr(math.log(2)), "1"],
     ]
-    assert "levels=4" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "levels=4" in stdout
+    # the peak stage holds 2**16 amplitudes
+    assert f"log_peak_amplitudes={16 * math.log(2)!r}" in stdout
     assert svg.read_text(encoding="utf-8").startswith("<svg")
 
 
@@ -317,7 +320,26 @@ def test_the_map_size_cap_is_the_amplitude_budget(dims, need, monkeypatch, capsy
     assert f"needs {need} amplitudes" in capsys.readouterr().err
 
 
-def test_a_schedule_past_the_float_range_exits_with_the_resource_code(capsys):
-    assert main(["schedule", "--epsilon", "0.03"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible:") and "outside the float range" in err
+def test_a_schedule_deeper_than_128_levels_exits_with_the_resource_code(capsys):
+    assert main(["schedule", "--epsilon", "0.003"]) == 3
+    assert capsys.readouterr().err == "infeasible: no termination within 128 levels\n"
+
+
+def test_schedule_and_cuts_answer_at_96_levels(capsys):
+    assert main(["schedule", "--epsilon", "0.005"]) == 0
+    assert "levels=96" in capsys.readouterr().out
+    assert main(["cuts", "--epsilon", "0.005", "--interval", "1:1099511627776"]) == 0
+    assert "@level 96 after_W" in capsys.readouterr().out
+
+
+def test_a_deep_dense_build_exits_with_the_resource_code_under_any_budget(monkeypatch):
+    # its site dimensions pass 2**53, so no budget admits it
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(10**40))
+    proc = subprocess.run(
+        [sys.executable, "-m", "randmera", "entropy", "--epsilon", "0.01", "--interval", "0:3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("infeasible: dense build needs exp(")
+    assert "Traceback" not in proc.stderr

@@ -18,6 +18,7 @@ from randmera import (
     Stage,
     UsageError,
     cut_dp,
+    find_epsilon,
     mi_prediction,
     sandwich,
 )
@@ -227,8 +228,8 @@ def _replay_ok(network, bounds) -> bool:
     reproduces the reported cost.
     """
     steps = tuple(bounds.argmin.steps)
-    log_d = [math.log(d) for d in network.schedule.dims]
-    log_dv = [math.log(d) for d in network.schedule.dims_v]
+    log_d = network.schedule.log_dims
+    log_dv = network.schedule.log_dims_v
 
     def walk(level, stage, i, length, idx, total) -> bool:
         n = 1 << level
@@ -448,6 +449,29 @@ def test_deep_reductions_use_at_least_logarithmic_height(net_big):
         assert b.height_of_argmin >= 2 * math.log2(length) - 6
 
 
+@pytest.mark.parametrize(
+    "eps,c",
+    # c(eps), measured; the leaf-2 schedules have 12, 26, 49 and 96 levels
+    [(0.05, 0.8120016673874), (0.02, 0.3624389061745), (0.01, 0.2483822103879),
+     (0.005, 0.1275356402917)],
+)
+def test_adjacent_blocks_share_three_epsilon_nats_per_leaf_at_depth(eps, c):
+    # The paper's scale law: for leaf blocks of l = 2**m starting at site 1,
+    # min_cost(l) + min_cost(l) - min_cost(2l) = 3 eps l - c(eps), to 1e-5
+    # nats from m = 5 to L - 2: up to a scale exponentially large in 1/eps.  The closed form
+    # log dims[L - m] = 2**m log 2 - 3 m eps 2**(m - 1) gives the 3 eps l.
+    net = MeraNetwork.build(2, eps)
+    top = net.levels
+
+    def upper(start, length):
+        return cut_dp(net, Interval.of_length(top, Stage.AFTER_W, start, length)).min_cost
+
+    for m in range(5, top - 1):
+        l = 1 << m
+        mi = upper(1, l) + upper(1 + l, l) - upper(1, 2 * l)
+        assert abs(mi - (3 * eps * l - c)) <= max(1e-5, 1e-12 * 3 * eps * l), m
+
+
 def test_one_engine_per_network(net_l3):
     assert engine_for(net_l3) is engine_for(net_l3)
 
@@ -460,3 +484,12 @@ def test_an_engine_is_freed_with_its_network():
     del net
     gc.collect()
     assert engine() is None
+
+
+def test_the_dp_answers_at_the_level_cap():
+    # two recursion frames per level: 128 levels stay inside the default limit
+    net = MeraNetwork.build(2, find_epsilon(2, 128))
+    assert net.levels == 128
+    b = cut_dp(net, Interval.of_length(128, Stage.AFTER_W, 5, (1 << 127) - 5))
+    assert b.height_of_argmin > 128
+    assert 0.0 < b.lower_bound <= b.lse <= b.min_cost

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -17,6 +18,57 @@ from randmera import (
 from randmera.schedule import closed_form_log_dim, unrounded_log_dims
 
 CASES = [(2, 0.22), (2, 0.35), (2, 0.5057021323536758), (3, 0.4), (4, 0.9), (5, 1.2)]
+
+
+def integer_reference(leaf_dim, epsilon):
+    """``(levels, dims, dims_v)`` from the recursion run on integers, or ``None``.
+
+    This is the solver as it stood before it moved to log dimensions: every
+    dimension is a Python integer ``max(1, ceil(exp(x)))``, and it gives up
+    (``None``) once ``x`` passes 600 or the level cap.
+    """
+    up, up_v = [leaf_dim], []
+    while True:
+        scale = epsilon * (1 << len(up_v))
+        x = math.log(up[-1]) - scale
+        if x > 600:
+            return None
+        up_v.append(max(1, math.ceil(math.exp(x))))
+        x = 2.0 * math.log(up_v[-1]) - scale
+        if x > 600:
+            return None
+        up.append(max(1, math.ceil(math.exp(x))))
+        if up[-1] == 1:
+            return len(up_v), tuple(reversed(up)), (1, *reversed(up_v))
+        if len(up_v) >= 128:
+            return None
+
+
+# every leaf dimension 2-16 on a 0.01 grid of epsilon, with the values the
+# CLI tests, CI and the benchmark run
+GRID = [
+    (leaf, eps)
+    for leaf in range(2, 17)
+    for eps in [j / 100 for j in range(1, int(100 * math.log(leaf)) + 1)]
+    + [e for e in (0.24652950741995638, 0.5057021323536758, 0.5777, 1.62) if e < math.log(leaf)]
+    + [math.log(leaf)]
+]
+
+
+def test_log_dimensions_are_bit_identical_to_the_integer_recursion():
+    solved = 0
+    for leaf, eps in GRID:
+        ref = integer_reference(leaf, eps)
+        if ref is None:
+            continue
+        solved += 1
+        levels, dims, dims_v = ref
+        s = solve_schedule(leaf, eps)
+        assert s.levels == levels
+        for ints, logs, kept in ((dims, s.log_dims, s.dims), (dims_v, s.log_dims_v, s.dims_v)):
+            assert logs == tuple(math.log(d) for d in ints)
+            assert kept == tuple(d if d < 2**53 else None for d in ints)
+    assert solved > 2900
 
 
 @pytest.mark.parametrize("leaf,eps", CASES)
@@ -91,10 +143,33 @@ def test_level_count_never_increases_with_epsilon():
     assert counts[0] > counts[-1]
 
 
-@pytest.mark.parametrize("leaf,target", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 4)])
+# for 96 and 128 levels, the search's steps down in epsilon (by 1.5) land
+# past the level cap
+@pytest.mark.parametrize(
+    "leaf,target",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 4), (2, 16), (2, 49), (2, 96), (2, 128)],
+)
 def test_find_epsilon_hits_the_requested_level_count(leaf, target):
     eps = find_epsilon(leaf, target)
     assert solve_schedule(leaf, eps).levels == target
+
+
+def test_no_schedule_is_deeper_than_128_levels():
+    with pytest.raises(FeasibilityError, match="no termination within 128 levels"):
+        solve_schedule(2, 0.003)
+    with pytest.raises(FeasibilityError):
+        find_epsilon(2, 129)
+
+
+def test_deep_schedules_keep_logs_where_the_integers_stop():
+    s = solve_schedule(2, 0.005)
+    assert s.levels == 96
+    assert s.dims[-1] == 2 and s.dims[0] == 1
+    assert None in s.dims and None in s.dims_v
+    for logs, ints in ((s.log_dims, s.dims), (s.log_dims_v, s.dims_v)):
+        for x, d in zip(logs, ints):
+            assert (d is None) == (x > math.log(2**53))
+    assert max(s.log_dims) > 1e26
 
 
 def test_solver_input_validation():
@@ -110,23 +185,12 @@ def test_solver_input_validation():
         find_epsilon(2, 0)
 
 
-def test_tiny_epsilon_overflows_the_exact_integer_range():
-    with pytest.raises(FeasibilityError):
-        solve_schedule(2, 0.03)
-
-
-def test_the_overflow_guard_names_the_float_range():
-    with pytest.raises(FeasibilityError, match=r"outside the float range .*x <= 600") as err:
-        solve_schedule(2, 0.03)
-    assert "integer" not in str(err.value)
-
-
 def test_report_rows_cover_every_level_with_doubling_scales():
     s = solve_schedule(2, find_epsilon(2, 4))
     rows = schedule_report(s)
     assert [r[0] for r in rows] == [0, 1, 2, 3, 4]
-    assert [r[1] for r in rows] == [1, 4, 6, 4, 2]
-    assert [r[2] for r in rows] == [1, 1, 3, 3, 2]
+    assert [r[1] for r in rows] == [math.log(d) for d in (1, 4, 6, 4, 2)]
+    assert [r[2] for r in rows] == [math.log(d) for d in (1, 1, 3, 3, 2)]
     assert [r[3] for r in rows] == [16, 8, 4, 2, 1]
     assert rows[0][4] == pytest.approx(0.0, abs=1e-15)  # log(1) at the top
     assert rows[4][4] == pytest.approx(math.log(2) / s.epsilon, rel=1e-12)
@@ -135,27 +199,39 @@ def test_report_rows_cover_every_level_with_doubling_scales():
 def test_memory_estimate_counts_amplitudes_exactly():
     s = solve_schedule(2, find_epsilon(2, 4))
     est = memory_estimate(s)
-    by_key = {(lvl, st): amps for lvl, st, amps in est.per_stage}
-    assert by_key[(0, "after_W")] == 1
+    by_key = {(lvl, st): (d, log_amps) for lvl, st, d, log_amps in est.per_stage}
+    assert by_key[(0, "after_W")] == (1, 0.0)
     for k in range(1, s.levels + 1):
         n = 1 << k
-        assert by_key[(k, "after_V")] == s.dims_v[k] ** n
-        assert by_key[(k, "after_W")] == s.dims[k] ** n
-    assert est.peak == 65536
-    assert est.peak == max(a for _, _, a in est.per_stage)
-    assert by_key[(est.peak_level, est.peak_stage)] == est.peak
+        assert by_key[(k, "after_V")] == (s.dims_v[k], n * math.log(s.dims_v[k]))
+        assert by_key[(k, "after_W")] == (s.dims[k], n * math.log(s.dims[k]))
+    assert est.log_peak == max(log_amps for *_, log_amps in est.per_stage)
+    assert by_key[(est.peak_level, est.peak_stage)][1] == est.log_peak
+    # the peak is 65536 amplitudes: it passes, one less fails
+    assert est.fits(65536) and not est.fits(65535)
 
 
 def test_memory_estimate_handles_the_one_level_network():
     est = memory_estimate(solve_schedule(2, math.log(2.0)))
-    assert est.peak == 4
+    assert est.log_peak == 2 * math.log(2.0)
+    assert est.fits(4) and not est.fits(3)
     assert (est.peak_level, est.peak_stage) == (1, "after_W")
 
 
-def test_huge_dimensions_stay_exact_integers():
-    # A slow decay keeps every dimension as an exact (big) integer.
-    s = solve_schedule(2, 0.05)
-    assert s.levels == 12
+def test_the_budget_decision_is_exact_past_the_float_resolution():
+    # 3**32 = 1853020188851841: its log cannot tell the peak from peak - 1
+    s = solve_schedule(3, find_epsilon(3, 5))
     est = memory_estimate(s)
-    assert isinstance(est.peak, int)
-    assert est.peak > 10**100
+    peak = max(d ** (1 << level) for level, _, d, _ in est.per_stage)
+    assert peak > 2**50
+    assert est.fits(peak) and not est.fits(peak - 1)
+
+
+def test_memory_estimate_on_the_96_level_schedule_returns_at_once():
+    s = solve_schedule(2, 0.005)
+    t0 = time.perf_counter()
+    est = memory_estimate(s)
+    assert not est.fits(10**40)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(est.per_stage) == 2 * 96 + 1
+    assert est.log_peak > 1e28
