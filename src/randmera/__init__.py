@@ -62,7 +62,6 @@ from .cutbounds import (
 from .spectra import (
     SingularSpectrum,
     SuperOperatorSpec,
-    build_superop,
     collapse_experiment,
     frobenius_exact,
     singular_spectrum,
@@ -108,7 +107,6 @@ __all__ = [
     "sandwich",
     "SingularSpectrum",
     "SuperOperatorSpec",
-    "build_superop",
     "collapse_experiment",
     "frobenius_exact",
     "singular_spectrum",

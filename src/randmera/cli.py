@@ -423,8 +423,8 @@ def _cmd_cuts(args: dict) -> int:
 def _check_map_sizes(specs: list[spectra.SuperOperatorSpec]) -> None:
     """Refuse, before any draw, a map whose largest array is over the amplitude budget.
 
-    The largest arrays of one map are its ``d_B^2 x d_A^2`` matrix and the
-    ``d_B d_E x d_A`` isometry it is built from.
+    The largest arrays of one map are its ``(d_B d_A)^2`` Choi product and
+    the ``d_B d_E x d_A`` isometry it is built from.
     """
     cap = simulator.max_amplitudes_from_env()
     for spec in specs:

@@ -17,11 +17,24 @@ The spectrum is taken from a real matrix.  The map preserves Hermiticity,
 so with ``S`` the swap ``(b, c) -> (c, b)`` of a unit pair its matrix ``M``
 obeys ``conj(M) = S M S``.  The unitary ``U = ((1+i) I + (1-i) S) / 2``
 has ``conj(U) = S U``, so ``R = U_B^dagger M U_A`` is real, with the same
-singular values as ``M``.  By entries
-``R[(b, c), (a, f)] = Re M[(b, c), (a, f)] + Im M[(b, c), (f, a)]``.  The
-real SVD runs on ``R`` or its transpose, whichever is tall.  It gives
-``min(d_A, d_B)^2`` values; the map has rank at most ``d_A^2``, so when
-``d_A < d_B`` the spectrum is padded with exact zeros to ``d_B^2`` values.
+singular values as ``M``.  With ``P[(b, a), e] = W[b, e, a]`` the entries
+of ``M`` are those of ``sqrt(d_B/d_A) P P^dagger`` (the Choi product, a
+``d_B d_A x d_B d_A`` matrix ``g``) with the index pairs regrouped, so
+``R`` is read straight off ``g`` without forming ``M``:
+``R[(b, c), (a, f)] = Re g[b, a, c, f] + Im g[b, f, c, a]`` (unscaled).
+
+The singular values are the square roots of the eigenvalues of the
+smaller Gram of ``R`` (``R R^T`` when ``d_A > d_B``, else ``R^T R``),
+scaled by ``sqrt(d_B/d_A)`` after the root.  A value ``sigma`` is exact to
+about ``n eps sigma_1^2 / sigma`` (``n`` the Gram's order): absolute, not
+relative, accuracy.  Over 80 maps of 16 shapes the largest departure from
+a complex SVD of ``M`` was 6.3e-14, the largest relative one 7e-9 at
+``sigma`` near 9e-6.  The route holds the isometry, ``g`` and ``R`` (half
+the bytes of ``g``), then ``R`` and the Gram: a ``tracemalloc`` peak of
+1.58 times the bytes of ``g`` at 30:30:30, where an SVD of ``R`` formed
+from ``M`` holds ``g``, ``M`` and ``R`` and peaks at 2.07.  The map has
+rank at most ``d_A^2``, so when ``d_A < d_B`` the spectrum is padded with
+exact zeros to ``d_B^2`` values.
 
 The module also provides the closed-form Frobenius mass (the squared
 singular values sum to about ``d_A`` on average), and the rescaling
@@ -42,7 +55,6 @@ __all__ = [
     "CollapseRow",
     "SingularSpectrum",
     "SuperOperatorSpec",
-    "build_superop",
     "collapse_experiment",
     "frobenius_exact",
     "singular_spectrum",
@@ -92,37 +104,23 @@ class SingularSpectrum:
             raise UsageError("spectrum length must be d_B squared")
 
 
-def _superop_from_matrix(w: np.ndarray, d_A: int, d_B: int, d_E: int) -> np.ndarray:
-    p = w.reshape(d_B, d_E, d_A).transpose(0, 2, 1).reshape(d_B * d_A, d_E)
-    g = p @ p.conj().T
-    g *= math.sqrt(d_B / d_A)  # in place: a scaled copy of the regrouped map would hold three maps
-    return g.reshape(d_B, d_A, d_B, d_A).transpose(0, 2, 1, 3).reshape(d_B * d_B, d_A * d_A)
-
-
-def build_superop(spec: SuperOperatorSpec) -> np.ndarray:
-    """Matricization of the scaled channel, shape (d_B^2, d_A^2).
-
-    Row index is the unit-matrix pair (b, c) flattened row-major; column
-    index the pair (a, f).  The basis affects exported matrices only; the
-    singular values are basis independent.  With
-    ``P[(b, a), e] = W[b, e, a]`` the entries are those of
-    ``sqrt(d_B/d_A) P P^dagger``, one ``d_B d_A x d_B d_A`` matrix product,
-    with the index pairs regrouped.
-    """
-    w = sample_isometry(spec.d_A, spec.d_B * spec.d_E, spec.seed)
-    return _superop_from_matrix(w, spec.d_A, spec.d_B, spec.d_E)
-
-
 def singular_spectrum(spec: SuperOperatorSpec) -> SingularSpectrum:
     """Full descending singular spectrum of one sampled map, ``d_B^2`` values.
 
-    The SVD is taken of the real form ``U_B^dagger M U_A`` (module
-    docstring), in its tall orientation, and zero-padded when ``d_A < d_B``.
+    The values are the square roots of the eigenvalues of the smaller Gram
+    of the real form ``R``, read off the Choi product ``P P^dagger``
+    (module docstring), scaled by ``sqrt(d_B/d_A)`` and zero-padded when
+    ``d_A < d_B``.  Each is exact to about ``n eps sigma_1^2 / sigma``.
     """
-    d_A, d_B = spec.d_A, spec.d_B
-    m4 = build_superop(spec).reshape(d_B, d_B, d_A, d_A)
-    r = (m4.real + m4.imag.swapaxes(2, 3)).reshape(d_B * d_B, d_A * d_A)
-    values = np.linalg.svd(r.T if d_A > d_B else r, compute_uv=False)
+    d_A, d_B, d_E = spec.d_A, spec.d_B, spec.d_E
+    w = sample_isometry(d_A, d_B * d_E, spec.seed)
+    p = w.reshape(d_B, d_E, d_A).transpose(0, 2, 1).reshape(d_B * d_A, d_E)
+    g = (p @ p.conj().T).reshape(d_B, d_A, d_B, d_A)
+    r = (g.real.transpose(0, 2, 1, 3) + g.imag.transpose(0, 2, 3, 1)).reshape(d_B**2, d_A**2)
+    del g
+    gram = r @ r.T if d_A > d_B else r.T @ r
+    del r
+    values = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)) * math.sqrt(d_B / d_A)
     return SingularSpectrum(spec=spec, values=np.pad(values, (0, d_B * d_B - len(values))))
 
 
@@ -169,16 +167,20 @@ def collapse_experiment(
     ``rescale="affine"`` plots ``(lambda(i) - shift) * d_B**alpha`` against
     ``i / d_B^2``; shift and exponent are free parameters (the defaults are
     the ones that happen to work for the fixed-``y`` family).  The largest
-    singular value of each spectrum is excluded in both modes.
+    singular value of each spectrum is excluded in both modes, so every
+    spec needs ``d_B >= 2``: a one-value spectrum would leave no point.
     """
     if not specs:
         raise UsageError("need at least one spec")
     if rescale not in ("sqrt_d", "affine"):
         raise UsageError(f"unknown rescale mode {rescale!r}")
-    rows: list[CollapseRow] = []
     for spec in specs:
         if rescale == "sqrt_d" and not spec.d_A == spec.d_B == spec.d_E:
             raise UsageError("sqrt_d mode needs d_A = d_B = d_E")
+        if spec.d_B < 2:
+            raise UsageError(f"map {spec.label}: d_B must be at least 2, the top value is dropped")
+    rows: list[CollapseRow] = []
+    for spec in specs:
         values = singular_spectrum(spec).values
         d_sq = spec.d_B**2
         for i in range(1, len(values)):

@@ -192,6 +192,26 @@ def test_spectra_with_one_output_dimension_is_a_usage_error(capsys):
     assert "second singular value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collapse", "--mode", "sqrt-d", "--dims", "1,4"],
+        ["collapse", "--mode", "sqrt-d", "--dims", "4,1"],
+        ["collapse", "--mode", "affine", "--specs", "2:1", "--y", "1"],
+    ],
+)
+def test_collapse_with_one_output_dimension_is_a_usage_error(argv, monkeypatch, capsys):
+    # the top value of each spectrum is dropped: a d_B = 1 map would leave no point
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a map was drawn before every map was checked")
+
+    monkeypatch.setattr(spectra, "sample_isometry", no_draw)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d_B must be at least 2" in captured.err
+
+
 def test_collapse_modes_and_spec_derivation(tmp_path):
     out = tmp_path / "sqrt.csv"
     assert main(["collapse", "--mode", "sqrt-d", "--dims", "3,4", "--out", str(out)]) == 0

@@ -12,13 +12,36 @@ from randmera import (
     McEstimate,
     SuperOperatorSpec,
     UsageError,
-    build_superop,
     collapse_experiment,
     frobenius_exact,
     sample_isometry,
     singular_spectrum,
 )
-from randmera.spectra import SingularSpectrum, _superop_from_matrix
+from randmera.spectra import SingularSpectrum
+
+
+def _superop_from_matrix(w, d_A, d_B, d_E):
+    """Matricization of the scaled channel, shape (d_B^2, d_A^2): the oracle.
+
+    Row index is the unit-matrix pair (b, c) flattened row-major; column
+    index the pair (a, f).  With ``P[(b, a), e] = W[b, e, a]`` the entries
+    are those of ``sqrt(d_B/d_A) P P^dagger`` with the index pairs regrouped.
+    """
+    p = w.reshape(d_B, d_E, d_A).transpose(0, 2, 1).reshape(d_B * d_A, d_E)
+    g = math.sqrt(d_B / d_A) * (p @ p.conj().T)
+    return g.reshape(d_B, d_A, d_B, d_A).transpose(0, 2, 1, 3).reshape(d_B * d_B, d_A * d_A)
+
+
+def _build_superop(spec):
+    """The matricized map of the isometry that `singular_spectrum` draws for ``spec``."""
+    w = sample_isometry(spec.d_A, spec.d_B * spec.d_E, spec.seed)
+    return _superop_from_matrix(w, spec.d_A, spec.d_B, spec.d_E)
+
+
+def _complex_svd(spec):
+    """Singular values of the complex matricization, zero-padded to d_B^2."""
+    values = np.linalg.svd(_build_superop(spec), compute_uv=False)
+    return np.pad(values, (0, spec.d_B**2 - len(values)))
 
 
 def _superop_by_explicit_partial_trace(w, d_A, d_B, d_E):
@@ -83,15 +106,17 @@ def _hermitian_basis(d):
 @pytest.mark.parametrize("dims", [(4, 2, 3), (3, 5, 2), (4, 4, 4), (1, 3, 5)])
 def test_the_hermitian_basis_makes_the_map_real(dims):
     d_A, d_B, d_E = dims
-    m = build_superop(SuperOperatorSpec(d_A, d_B, d_E, seed=6))
+    m = _build_superop(SuperOperatorSpec(d_A, d_B, d_E, seed=6))
     u_a, u_b = _hermitian_basis(d_A), _hermitian_basis(d_B)
     for u in (u_a, u_b):
         assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) < 1e-15
     rotated = u_b.conj().T @ m @ u_a
     assert np.max(np.abs(rotated.imag)) <= 1e-14
-    m4 = m.reshape(d_B, d_B, d_A, d_A)
-    one_line = (m4.real + m4.imag.swapaxes(2, 3)).reshape(d_B * d_B, d_A * d_A)
-    assert np.max(np.abs(rotated.real - one_line)) <= 1e-14
+    # the real form read straight off the Choi product g[b, a, c, f], as
+    # `singular_spectrum` reads it
+    g = m.reshape(d_B, d_B, d_A, d_A).transpose(0, 2, 1, 3)
+    r = (g.real.transpose(0, 2, 1, 3) + g.imag.transpose(0, 2, 3, 1)).reshape(d_B**2, d_A**2)
+    assert np.max(np.abs(rotated.real - r)) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -111,9 +136,16 @@ def test_the_spectrum_matches_a_complex_svd_of_the_map(dims):
     spec = SuperOperatorSpec(*dims, seed=3)
     values = singular_spectrum(spec).values
     assert values.dtype == np.float64
-    oracle = np.linalg.svd(build_superop(spec), compute_uv=False)  # complex, d_B^2 x d_A^2
-    oracle = np.pad(oracle, (0, spec.d_B**2 - len(oracle)))
-    assert np.max(np.abs(values - oracle)) < 1e-13
+    assert np.max(np.abs(values - _complex_svd(spec))) < 1e-13
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dims", [(30, 30, 30), (40, 20, 10), (20, 20, 20)])
+def test_the_spectrum_matches_a_complex_svd_on_the_benchmark_shapes(dims, seed):
+    # the Gram route's error grows as sigma_1^2 / sigma: check it where the
+    # spectra are longest
+    spec = SuperOperatorSpec(*dims, seed=seed)
+    assert np.max(np.abs(singular_spectrum(spec).values - _complex_svd(spec))) < 1e-13
 
 
 @pytest.mark.parametrize("dims", [(3, 5, 2), (1, 3, 5)])
@@ -122,15 +154,16 @@ def test_a_narrow_input_pads_the_spectrum_with_exact_zeros(dims):
     spec = SuperOperatorSpec(*dims, seed=2)
     values = singular_spectrum(spec).values
     assert len(values) == d_B**2
-    oracle = np.linalg.svd(build_superop(spec), compute_uv=False)
+    oracle = np.linalg.svd(_build_superop(spec), compute_uv=False)
     assert len(oracle) == d_A**2
     assert np.max(np.abs(values[: d_A**2] - oracle)) < 1e-13
     assert np.all(values[d_A**2 :] == 0.0)
 
 
 def test_the_spectrum_peak_stays_near_two_maps():
-    # the build holds the product and its regrouped copy; scaling that copy
-    # out of place would hold a third map
+    # the route holds the Choi product and the real form (half a map), then
+    # the real form and its Gram; a regrouped complex copy of the product
+    # would add a map
     spec = SuperOperatorSpec(30, 30, 30, seed=1)
     map_bytes = (30 * 30) ** 2 * 16
     tracemalloc.start()
@@ -139,19 +172,19 @@ def test_the_spectrum_peak_stays_near_two_maps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * map_bytes
+    assert peak <= 1.65 * map_bytes
 
 
 def test_map_output_is_deterministic_in_the_spec_seed():
     spec = SuperOperatorSpec(d_A=5, d_B=3, d_E=2, seed=9)
-    assert np.array_equal(build_superop(spec), build_superop(spec))
+    assert np.array_equal(_build_superop(spec), _build_superop(spec))
     other = SuperOperatorSpec(d_A=5, d_B=3, d_E=2, seed=10)
-    assert np.max(np.abs(build_superop(spec) - build_superop(other))) > 1e-3
+    assert np.max(np.abs(_build_superop(spec) - _build_superop(other))) > 1e-3
 
 
 def test_map_preserves_trace_and_positivity():
     spec = SuperOperatorSpec(d_A=6, d_B=3, d_E=2, seed=4)
-    m = build_superop(spec)
+    m = _build_superop(spec)
     rng = np.random.default_rng(0)
     scale = math.sqrt(spec.d_B / spec.d_A)
     for _ in range(25):
@@ -171,6 +204,15 @@ def test_trivial_environment_makes_the_map_an_exact_isometry():
     assert np.max(np.abs(sp.values - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("dims", [(8, 4, 2), (9, 3, 3)])
+def test_at_y_one_every_singular_value_is_one(dims):
+    # d_A = d_B d_E: the isometry is a unitary, and the scaled channel is an
+    # isometry on operators
+    for seed in range(5):
+        values = singular_spectrum(SuperOperatorSpec(*dims, seed=seed)).values
+        assert np.max(np.abs(values - 1.0)) < 1e-14
+
+
 def test_frobenius_closed_form_values():
     assert frobenius_exact(50, 10, 10) == pytest.approx(50.495049504950494, rel=1e-12)
     # unitary conjugation preserves the full Frobenius weight d_B^2
@@ -185,7 +227,7 @@ def test_frobenius_monte_carlo_agrees_with_the_closed_form(dims):
     d_A, d_B, d_E = dims
     exact = frobenius_exact(d_A, d_B, d_E)
     masses = [
-        np.sum(np.abs(build_superop(SuperOperatorSpec(d_A, d_B, d_E, seed=77_000 + t))) ** 2)
+        np.sum(singular_spectrum(SuperOperatorSpec(d_A, d_B, d_E, seed=77_000 + t)).values ** 2)
         for t in range(200)
     ]
     est = McEstimate.of(np.array(masses))
