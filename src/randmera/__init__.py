@@ -10,7 +10,7 @@ controls correlation decay.
 Modules
 -------
 haar       - Haar isometry sampling and fourth-moment closed forms.
-schedule   - the log-dimension recursion, its dense-build sizes and scaling.
+schedule   - the log-dimension recursion, its report and scaling.
 network    - ring geometry: stages, rotation pairs, intervals.
 simulator  - exact dense states, reduced spectra, entropies, Monte Carlo.
 cutbounds  - reduction-sequence dynamic programs and entropy brackets.
@@ -33,9 +33,7 @@ from .haar import (
 from .network import Interval, MeraNetwork, Stage
 from .schedule import (
     DimensionSchedule,
-    MemoryEstimate,
     find_epsilon,
-    memory_estimate,
     schedule_report,
     solve_schedule,
 )
@@ -84,9 +82,7 @@ __all__ = [
     "MeraNetwork",
     "Stage",
     "DimensionSchedule",
-    "MemoryEstimate",
     "find_epsilon",
-    "memory_estimate",
     "schedule_report",
     "solve_schedule",
     "DenseState",

@@ -16,11 +16,11 @@ Conventions shared by every command:
 * entropic quantities are computed in nats and converted when
   ``--units bits`` is given,
 * exit codes: 0 success, 2 usage problem, 3 feasibility limit: a schedule
-  over 128 levels, or a dense build (never past 2**53 per site) or a map
-  over the amplitude budget.
+  over 128 levels, or a dense state (never past 2**53 per site), a map or
+  a ``moments-check`` batch of isometries over the amplitude budget.
 
-The amplitude budget, which caps dense simulation and the maps that
-``spectra`` and ``collapse`` draw, can be overridden through the
+The amplitude budget caps, before the first draw, each dense state, map
+and isometry batch a command forms; it can be overridden through the
 ``RANDMERA_MAX_AMPLITUDES`` environment variable.
 """
 
@@ -44,7 +44,7 @@ from .haar import (
     moment_constants,
 )
 from .network import Interval, MeraNetwork, Stage
-from .schedule import memory_estimate, schedule_report, solve_schedule
+from .schedule import schedule_report, solve_schedule
 
 __all__ = ["main"]
 
@@ -309,7 +309,8 @@ def _ring_interval(level: int, stage: Stage, ij: tuple[int, int]) -> Interval:
 def _cmd_schedule(args: dict) -> int:
     sched = solve_schedule(args["leaf_dim"], args["epsilon"])
     rows = [list(row) for row in schedule_report(sched)]
-    est = memory_estimate(sched)
+    # the largest stage of a dense build, after_V or after_W, in log amplitudes
+    log_peak = max((1 << k) * max(log_d, log_dv) for k, log_d, log_dv, *_ in rows)
     if args["out"]:
         _write_csv(args["out"], ["k", "log_D_k", "log_Dprime_k", "scale", "ratio"], rows)
     if args["svg"]:
@@ -318,7 +319,7 @@ def _cmd_schedule(args: dict) -> int:
     print(
         f"schedule: levels={sched.levels} sites={1 << sched.levels} "
         f"leaf_dim={sched.leaf_dim} epsilon={sched.epsilon!r} "
-        f"log_peak_amplitudes={est.log_peak!r}"
+        f"log_peak_amplitudes={log_peak!r}"
     )
     return 0
 
@@ -424,13 +425,12 @@ def _check_map_sizes(specs: list[spectra.SuperOperatorSpec]) -> None:
     """Refuse, before any draw, a map whose largest array is over the amplitude budget.
 
     The largest arrays of one map are its ``(d_B d_A)^2`` Choi product and
-    the ``d_B d_E x d_A`` isometry it is built from.
+    the ``d_B d_E x d_A`` isometry it is built from; the larger is admitted.
     """
-    cap = simulator.max_amplitudes_from_env()
     for spec in specs:
-        need = max(spec.d_B**2 * spec.d_A**2, spec.d_B * spec.d_E * spec.d_A)
-        if need > cap:
-            raise FeasibilityError(f"map {spec.label} needs {need} amplitudes, budget is {cap}")
+        arrays = (((spec.d_B, 2), (spec.d_A, 2)), ((spec.d_B, 1), (spec.d_E, 1), (spec.d_A, 1)))
+        need, factors = max((math.prod(d**m for d, m in f), f) for f in arrays)
+        simulator.admit(math.log(need), factors, f"map {spec.label} needs {need} amplitudes")
 
 
 def _cmd_spectra(args: dict) -> int:
@@ -509,13 +509,18 @@ def _cmd_collapse(args: dict) -> int:
 
 
 def _cmd_moments_check(args: dict) -> int:
-    d1, d2 = args["d1"], args["d2"]
+    d1, d2, trials = args["d1"], args["d2"], args["trials"]
     rows = []
     worst = 0.0
     patterns = {**CANONICAL_CONTRACTIONS, "mixed": MIXED_CONTRACTION}
-    for idx, (name, contraction) in enumerate(patterns.items()):
-        exact = fourth_moment_exact(d1, d2, contraction)
-        est = fourth_moment_mc(d1, d2, contraction, args["trials"], (args["seed"], idx))
+    exacts = [fourth_moment_exact(d1, d2, contraction) for contraction in patterns.values()]
+    if trials < 1:
+        raise UsageError("trials must be positive")
+    need = trials * d2 * d1  # each pattern draws its whole batch of isometries at once
+    batch = f"a batch of {trials} isometries {d2}x{d1} needs {need} amplitudes"
+    simulator.admit(math.log(need), ((trials, 1), (d2, 1), (d1, 1)), batch)
+    for idx, ((name, contraction), exact) in enumerate(zip(patterns.items(), exacts)):
+        est = fourth_moment_mc(d1, d2, contraction, trials, (args["seed"], idx))
         dev = abs(est.value - exact)
         ok = dev <= 4.0 * est.stderr + 1e-9
         if est.stderr > 1e-12:
@@ -530,7 +535,7 @@ def _cmd_moments_check(args: dict) -> int:
     all_ok = all(r[5] for r in rows)
     c, c_prime = moment_constants(d2)
     print(
-        f"moments-check d1={d1} d2={d2} trials={args['trials']}: c={c!r} "
+        f"moments-check d1={d1} d2={d2} trials={trials}: c={c!r} "
         f"c_prime={c_prime!r} max_sigma={worst:.3f} all_within_4se={all_ok}"
     )
     return 0 if all_ok else 1

@@ -31,10 +31,8 @@ from .errors import FeasibilityError, UsageError
 
 __all__ = [
     "DimensionSchedule",
-    "MemoryEstimate",
     "closed_form_log_dim",
     "find_epsilon",
-    "memory_estimate",
     "schedule_report",
     "solve_schedule",
     "unrounded_log_dims",
@@ -198,44 +196,3 @@ def schedule_report(schedule: DimensionSchedule) -> list[tuple[int, float, float
         log_d = schedule.log_dims[k]
         rows.append((k, log_d, schedule.log_dims_v[k], scale, log_d / (schedule.epsilon * scale)))
     return rows
-
-
-@dataclass(frozen=True)
-class MemoryEstimate:
-    """Per-stage state-vector sizes of a dense build, in log amplitudes.
-
-    ``per_stage`` rows are ``(level, stage, site_dim, log_amplitudes)``: the
-    state after the splitting step ("after_V") or the pair rotation
-    ("after_W") has ``site_dim ** 2**level`` amplitudes (``site_dim`` may be
-    ``None``, see `DimensionSchedule`).
-    """
-
-    per_stage: tuple[tuple[int, str, int | None, float], ...]
-    log_peak: float
-    peak_level: int
-    peak_stage: str
-
-    def fits(self, budget: int) -> bool:
-        """Whether every stage holds at most ``budget`` amplitudes, decided exactly.
-
-        A count is formed only once its log is within 1 of ``log(budget)``,
-        and a stage without an integer site dimension never fits.
-        """
-        log_cap = math.log(budget) + 1.0
-        return all(
-            d is not None and log_amps <= log_cap and d ** (1 << level) <= budget
-            for level, _, d, log_amps in self.per_stage
-        )
-
-
-def memory_estimate(schedule: DimensionSchedule) -> MemoryEstimate:
-    """Log amplitude counts of every intermediate state of a dense build."""
-    rows: list[tuple[int, str, int | None, float]] = [(0, "after_W", 1, 0.0)]
-    for k in range(1, schedule.levels + 1):
-        n = 1 << k
-        rows.append((k, "after_V", schedule.dims_v[k], n * schedule.log_dims_v[k]))
-        rows.append((k, "after_W", schedule.dims[k], n * schedule.log_dims[k]))
-    peak_level, peak_stage, _, log_peak = max(rows, key=lambda r: r[3])
-    return MemoryEstimate(
-        per_stage=tuple(rows), log_peak=log_peak, peak_level=peak_level, peak_stage=peak_stage
-    )

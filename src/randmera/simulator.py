@@ -4,8 +4,8 @@ States are kept as full complex amplitude tensors with one axis per ring
 site, so every entropy below is exact up to floating point.  The builder
 applies per-site splitting isometries and per-pair rotation isometries level
 by level, snapshotting the state after each stage; the wrap-around pair is
-handled by axis permutation.  Feasibility is checked against an amplitude
-budget before any allocation.
+handled by axis permutation.  Every dense array a call forms is held to
+the amplitude budget by `admit` before the call allocates any of them.
 
 Entropies are in nats.  The spectrum of a reduced state is taken from the
 Gram matrix ``A A^dagger`` of the smaller side of the cut, where ``A`` is the
@@ -23,10 +23,10 @@ wholly on one side of a cut leaves that side's nonzero spectrum unchanged,
 so a region at level ``k`` is read off the ``(k, after_V)`` snapshot with
 only the (at most two) rotation pairs that cross its boundary applied: the
 region's state pulled back through the rotation layer.  The build stops at
-the deepest ``after_V`` stage a region needs, so the leaf ``after_W``
-state, the largest of the trajectory, is never formed.  On 8 leaves of dimension 6,
-the balanced cut then reads a 256 x 256 Gram (odd start) or a 576 x 576 one
-(even start) instead of a 1296 x 1296 one.
+the deepest ``after_V`` stage a region needs, so the leaf ``after_W`` state,
+the largest of the trajectory, is never formed (nor admitted).  On 8 leaves
+of dimension 6, the balanced cut then reads a 256 x 256 Gram (odd start) or
+a 576 x 576 one (even start) instead of a 1296 x 1296 one.
 `mc_entropy_stats` (one region) and `mc_mutual_information` (left, right
 and union regions of adjacent pairs) are read off the sweep, and every mean
 and standard error comes from `haar.McEstimate.of`.
@@ -43,7 +43,6 @@ import numpy as np
 from .errors import FeasibilityError, UsageError
 from .haar import McEstimate, sample_isometry, seed_key
 from .network import Interval, MeraNetwork, Stage
-from .schedule import memory_estimate
 
 __all__ = [
     "DEFAULT_MAX_AMPLITUDES",
@@ -52,6 +51,7 @@ __all__ = [
     "EntropySamples",
     "MiSamples",
     "StateTrajectory",
+    "admit",
     "build_state",
     "entropy_renyi2",
     "entropy_vn",
@@ -82,6 +82,23 @@ def max_amplitudes_from_env() -> int:
     if val < 1:
         raise UsageError(f"{MAX_AMPLITUDES_ENV} must be positive, got {val}")
     return val
+
+
+def admit(log_count: float, factors, what: str) -> None:
+    """Raise FeasibilityError ``"{what}, budget is N"`` for an array over the budget.
+
+    The array holds ``prod(d ** m for d, m in factors)`` amplitudes, ``log_count``
+    in log.  The exact count is formed only once the log is within 1 of
+    ``log(budget)``, so a deep network is refused at once, and a ``None``
+    dimension (past 2**53, see `DimensionSchedule`) never fits.
+    """
+    cap = max_amplitudes_from_env()
+    if not (
+        log_count <= math.log(cap) + 1.0
+        and all(d is not None for d, _ in factors)
+        and math.prod(d**m for d, m in factors) <= cap
+    ):
+        raise FeasibilityError(f"{what}, budget is {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +155,47 @@ def _frozen(psi: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _rotate_pair(psi: np.ndarray, iso: np.ndarray, p: int, q: int, d: int) -> np.ndarray:
-    """``psi`` with ``iso`` applied to the site pair ``(p, q)``, each now of dimension ``d``."""
-    t = np.moveaxis(psi, (p, q), (0, 1))
-    rest = t.shape[2:]
-    t = iso @ t.reshape(iso.shape[1], -1)
-    return np.moveaxis(t.reshape((d, d) + rest), (0, 1), (p, q))
+def _rotated(network: MeraNetwork, psi: np.ndarray, k: int, slots, base) -> np.ndarray:
+    """``psi`` with the level-``k`` rotation isometries of ``slots`` applied.
+
+    Slot ``j`` rotates the site pair ``w_pairs(k)[j]`` with the isometry
+    drawn from key ``(*base, k, 1, j)``; its two sites go from dimension
+    ``dims_v[k]`` to ``dims[k]``.
+    """
+    dv, dk = network.schedule.dims_v[k], network.schedule.dims[k]
+    pairs = network.w_pairs(k)
+    for j in slots:
+        iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, j))
+        t = np.moveaxis(psi, pairs[j], (0, 1))
+        rest = t.shape[2:]
+        t = iso @ t.reshape(dv * dv, -1)
+        psi = np.moveaxis(t.reshape((dk, dk) + rest), (0, 1), pairs[j])
+    return psi
 
 
-def _stop_of(network: MeraNetwork, stop) -> tuple[int, Stage]:
-    """The ``(level, stage)`` a build ends at; ``None`` is the leaf ``after_W``."""
-    if stop is None:
-        return network.levels, Stage.AFTER_W
-    level, stage = int(stop[0]), Stage(stop[1])
+def _admit_state(log_count: float, factors, where: str) -> None:
+    admit(log_count, factors, f"dense build needs exp({log_count:.4g}) amplitudes {where}")
+
+
+def _admit_build(network: MeraNetwork, stop) -> tuple[int, Stage]:
+    """The ``(level, stage)`` a build ends at, its stages up to there admitted, largest first.
+
+    ``None`` is the leaf ``after_W``.  The stage ends are enough: within a
+    stage the working tensor only grows, since a split turns a site of
+    dimension ``dims[k-1] <= dims_v[k]**2`` into two of ``dims_v[k]``, and a
+    rotation turns a pair of ``dims_v[k]`` into a pair of ``dims[k] >= dims_v[k]``.
+    """
+    level, stage = (network.levels, "after_W") if stop is None else stop
+    level, stage = int(level), Stage(stage)
     if not 0 <= level <= network.levels or (level, stage) == (0, Stage.AFTER_V):
         raise UsageError(f"no stage to stop at: level={level}, stage={stage.value}")
+    sched, rows = network.schedule, []
+    for k in range(1, level + 1):
+        rows.append(((1 << k) * sched.log_dims_v[k], sched.dims_v[k], k, Stage.AFTER_V))
+        if (k, stage) != (level, Stage.AFTER_V):
+            rows.append(((1 << k) * sched.log_dims[k], sched.dims[k], k, Stage.AFTER_W))
+    for log_count, d, k, st in sorted(rows, key=lambda row: row[0], reverse=True):
+        _admit_state(log_count, [(d, 1 << k)], f"at level {k} ({st.value})")
     return level, stage
 
 
@@ -181,40 +224,30 @@ def build_state(
     -------
     StateTrajectory with snapshots at every ``(level, stage)`` up to ``stop``.
 
-    Before any allocation, every stage of the full build, whatever ``stop``
-    says, is checked against `max_amplitudes_from_env` (`MemoryEstimate.fits`).
+    Before any allocation, every stage up to ``stop``, and none past it, is
+    admitted (`_admit_build`), so a refusal names the largest.
     """
-    cap = max_amplitudes_from_env()
-    est = memory_estimate(network.schedule)
-    if not est.fits(cap):
-        raise FeasibilityError(
-            f"dense build needs exp({est.log_peak:.4g}) amplitudes at level "
-            f"{est.peak_level} ({est.peak_stage}), budget is {cap}"
-        )
-    stop_level, stop_stage = _stop_of(network, stop)
-    base = seed_key(seed)
+    stop_level, stop_stage = _admit_build(network, stop)
     sched = network.schedule
+    base = seed_key(seed)
     psi = np.ones((1,), dtype=np.complex128)  # level 0: one site of dimension 1
     snaps: dict[tuple[int, Stage], DenseState] = {
         (0, Stage.AFTER_W): DenseState(0, Stage.AFTER_W, (1,), _frozen(psi))
     }
     for k in range(1, stop_level + 1):
-        dv, dk = sched.dims_v[k], sched.dims[k]
+        dv = sched.dims_v[k]
         n_prev = 1 << (k - 1)
-        n = 1 << k
         # splitting: site s (dim dims[k-1]) -> children (2s, 2s+1), dim dv each
         for s in range(n_prev):
             iso = sample_isometry(psi.shape[s], dv * dv, (*base, k, 0, s))
             psi = np.moveaxis(np.tensordot(iso, psi, axes=(1, s)), 0, s)
-        psi = psi.reshape((dv,) * n)
-        snaps[(k, Stage.AFTER_V)] = DenseState(k, Stage.AFTER_V, (dv,) * n, _frozen(psi))
+        psi = psi.reshape((dv,) * (2 * n_prev))
+        snaps[(k, Stage.AFTER_V)] = DenseState(k, Stage.AFTER_V, psi.shape, _frozen(psi))
         if (k, Stage.AFTER_V) == (stop_level, stop_stage):
             break
         # rotation: staggered pairs, the last one wrapping around the ring
-        for slot, (p, q) in enumerate(network.w_pairs(k)):
-            iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, slot))
-            psi = _rotate_pair(psi, iso, p, q, dk)
-        snaps[(k, Stage.AFTER_W)] = DenseState(k, Stage.AFTER_W, (dk,) * n, _frozen(psi))
+        psi = _rotated(network, psi, k, range(n_prev), base)
+        snaps[(k, Stage.AFTER_W)] = DenseState(k, Stage.AFTER_W, psi.shape, _frozen(psi))
     return StateTrajectory(network=network, snapshots=snaps)
 
 
@@ -236,20 +269,11 @@ def _pulled_back(traj: StateTrajectory, region: Interval, seed) -> DenseState:
     if region.stage == Stage.AFTER_V or k == 0:
         return traj.state_at(k, region.stage)
     split = traj.state_at(k, Stage.AFTER_V)
-    sched = traj.network.schedule
-    dv, dk = sched.dims_v[k], sched.dims[k]
     slots = traj.network.w_slots_cut(region)
     if not slots:
         return split
-    pairs = traj.network.w_pairs(k)
-    base = seed_key(seed)
-    psi, dims = split.as_tensor(), list(split.site_dims)
-    for slot in slots:
-        p, q = pairs[slot]
-        iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, slot))
-        psi = _rotate_pair(psi, iso, p, q, dk)
-        dims[p] = dims[q] = dk
-    return DenseState(k, Stage.AFTER_W, tuple(dims), _frozen(psi))
+    psi = _rotated(traj.network, split.as_tensor(), k, slots, seed_key(seed))
+    return DenseState(k, Stage.AFTER_W, psi.shape, _frozen(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +436,27 @@ def mc_entropy_sweep(
     stage of the deepest region's level (level 0 alone if every region is
     there); an ``after_W`` region is read off its pulled-back state (see
     `_pulled_back`), whose isometries are re-drawn from the slot keys the
-    full build uses, so the draw is the same network.  The amplitude budget
-    is checked against the full build.
+    full build uses, so the draw is the same network.  Before the first
+    draw, the stages of that build and then each pulled-back state are
+    admitted (`admit`); no other state is formed.
     """
     if trials < 1:
         raise UsageError("trials must be positive")
     base = seed_key(seed)
     top = max((iv.level for iv in intervals), default=0)
     stop = (top, Stage.AFTER_V) if top else (0, Stage.AFTER_W)
+    _admit_build(network, stop)
+    sched = network.schedule
+    for iv in intervals:
+        slots = network.w_slots_cut(iv) if iv.stage == Stage.AFTER_W else []
+        if slots:  # with none, the region reads a snapshot `build_state` admits
+            k, cut = iv.level, 2 * len(slots)
+            rest = iv.n_sites - cut
+            _admit_state(
+                cut * sched.log_dims[k] + rest * sched.log_dims_v[k],
+                [(sched.dims[k], cut), (sched.dims_v[k], rest)],
+                f"at level {k} (after_W) to read sites {iv.i}:{iv.j}",
+            )
     acc_s = {iv: np.empty(trials) for iv in intervals}
     acc_s2 = {iv: np.empty(trials) for iv in intervals}
     for t in range(trials):

@@ -1,4 +1,4 @@
-"""Shared fixtures and an independently written reduction enumerator.
+"""Shared fixtures, an independently written reduction enumerator, and a budget probe.
 
 The enumerator below re-derives the layer-peeling rules as a plain recursion
 that lists every legal sequence outright.  It shares no code with the
@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from randmera import Interval, MeraNetwork, Stage, find_epsilon
+from randmera import FeasibilityError, Interval, MeraNetwork, Stage, find_epsilon, simulator
 
 # hypothesis imports this module to report a failing example; its libcst
 # import warns, and under ``-W error`` that would end the whole run with an
@@ -87,6 +87,31 @@ def brute_cut_stats(network: MeraNetwork, interval: Interval) -> tuple[float, fl
     lse = -(top + math.log(sum(math.exp(-c - top) for c, _ in seqs)))
     lower = min(c - LOG8 * h for c, h in seqs)
     return min_cost, lse, lower
+
+
+class _Drawn(Exception):
+    """The first isometry draw of a build that got past its admission."""
+
+
+def build_admitted(network: MeraNetwork, budget: int, stop=None) -> bool:
+    """Whether `build_state` admits ``network`` up to ``stop`` under ``budget``.
+
+    The sampler raises at the first draw, so an admitted build forms no state.
+    """
+
+    def drawn(*args, **kwargs):
+        raise _Drawn
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "sample_isometry", drawn)
+        mp.setenv(simulator.MAX_AMPLITUDES_ENV, str(budget))
+        try:
+            simulator.build_state(network, 0, stop=stop)
+        except _Drawn:
+            pass
+        except FeasibilityError:
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from randmera import Interval, MeraNetwork, Stage, cut_dp, simulator, spectra
+from randmera import Interval, MeraNetwork, Stage, cut_dp, haar, simulator, spectra
 from randmera.cli import main
 
 L3_EPS = "0.35"
@@ -338,6 +338,32 @@ def test_the_map_size_cap_is_the_amplitude_budget(dims, need, monkeypatch, capsy
     monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(need - 1))
     assert main(argv) == 3
     assert f"needs {need} amplitudes" in capsys.readouterr().err
+
+
+def test_an_entropy_under_a_budget_below_its_unformed_leaf_stage_exits_0(monkeypatch, capsys):
+    # 8 leaves of dimension 6: the sweep forms 4**8 amplitudes at most for
+    # sites 1:2, whose walls cut no rotation pair; the leaf stage is 6**8
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "131072")
+    argv = ["entropy", "--leaf-dim", "6", "--epsilon", "0.5777", "--interval", "1:2", "--trials", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("entropy[1:2] (nats): mean_S=")
+    assert main([*argv[:-3], "0:1", *argv[-2:]]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: dense build needs exp(")
+
+
+def test_a_moments_check_batch_over_the_budget_is_refused_before_any_draw(monkeypatch, capsys):
+    argv = ["moments-check", "--d1", "2", "--d2", "4", "--trials", "100"]
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "800")  # 100 isometries of 4 x 2
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a batch was drawn before its size was checked")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "799")
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("infeasible: a batch of 100 isometries")
 
 
 def test_a_schedule_deeper_than_128_levels_exits_with_the_resource_code(capsys):

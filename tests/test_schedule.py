@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-import time
 
 import pytest
+from conftest import build_admitted
 
 from randmera import (
     FeasibilityError,
+    MeraNetwork,
     UsageError,
     find_epsilon,
-    memory_estimate,
     schedule_report,
     solve_schedule,
 )
@@ -196,42 +196,10 @@ def test_report_rows_cover_every_level_with_doubling_scales():
     assert rows[4][4] == pytest.approx(math.log(2) / s.epsilon, rel=1e-12)
 
 
-def test_memory_estimate_counts_amplitudes_exactly():
-    s = solve_schedule(2, find_epsilon(2, 4))
-    est = memory_estimate(s)
-    by_key = {(lvl, st): (d, log_amps) for lvl, st, d, log_amps in est.per_stage}
-    assert by_key[(0, "after_W")] == (1, 0.0)
-    for k in range(1, s.levels + 1):
-        n = 1 << k
-        assert by_key[(k, "after_V")] == (s.dims_v[k], n * math.log(s.dims_v[k]))
-        assert by_key[(k, "after_W")] == (s.dims[k], n * math.log(s.dims[k]))
-    assert est.log_peak == max(log_amps for *_, log_amps in est.per_stage)
-    assert by_key[(est.peak_level, est.peak_stage)][1] == est.log_peak
-    # the peak is 65536 amplitudes: it passes, one less fails
-    assert est.fits(65536) and not est.fits(65535)
-
-
-def test_memory_estimate_handles_the_one_level_network():
-    est = memory_estimate(solve_schedule(2, math.log(2.0)))
-    assert est.log_peak == 2 * math.log(2.0)
-    assert est.fits(4) and not est.fits(3)
-    assert (est.peak_level, est.peak_stage) == (1, "after_W")
-
-
 def test_the_budget_decision_is_exact_past_the_float_resolution():
     # 3**32 = 1853020188851841: its log cannot tell the peak from peak - 1
-    s = solve_schedule(3, find_epsilon(3, 5))
-    est = memory_estimate(s)
-    peak = max(d ** (1 << level) for level, _, d, _ in est.per_stage)
-    assert peak > 2**50
-    assert est.fits(peak) and not est.fits(peak - 1)
-
-
-def test_memory_estimate_on_the_96_level_schedule_returns_at_once():
-    s = solve_schedule(2, 0.005)
-    t0 = time.perf_counter()
-    est = memory_estimate(s)
-    assert not est.fits(10**40)
-    assert time.perf_counter() - t0 < 0.5
-    assert len(est.per_stage) == 2 * 96 + 1
-    assert est.log_peak > 1e28
+    net = MeraNetwork.build(3, find_epsilon(3, 5))
+    s = net.schedule
+    peak = max(d ** (1 << k) for k in range(1, s.levels + 1) for d in (s.dims_v[k], s.dims[k]))
+    assert peak == 3**32 > 2**50
+    assert build_admitted(net, peak) and not build_admitted(net, peak - 1)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import build_admitted
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,6 @@ from randmera import (
     mc_entropy_stats,
     mc_entropy_sweep,
     mc_mutual_information,
-    memory_estimate,
     sample_isometry,
 )
 from randmera import simulator
@@ -68,7 +69,11 @@ def test_missing_snapshot_is_reported(traj_l3):
 
 def _exact_peak(schedule):
     """The largest stage of a dense build, in amplitudes, as an integer."""
-    return max(d ** (1 << level) for level, _, d, _ in memory_estimate(schedule).per_stage)
+    return max(
+        d ** (1 << k)
+        for k in range(1, schedule.levels + 1)
+        for d in (schedule.dims_v[k], schedule.dims[k])
+    )
 
 
 def test_amplitude_budget_is_enforced_at_the_exact_peak(net_l3, monkeypatch):
@@ -79,6 +84,26 @@ def test_amplitude_budget_is_enforced_at_the_exact_peak(net_l3, monkeypatch):
     with pytest.raises(FeasibilityError) as err:
         build_state(net_l3, seed=0)
     assert "level" in str(err.value)
+
+
+def test_a_build_is_admitted_exactly_at_its_peak(net_l4):
+    assert _exact_peak(net_l4.schedule) == 65536
+    assert build_admitted(net_l4, 65536) and not build_admitted(net_l4, 65535)
+
+
+def test_the_one_level_network_is_admitted_at_four_amplitudes(net_tiny):
+    assert net_tiny.levels == 1
+    assert build_admitted(net_tiny, 4) and not build_admitted(net_tiny, 3)
+
+
+def test_the_96_level_network_is_refused_at_once(monkeypatch):
+    net = MeraNetwork.build(2, 0.005)
+    assert net.levels == 96
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(10**40))
+    t0 = time.perf_counter()
+    with pytest.raises(FeasibilityError, match=r"^dense build needs exp\("):
+        build_state(net, seed=0)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_amplitude_budget_env_override(monkeypatch):
@@ -204,7 +229,7 @@ def test_pulled_back_spectra_match_on_drawn_schedules(data):
     leaf = data.draw(st.integers(2, 6), label="leaf")
     eps = data.draw(st.floats(0.25, math.log(leaf)), label="epsilon")
     net = MeraNetwork.build(leaf, eps)
-    assume(memory_estimate(net.schedule).fits(1 << 16))
+    assume(_exact_peak(net.schedule) <= 1 << 16)
     level = data.draw(st.integers(0, net.levels), label="level")
     stages = [Stage.AFTER_W] if level == 0 else [Stage.AFTER_W, Stage.AFTER_V]
     stage = data.draw(st.sampled_from(stages), label="stage")
@@ -221,7 +246,7 @@ def test_pulled_back_spectra_match_on_drawn_schedules(data):
     _assert_the_sweep_matches_the_full_snapshots(net, seed, regions)
 
 
-def test_a_stopped_build_keeps_the_full_builds_stages_bit_for_bit(net_l4, monkeypatch):
+def test_a_stopped_build_keeps_the_full_builds_stages_bit_for_bit(net_l4):
     full = build_state(net_l4, seed=(63, 1))
     order = list(full.snapshots)  # build order
     for end, stop in enumerate(order):
@@ -233,11 +258,14 @@ def test_a_stopped_build_keeps_the_full_builds_stages_bit_for_bit(net_l4, monkey
     for bad in ((0, Stage.AFTER_V), (5, Stage.AFTER_W), (-1, Stage.AFTER_W)):
         with pytest.raises(UsageError, match="no stage to stop at"):
             build_state(net_l4, seed=0, stop=bad)
-    # the budget is checked against the full build, wherever it stops
-    peak = _exact_peak(net_l4.schedule)
-    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(peak - 1))
-    with pytest.raises(FeasibilityError):
-        build_state(net_l4, seed=0, stop=(1, Stage.AFTER_V))
+    # the budget holds the stages up to the stop, and none past it: the
+    # largest of them is admitted, one amplitude less is not
+    sizes = [math.prod(state.site_dims) for state in full.snapshots.values()]
+    for end, stop in enumerate(order):
+        largest = max(sizes[: end + 1])
+        assert build_admitted(net_l4, largest, stop), stop
+        if largest > 1:  # a budget is at least one amplitude
+            assert not build_admitted(net_l4, largest - 1, stop), stop
 
 
 def test_the_sweep_builds_no_stage_past_the_after_v_ring_it_reads(net_l3, monkeypatch):
@@ -276,6 +304,39 @@ def test_a_sweep_of_the_d6_network_never_holds_its_leaf_state():
     finally:
         tracemalloc.stop()
     assert peak < leaf_bytes / 2
+
+
+D6_BUDGET = 131072  # between the (3, after_V) stage, 4**8, and the (3, after_W) one, 6**8
+
+
+def test_a_sweep_under_a_budget_below_its_unformed_leaf_stage_runs(monkeypatch):
+    net = MeraNetwork.build(6, 0.5777)
+    assert (net.schedule.dims_v[3], net.schedule.dims[3]) == (4, 6)
+    region = Interval.span(3, Stage.AFTER_W, 1, 2)  # odd walls: no rotation pair is cut
+    free = mc_entropy_stats(net, region, 2, seed=5)
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(D6_BUDGET))
+    capped = mc_entropy_stats(net, region, 2, seed=5)
+    assert capped.samples_s.tobytes() == free.samples_s.tobytes()
+    assert capped.samples_s2.tobytes() == free.samples_s2.tobytes()
+
+
+@pytest.mark.parametrize(
+    "ij,need",
+    [((0, 0), 6**2 * 4**6), ((0, 1), 6**4 * 4**4)],  # one and two cut pairs
+)
+def test_a_pulled_back_state_over_the_budget_is_refused_before_any_draw(ij, need, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an isometry was drawn before the pulled-back state was admitted")
+
+    net = MeraNetwork.build(6, 0.5777)
+    region = Interval.span(3, Stage.AFTER_W, *ij)
+    cut = 2 * len(net.w_slots_cut(region))  # sites at dims[3] = 6, the rest at dims_v[3] = 4
+    assert 6**cut * 4 ** (8 - cut) == need > D6_BUDGET
+    monkeypatch.setattr(simulator, "sample_isometry", no_draw)
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(D6_BUDGET))
+    # refused for the state it would form, not for the leaf stage it never forms
+    with pytest.raises(FeasibilityError, match=rf"^dense build needs exp\({math.log(need):.4g}\)"):
+        mc_entropy_stats(net, region, 2, seed=5)
 
 
 def test_tiles_of_uneven_size_give_the_dense_results():
