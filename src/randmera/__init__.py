@@ -52,10 +52,8 @@ from .cutbounds import (
     CutBounds,
     ReductionSequence,
     ReductionStep,
-    SandwichBounds,
     cut_dp,
     mi_prediction,
-    sandwich,
 )
 from .spectra import (
     SingularSpectrum,
@@ -97,10 +95,8 @@ __all__ = [
     "CutBounds",
     "ReductionSequence",
     "ReductionStep",
-    "SandwichBounds",
     "cut_dp",
     "mi_prediction",
-    "sandwich",
     "SingularSpectrum",
     "SuperOperatorSpec",
     "collapse_experiment",

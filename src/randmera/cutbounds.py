@@ -21,13 +21,15 @@ wall, wall) states an interval can reach, all of:
   sequences (a lower bound on the average order-2 entropy),
 * ``lower_bound``  - the minimum of ``cost - log(8) * steps`` (a lower
   bound on ``lse``, hence on the same average; the ``log 8`` per step pays
-  for the at-most-four-way branching plus a convergent geometric slack),
+  for the at-most-four-way branching plus a convergent geometric slack).
 
-together with the argmin sequence itself.  Each state is solved once, for
-all three aggregates and its argmin choice, and the states of a network are
-shared across queries; no table of unreachable states is ever built.  The
-rules treat both walls alike, so an interval and its complement, which has
-the same walls in the other order, have the same aggregates.
+The memo holds these three numbers for each state and nothing else; the
+states of a network are shared across queries, and no table of unreachable
+states is ever built.  The argmin sequence is walked from the interval's
+state afterwards, picking at each step the branch whose price plus the
+memoised ``min_cost`` of its successor is smallest.  The rules treat both
+walls alike, so an interval and its complement, which has the same walls in
+the other order, have the same aggregates.
 
 All costs are in nats.
 """
@@ -49,11 +51,9 @@ __all__ = [
     "MiPrediction",
     "ReductionSequence",
     "ReductionStep",
-    "SandwichBounds",
     "cut_dp",
     "engine_for",
     "mi_prediction",
-    "sandwich",
 ]
 
 LOG_BRANCH = math.log(8.0)
@@ -124,36 +124,26 @@ class CutBounds:
 
 
 @dataclass(frozen=True)
-class SandwichBounds:
-    """Two-sided prediction for the average interval entropy, in nats."""
-
-    upper: float
-    lower: float
-
-
-@dataclass(frozen=True)
 class MiPrediction:
     """Bracket for the average mutual information of two adjacent regions."""
 
     i_upper: float
     i_lower: float
-    left: SandwichBounds
-    right: SandwichBounds
-    union: SandwichBounds
 
 
-_Entry = tuple[float, float, float, "ReductionStep | None", "_State | None"]
+# (min_cost, log_z, min_mod) of one state
+_Entry = tuple[float, float, float]
 
 
 class CutEngine:
     """One memoised recursion over the reduction states a network's queries reach.
 
-    `_solve` computes all three aggregates of a state and its argmin choice
-    in one pass over the state's branches, and stores them in the single
-    memo ``_min`` (one entry per state reached whose walls have not met).
-    `argmin_sequence` replays the stored choices; `bounds` reads one entry.
-    The engine keeps the level count and log dimensions, not the network,
-    so that `engine_for` can drop it together with its network.
+    `_branches` states the wall moves; `_solve` folds a state's branches into
+    its three aggregates and stores them in the single memo ``_min`` (one
+    entry per state reached whose walls have not met); `argmin_sequence`
+    walks the cheapest branches back out of the memo; `bounds` reads one
+    entry.  The engine keeps the level count and log dimensions, not the
+    network, so that `engine_for` can drop it together with its network.
     """
 
     def __init__(self, network: MeraNetwork):
@@ -169,23 +159,13 @@ class CutEngine:
             )
         return (interval.level, interval.stage, *interval.walls)
 
-    def _solve(self, state: _State) -> _Entry:
-        """``(min_cost, log_z, min_mod, argmin step, argmin successor)`` of ``state``.
+    def _branches(self, state: _State):
+        """``(price, a2, b2, successor)`` for each alignment of the walls of ``state``.
 
-        ``log_z`` is the ``log`` of the sum of ``exp(-cost)`` over all
-        sequences and ``min_mod`` the minimum of ``cost - log(8) * steps``.
-        A state whose walls meet ends every sequence: it costs nothing, has
-        no step and is not stored.  Among branches whose totals agree to 12
-        decimals the smallest ``(m, n, branch index)`` is the argmin, so
-        replays are deterministic for golden tests.
+        ``a2``/``b2`` are the aligned walls on the state's ring, just before
+        its layer is removed.
         """
         level, stage, a, b = state
-        if a == b:
-            # -0.0 so that the empty interval's lse is +0.0
-            return (0.0, -0.0, 0.0, None, None)
-        entry = self._min.get(state)
-        if entry is not None:
-            return entry
         n = 1 << level
         after_w = stage is Stage.AFTER_W
         # after_W wants both walls in odd gaps, after_V both in even ones; a
@@ -194,45 +174,68 @@ class CutEngine:
         moves = ((-1, penalty), (1, penalty))
         left = ((0, 0.0),) if a % 2 == after_w else moves
         right = ((0, 0.0),) if b % 2 == after_w else moves
-        min_cost = min_mod = math.inf
-        terms = []
-        best = None
-        for idx, ((da, cost_a), (db, cost_b)) in enumerate(product(left, right)):
-            cost = cost_a + cost_b
+        for (da, cost_a), (db, cost_b) in product(left, right):
             a2, b2 = (a + da) % n, (b + db) % n
             if after_w:
                 nxt = (level, Stage.AFTER_V, a2, b2)
             else:
                 nxt = (level - 1, Stage.AFTER_W, a2 // 2, b2 // 2)
-            c, lz, mod, _, _ = self._solve(nxt)
-            total = cost + c
-            min_cost = min(min_cost, total)
-            min_mod = min(min_mod, cost - LOG_BRANCH + mod)
-            terms.append(-cost + lz)
-            key = (round(total, 12), a2, (b2 - 1) % n, idx)
-            if best is None or key < best[0]:
-                best = (key, cost, nxt)
-        (_, m, nn, _), cost, nxt = best
+            yield cost_a + cost_b, a2, b2, nxt
+
+    def _solve(self, state: _State) -> _Entry:
+        """``(min_cost, log_z, min_mod)`` of ``state``.
+
+        ``log_z`` is the ``log`` of the sum of ``exp(-cost)`` over all
+        sequences and ``min_mod`` the minimum of ``cost - log(8) * steps``.
+        A state whose walls meet ends every sequence: it costs nothing and
+        is not stored.  Ties are left to `argmin_sequence`.
+        """
+        if state[2] == state[3]:
+            # -0.0 so that the empty interval's lse is +0.0
+            return (0.0, -0.0, 0.0)
+        entry = self._min.get(state)
+        if entry is not None:
+            return entry
+        min_cost = min_mod = math.inf
+        terms = []
+        for price, _, _, nxt in self._branches(state):
+            c, lz, mod = self._solve(nxt)
+            min_cost = min(min_cost, price + c)
+            min_mod = min(min_mod, price - LOG_BRANCH + mod)
+            terms.append(-price + lz)
         # fsum is exactly rounded, so the mirror image's or the complement's
         # branches, met in another order, give the same bits
         top = max(terms)
         log_z = top + math.log(math.fsum(math.exp(v - top) for v in terms))
-        step = ReductionStep("W" if after_w else "V", level, m, nn, cost)
-        entry = (min_cost, log_z, min_mod, step, nxt)
+        entry = (min_cost, log_z, min_mod)
         self._min[state] = entry
         return entry
 
     def argmin_sequence(self, interval: Interval) -> ReductionSequence:
-        """The cheapest sequence, replayed from the choices `_solve` stored."""
-        cost, _, _, step, nxt = self._solve(self.state_of(interval))
+        """The cheapest sequence, walked from the memoised ``min_cost`` values.
+
+        Each step takes the branch with the smallest price plus successor
+        ``min_cost``; among totals that agree to 12 decimals the smallest
+        ``(m, n, branch index)`` wins, so walks are deterministic for golden
+        tests.
+        """
+        state = self.state_of(interval)
+        cost = self._solve(state)[0]
         steps: list[ReductionStep] = []
-        while step is not None:
-            steps.append(step)
-            _, _, _, step, nxt = self._solve(nxt)
+        while state[2] != state[3]:
+            level, stage, _, _ = state
+            n = 1 << level
+            # every successor is solved by now: _solve only reads the memo
+            _, m, last, _, price, state = min(
+                (round(price + self._solve(nxt)[0], 12), a2, (b2 - 1) % n, idx, price, nxt)
+                for idx, (price, a2, b2, nxt) in enumerate(self._branches(state))
+            )
+            kind = "W" if stage is Stage.AFTER_W else "V"
+            steps.append(ReductionStep(kind, level, m, last, price))
         return ReductionSequence(start=interval, steps=tuple(steps), cost=cost)
 
     def bounds(self, interval: Interval) -> CutBounds:
-        min_cost, log_z, min_mod, _, _ = self._solve(self.state_of(interval))
+        min_cost, log_z, min_mod = self._solve(self.state_of(interval))
         return CutBounds(
             interval=interval,
             min_cost=min_cost,
@@ -259,29 +262,18 @@ def cut_dp(network: MeraNetwork, interval: Interval) -> CutBounds:
     return engine_for(network).bounds(interval)
 
 
-def sandwich(network: MeraNetwork, interval: Interval) -> SandwichBounds:
-    """Two-sided bracket on the average entropy of ``interval``.
-
-    The upper edge is the cheapest sequence; the lower edge is the
-    step-discounted minimum floored at zero (entropy is nonnegative).
-    """
-    b = cut_dp(network, interval)
-    return SandwichBounds(upper=b.min_cost, lower=max(0.0, b.lower_bound))
-
-
 def mi_prediction(network: MeraNetwork, left: Interval, right: Interval) -> MiPrediction:
     """Bracket for the average mutual information of adjacent regions.
 
-    The union of ``left`` and ``right`` is `Interval.join`'s, under its
-    adjacency rule; an empty side gives the trivial bracket.
+    Each entropy lies between its cheapest sequence and its step-discounted
+    minimum floored at zero (entropy is nonnegative).  The union of ``left``
+    and ``right`` is `Interval.join`'s, under its adjacency rule; an empty
+    side gives the trivial bracket.
     """
     union = left.join(right)
-    s_left = sandwich(network, left)
-    s_right = sandwich(network, right)
-    s_union = sandwich(network, union)
-    i_upper = s_left.upper + s_right.upper - s_union.lower
-    i_lower = max(0.0, s_left.lower + s_right.lower - s_union.upper)
+    b_left, b_right, b_union = (cut_dp(network, iv) for iv in (left, right, union))
+    f_left, f_right, f_union = (max(0.0, b.lower_bound) for b in (b_left, b_right, b_union))
     return MiPrediction(
-        i_upper=i_upper, i_lower=i_lower, left=s_left, right=s_right, union=s_union
+        i_upper=b_left.min_cost + b_right.min_cost - f_union,
+        i_lower=max(0.0, f_left + f_right - b_union.min_cost),
     )
-

@@ -166,7 +166,8 @@ def collapse_experiment(
     and requires each spec to have all three dimensions equal.
     ``rescale="affine"`` plots ``(lambda(i) - shift) * d_B**alpha`` against
     ``i / d_B^2``; shift and exponent are free parameters (the defaults are
-    the ones that happen to work for the fixed-``y`` family).  The largest
+    the ones that happen to work for the fixed-``y`` family) and must be
+    finite.  The largest
     singular value of each spectrum is excluded in both modes, so every
     spec needs ``d_B >= 2``: a one-value spectrum would leave no point.
     """
@@ -174,6 +175,8 @@ def collapse_experiment(
         raise UsageError("need at least one spec")
     if rescale not in ("sqrt_d", "affine"):
         raise UsageError(f"unknown rescale mode {rescale!r}")
+    if rescale == "affine" and not (math.isfinite(shift) and math.isfinite(alpha)):
+        raise UsageError(f"affine shift and alpha must be finite, got {shift!r} and {alpha!r}")
     for spec in specs:
         if rescale == "sqrt_d" and not spec.d_A == spec.d_B == spec.d_E:
             raise UsageError("sqrt_d mode needs d_A = d_B = d_E")

@@ -4,8 +4,8 @@ A function or class in a module's ``__all__`` (in a module without one,
 any top-level definition without a leading underscore) is consumed when
 another module of the package, or a non-test file under ``bench/``, names
 it in code (not in a comment or string), or when a consumed definition of
-its own module names it, private helpers included: `sandwich` is consumed
-because `mi_prediction`, which the CLI calls, calls it, and `CutBounds`
+its own module names it, private helpers included: `engine_for` is
+consumed because `cut_dp`, which the CLI calls, calls it, and `CutBounds`
 because `cut_dp` returns it.  Code that runs on import counts as a
 consumer.  The package ``__init__`` re-exports names and consumes none.
 """

@@ -307,6 +307,20 @@ def test_affine_collapse_rejects_a_bad_y(y, capsys):
     assert "--y" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option,value", [("--shift", "nan"), ("--shift", "inf"), ("--alpha", "nan"), ("--alpha", "inf")]
+)
+def test_affine_collapse_rejects_a_non_finite_shift_or_alpha(option, value, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a map was drawn before the rescaling was checked")
+
+    monkeypatch.setattr(spectra, "sample_isometry", no_draw)
+    assert main(["collapse", "--mode", "affine", "--specs", "8:4", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_spectra_and_collapse_refuse_an_oversized_map_before_any_draw(monkeypatch, capsys):
     def no_draw(*args, **kwargs):
         raise AssertionError("a map was drawn before its size was checked")

@@ -20,7 +20,6 @@ from randmera import (
     cut_dp,
     find_epsilon,
     mi_prediction,
-    sandwich,
 )
 from randmera.cutbounds import LOG_BRANCH, engine_for
 
@@ -284,6 +283,31 @@ def test_reported_cheapest_sequence_replays_to_its_cost(net_l3, net_l4):
             assert _replay_ok(net, cut_dp(net, iv)), iv
 
 
+def test_a_query_does_not_depend_on_what_the_memo_holds(net_l3, net_l4, net_big):
+    # The argmin is walked from memoised values on every query, so an engine
+    # warmed by other queries must answer exactly as a fresh one does.
+    rng = np.random.default_rng(11)
+    drawn = []
+    for _ in range(40):
+        level = int(rng.integers(1, net_big.levels + 1))
+        n = 1 << level
+        stage = Stage.AFTER_W if rng.integers(2) else Stage.AFTER_V
+        length = int(rng.integers(0, n + 1))
+        start = int(rng.integers(0, n)) if length else 0
+        drawn.append(Interval.of_length(level, stage, start, length))
+    for net, queries in ((net_l3, list(_all_intervals(net_l3))),
+                         (net_l4, list(_all_intervals(net_l4))),
+                         (net_big, drawn)):
+        leaf, eps = net.schedule.leaf_dim, net.schedule.epsilon
+        fresh = [cut_dp(MeraNetwork.build(leaf, eps), iv) for iv in queries]
+        warmed = MeraNetwork.build(leaf, eps)
+        # each answer in turn, with the queries after it in the memo, then
+        # each again with every query in it
+        in_turn = [cut_dp(warmed, iv) for iv in reversed(queries)][::-1]
+        assert in_turn == fresh
+        assert [cut_dp(warmed, iv) for iv in queries] == fresh
+
+
 def test_argmin_is_deterministic(net_l4):
     iv = Interval.of_length(4, Stage.AFTER_W, 2, 5)
     a = cut_dp(net_l4, iv).argmin
@@ -367,12 +391,14 @@ def test_translations_are_not_symmetries(net_l4):
     assert abs(a.min_cost - b.min_cost) > 0.5
 
 
-def test_sandwich_floors_the_lower_edge_at_zero(net_l4):
-    iv = Interval.of_length(4, Stage.AFTER_W, 1, 2)
-    b = cut_dp(net_l4, iv)
-    s = sandwich(net_l4, iv)
-    assert s.upper == b.min_cost
-    assert s.lower == max(0.0, b.lower_bound)
+def test_mi_prediction_floors_the_lower_edge_at_zero(net_l4):
+    # an empty right side leaves the left region as the union, so the upper
+    # edge is its cheapest sequence less its floored step-discounted minimum
+    left = Interval.of_length(4, Stage.AFTER_W, 1, 2)
+    b = cut_dp(net_l4, left)
+    assert b.lower_bound < 0.0  # the floor binds
+    pred = mi_prediction(net_l4, left, Interval.of_length(4, Stage.AFTER_W, 0, 0))
+    assert pred.i_upper == b.min_cost - max(0.0, b.lower_bound)
 
 
 def test_interval_level_beyond_the_network_is_rejected(net_l3):
@@ -398,7 +424,8 @@ def test_empty_region_gives_the_trivial_bracket(net_l4):
     left = Interval.of_length(4, Stage.AFTER_W, 0, 3)
     pred = mi_prediction(net_l4, left, Interval.of_length(4, Stage.AFTER_W, 0, 0))
     assert pred.i_lower == 0.0
-    assert pred.i_upper == pytest.approx(pred.left.upper - pred.left.lower, abs=1e-12)
+    b = cut_dp(net_l4, left)
+    assert pred.i_upper == pytest.approx(b.min_cost - max(0.0, b.lower_bound), abs=1e-12)
 
 
 def test_bracket_edges_are_ordered_for_adjacent_pairs(net_l4):
@@ -423,19 +450,38 @@ def test_bracket_lower_edge_grows_on_a_deep_network(net_big):
     assert lows[2] > lows[1] + 50.0
 
 
+# float.hex of (i_lower, i_upper) for adjacent leaf blocks of length l, the
+# left one starting at site 1, on the 12-level (2, 0.05) network
+GOLDEN_MI_L12 = [
+    (8, ("0x0.0p+0", "0x1.62e42fefa39efp+3")),
+    (64, ("0x0.0p+0", "0x1.0dee2d08b26cep+5")),
+    (256, ("0x0.0p+0", "0x1.1b6fae36000dcp+6")),
+    (1024, ("0x1.37b66096bd708p+6", "0x1.84c0efc0a218ep+7")),
+]
+
+
+@pytest.mark.parametrize("length,bracket", GOLDEN_MI_L12)
+def test_mi_bracket_is_pinned_to_the_last_bit(net_big, length, bracket):
+    left = Interval.of_length(12, Stage.AFTER_W, 1, length)
+    right = Interval.of_length(12, Stage.AFTER_W, 1 + length, length)
+    pred = mi_prediction(net_big, left, right)
+    assert (pred.i_lower.hex(), pred.i_upper.hex()) == bracket
+
+
 def test_entropy_scaling_table_on_a_deep_network(net_big):
     # brackets of leaf intervals starting at site 1, aligned with the rotation pairing
     lengths = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
     def table():
-        return [
-            sandwich(net_big, Interval.of_length(net_big.levels, Stage.AFTER_W, 1, length))
+        bounds = [
+            cut_dp(net_big, Interval.of_length(net_big.levels, Stage.AFTER_W, 1, length))
             for length in lengths
         ]
+        return [(max(0.0, b.lower_bound), b.min_cost) for b in bounds]
 
     rows = table()
-    lowers = [r.lower for r in rows]
-    uppers = [r.upper for r in rows]
+    lowers = [lo for lo, _ in rows]
+    uppers = [up for _, up in rows]
     assert all(0.0 <= lo <= up for lo, up in zip(lowers, uppers))
     assert all(a <= b + 1e-12 for a, b in zip(lowers, lowers[1:]))
     assert lowers[-1] > 200.0
