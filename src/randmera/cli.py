@@ -7,8 +7,9 @@ singular spectra, rescaling collapses, and the isometry-moment self check.
 
 Conventions shared by every command:
 
-* all randomness flows from ``--seed`` (an integer; runs are reproducible
-  byte for byte),
+* all randomness flows from ``--seed`` (an integer in [0, 2**128); runs are
+  reproducible byte for byte): Monte Carlo trial, map or ``moments-check``
+  pattern ``i`` draws from the `haar.seed_key` key ``(seed, i)``,
 * ``--config FILE`` reads flat ``key = value`` lines (``#`` comments);
   explicit flags override the file, unknown keys are rejected,
 * ``--out`` writes a UTF-8 CSV with a header row and RFC-4180 quoting, and
@@ -439,24 +440,22 @@ def _cmd_spectra(args: dict) -> int:
     if args["dB"] < 2:
         raise UsageError("--dB must be at least 2: the summary reads the second singular value")
     specs = [
-        spectra.SuperOperatorSpec(
-            d_A=args["dA"], d_B=args["dB"], d_E=args["dE"], seed=args["seed"] + idx
-        )
-        for idx in range(args["seeds"])
+        spectra.SuperOperatorSpec(d_A=args["dA"], d_B=args["dB"], d_E=args["dE"], seed=(args["seed"], i))
+        for i in range(args["seeds"])
     ]
     _check_map_sizes(specs)
     rows = []
     series = {}
     lam0, lam1, min_gap = [], [], math.inf
-    for spec in specs:
+    for draw, spec in enumerate(specs):
         values = spectra.singular_spectrum(spec).values
         lam0.append(float(values[0]))
         lam1.append(float(values[1]))
         min_gap = min(min_gap, float(values[0] - values[1]))
-        rows.extend([spec.label, spec.seed, i, float(v)] for i, v in enumerate(values))
-        series[f"seed {spec.seed}"] = [(i, float(v)) for i, v in enumerate(values)]
+        rows.extend([spec.label, draw, i, float(v)] for i, v in enumerate(values))
+        series[f"draw {draw}"] = [(i, float(v)) for i, v in enumerate(values)]
     if args["out"]:
-        _write_csv(args["out"], ["spec", "seed", "i", "lambda"], rows)
+        _write_csv(args["out"], ["spec", "draw", "i", "lambda"], rows)
     if args["svg"]:
         _write_svg(args["svg"], series, "singular spectra", "i", "lambda(i)")
     print(
@@ -474,7 +473,7 @@ def _cmd_collapse(args: dict) -> int:
         if not args["dims"]:
             raise UsageError("sqrt-d mode needs --dims")
         for idx, d in enumerate(args["dims"]):
-            specs.append(spectra.SuperOperatorSpec(d_A=d, d_B=d, d_E=d, seed=args["seed"] + idx))
+            specs.append(spectra.SuperOperatorSpec(d_A=d, d_B=d, d_E=d, seed=(args["seed"], idx)))
     else:
         if not args["specs"]:
             raise UsageError("affine mode needs --specs")
@@ -486,7 +485,7 @@ def _cmd_collapse(args: dict) -> int:
                 d_e = round(d_a / (args["y"] * d_b))
             else:
                 d_a, d_b, d_e = parts
-            specs.append(spectra.SuperOperatorSpec(d_A=d_a, d_B=d_b, d_E=d_e, seed=args["seed"] + idx))
+            specs.append(spectra.SuperOperatorSpec(d_A=d_a, d_B=d_b, d_E=d_e, seed=(args["seed"], idx)))
     _check_map_sizes(specs)
     rows = spectra.collapse_experiment(specs, mode, shift=args["shift"], alpha=args["alpha"])
     if args["out"]:
@@ -514,8 +513,8 @@ def _cmd_moments_check(args: dict) -> int:
     worst = 0.0
     patterns = {**CANONICAL_CONTRACTIONS, "mixed": MIXED_CONTRACTION}
     exacts = [fourth_moment_exact(d1, d2, contraction) for contraction in patterns.values()]
-    if trials < 1:
-        raise UsageError("trials must be positive")
+    if trials < 2:
+        raise UsageError("moments-check needs --trials of at least 2: one sample has no standard error")
     need = trials * d2 * d1  # each pattern draws its whole batch of isometries at once
     batch = f"a batch of {trials} isometries {d2}x{d1} needs {need} amplitudes"
     simulator.admit(math.log(need), ((trials, 1), (d2, 1), (d1, 1)), batch)

@@ -268,12 +268,13 @@ def mi_prediction(network: MeraNetwork, left: Interval, right: Interval) -> MiPr
     Each entropy lies between its cheapest sequence and its step-discounted
     minimum floored at zero (entropy is nonnegative).  The union of ``left``
     and ``right`` is `Interval.join`'s, under its adjacency rule; an empty
-    side gives the trivial bracket.
+    side gives the trivial bracket.  It reads the engine's memo, walking no argmin.
     """
-    union = left.join(right)
-    b_left, b_right, b_union = (cut_dp(network, iv) for iv in (left, right, union))
-    f_left, f_right, f_union = (max(0.0, b.lower_bound) for b in (b_left, b_right, b_union))
+    eng = engine_for(network)
+    memo = [eng._solve(eng.state_of(iv)) for iv in (left, right, left.join(right))]
+    (c_left, _, _), (c_right, _, _), (c_union, _, _) = memo
+    f_left, f_right, f_union = (max(0.0, min_mod) for _, _, min_mod in memo)
     return MiPrediction(
-        i_upper=b_left.min_cost + b_right.min_cost - f_union,
-        i_lower=max(0.0, f_left + f_right - b_union.min_cost),
+        i_upper=c_left + c_right - f_union,
+        i_lower=max(0.0, f_left + f_right - c_union),
     )

@@ -5,9 +5,13 @@ An isometry here is a complex matrix ``W`` of shape ``(d_out, d_in)`` with
 it by QR, dividing out the phases of the triangular factor's diagonal so the
 result is exactly Haar distributed (the plain QR of a Ginibre matrix is not).
 There is one sampler, `sample_isometry_batch`, which draws a stack of
-isometries from one seed; `sample_isometry` is its batch of one.  Every seed
-goes through `seed_key`, so an int and the tuple holding it draw the same
-matrices.
+isometries from one seed; `sample_isometry` is its batch of one.
+
+A seed is a key ``(master, *path)`` (`seed_key`): an int master below
+2**128, then one int below 2**32 per derived draw (a trial, a slot
+``(level, stage, position)``, a map or a pattern); an int ``s`` is ``(s,)``.
+It draws from ``SeedSequence(master, spawn_key=path)``, the child numpy's
+spawn tree hands out at ``path``, so distinct keys never share a stream.
 
 The fourth moment of matrix elements,
 
@@ -54,18 +58,18 @@ __all__ = [
 
 
 def seed_key(seed) -> tuple[int, ...]:
-    """The tuple of non-negative ints that an int or tuple seed names.
+    """The key ``(master, *path)`` an int or a non-empty tuple of ints names.
 
-    Every seed of the package goes through here: a master seed ``s`` and
-    the tuple ``(s,)`` name the same key, and a slot key extends it, as in
-    ``(*seed_key(seed), t)``.  Numpy integers are accepted like ints.
+    Numpy integers count as ints.  A negative entry, a master of 2**128 or
+    more and a path entry of 2**32 or more raise `UsageError`: past those
+    bounds numpy splits an int into several words, and keys alias again.
     """
-    if isinstance(seed, (int, np.integer)):
-        key = (int(seed),)
-    else:
-        key = tuple(int(s) for s in seed)
-    if any(s < 0 for s in key):
-        raise UsageError(f"seed components must be non-negative, got {key}")
+    key = seed if isinstance(seed, tuple) else (seed,)
+    if not key or not all(isinstance(s, (int, np.integer)) for s in key):
+        raise UsageError(f"a seed is an int or a non-empty tuple of ints, got {seed!r}")
+    master, *path = key = tuple(int(s) for s in key)
+    if not (0 <= master < 1 << 128 and all(0 <= s < 1 << 32 for s in path)):
+        raise UsageError(f"seed {key}: the master must be in [0, 2**128), path entries in [0, 2**32)")
     return key
 
 
@@ -77,8 +81,7 @@ def sample_isometry_batch(d_in: int, d_out: int, trials: int, seed) -> np.ndarra
     d_in, d_out : int
         Positive dimensions with ``d_in <= d_out``.
     seed : int or tuple of ints
-        An integer master seed or a tuple ``(master, index, ...)`` naming one
-        slot of a larger experiment (see `seed_key`).  The same seed always
+        A key ``(master, *path)`` (see `seed_key`).  The same key always
         yields the same matrices.
     """
     if d_in < 1 or d_out < 1:
@@ -87,7 +90,8 @@ def sample_isometry_batch(d_in: int, d_out: int, trials: int, seed) -> np.ndarra
         raise UsageError(f"no isometry into a smaller space: d_in={d_in} > d_out={d_out}")
     if trials < 1:
         raise UsageError("trials must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key(seed)))
+    master, *path = seed_key(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=path))
     shape = (trials, d_out, d_in)
     # real, then imaginary parts; both are freed once z is formed.  One draw of
     # shape (2, ...), or keeping both parts alive through the QR, gives the same
@@ -105,7 +109,7 @@ def sample_isometry(d_in: int, d_out: int, seed) -> np.ndarray:
     """One Haar-random isometry of shape ``(d_out, d_in)``.
 
     It is the batch of one that `sample_isometry_batch` draws from ``seed``.
-    Tuple seeds make any single isometry of a sampled network reproducible
+    A path key makes any single isometry of a sampled network reproducible
     in isolation.
     """
     return sample_isometry_batch(d_in, d_out, 1, seed)[0]

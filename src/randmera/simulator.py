@@ -15,18 +15,19 @@ from a strided view of the snapshot, so no full-size copy of the state is
 made.  Its Hermitian eigenvalues are clipped at zero, and eigenvalues at or
 below 1e-12 are dropped before logs.  Snapshots are read-only.
 
-`mc_entropy_sweep` is the one Monte Carlo trial loop: trial ``t`` builds
-the network from seed ``(*seed, t)``, reads the entropies of every
-requested region off that draw and frees it before the next one.  It reads
-an ``after_W`` region without the ``after_W`` state.  An isometry lying
-wholly on one side of a cut leaves that side's nonzero spectrum unchanged,
-so a region at level ``k`` is read off the ``(k, after_V)`` snapshot with
-only the (at most two) rotation pairs that cross its boundary applied: the
-region's state pulled back through the rotation layer.  The build stops at
-the deepest ``after_V`` stage a region needs, so the leaf ``after_W`` state,
-the largest of the trajectory, is never formed (nor admitted).  On 8 leaves
-of dimension 6, the balanced cut then reads a 256 x 256 Gram (odd start) or
-a 576 x 576 one (even start) instead of a 1296 x 1296 one.
+`mc_entropy_sweep` is the one Monte Carlo trial loop: trial ``t`` builds the
+network from the `haar.seed_key` key ``(*seed, t)`` (a seed is a key
+``(master, *path)``), reads the entropies of every requested region off that
+draw and frees it before the next one.  It reads an ``after_W`` region
+without the ``after_W`` state.  An isometry lying wholly on one side of a
+cut leaves that side's nonzero spectrum unchanged, so a region at level
+``k`` is read off the ``(k, after_V)`` snapshot with only the (at most two)
+rotation pairs that cross its boundary applied: the region's state pulled
+back through the rotation layer.  The build stops at the deepest ``after_V``
+stage a region needs, so the leaf ``after_W`` state, the largest of the
+trajectory, is never formed (nor admitted).  On 8 leaves of dimension 6, the
+balanced cut then reads a 256 x 256 Gram (odd start) or a 576 x 576 one
+(even start) instead of a 1296 x 1296 one.
 `mc_entropy_stats` (one region) and `mc_mutual_information` (left, right
 and union regions of adjacent pairs) are read off the sweep, and every mean
 and standard error comes from `haar.McEstimate.of`.
@@ -128,10 +129,11 @@ class DenseState:
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    """All stage snapshots of one sampled network build."""
+    """All stage snapshots of one sampled network build, and the key it drew from."""
 
     network: MeraNetwork
     snapshots: dict[tuple[int, Stage], DenseState]
+    key: tuple[int, ...]
 
     @property
     def leaf(self) -> DenseState:
@@ -210,8 +212,8 @@ def build_state(
     Parameters
     ----------
     seed : int or tuple of ints
-        Master seed.  The isometry in slot ``(level, stage, position)``
-        draws from the derived key ``(*seed, level, stage_index, position)``,
+        A `haar.seed_key` key.  The isometry in slot ``(level, stage,
+        position)`` draws from ``(*seed, level, stage_index, position)``,
         so any single tensor is reproducible without rebuilding the rest.
     stop : (level, stage), optional
         The last stage to build; the default is the leaf ``after_W`` stage.
@@ -248,22 +250,22 @@ def build_state(
         # rotation: staggered pairs, the last one wrapping around the ring
         psi = _rotated(network, psi, k, range(n_prev), base)
         snaps[(k, Stage.AFTER_W)] = DenseState(k, Stage.AFTER_W, psi.shape, _frozen(psi))
-    return StateTrajectory(network=network, snapshots=snaps)
+    return StateTrajectory(network=network, snapshots=snaps, key=base)
 
 
-def _pulled_back(traj: StateTrajectory, region: Interval, seed) -> DenseState:
+def _pulled_back(traj: StateTrajectory, region: Interval) -> DenseState:
     """A state with the nonzero spectrum of ``region``, as small as the draw allows.
 
     An ``after_V`` region, and the level-0 ring, read their snapshot.  An
     ``after_W`` region at level ``k`` reads the ``(k, after_V)`` snapshot
-    with only the rotation pairs its walls cut applied, each
-    re-drawn from its slot key under ``seed``, the master seed the
-    trajectory was built from.  A pair with both sites on one side of the
-    cut is an isometry on that side alone: it leaves the nonzero spectrum
-    of either side unchanged.  The result lives on the same ring with the
-    same site indices; its sites have dimension ``dims[k]`` where a
-    crossing pair was applied and ``dims_v[k]`` elsewhere.  With no pair
-    crossing, it is the snapshot itself.
+    with only the rotation pairs its walls cut applied, each re-drawn from
+    its slot key under ``traj.key``, the key the trajectory was built
+    from.  A pair with both sites on one side of the cut is an isometry on
+    that side alone: it leaves the nonzero spectrum of either side
+    unchanged.  The result lives on the same ring with the same site
+    indices; its sites have dimension ``dims[k]`` where a crossing pair was
+    applied and ``dims_v[k]`` elsewhere.  With no pair crossing, it is the
+    snapshot itself.
     """
     k = region.level
     if region.stage == Stage.AFTER_V or k == 0:
@@ -272,7 +274,7 @@ def _pulled_back(traj: StateTrajectory, region: Interval, seed) -> DenseState:
     slots = traj.network.w_slots_cut(region)
     if not slots:
         return split
-    psi = _rotated(traj.network, split.as_tensor(), k, slots, seed_key(seed))
+    psi = _rotated(traj.network, split.as_tensor(), k, slots, traj.key)
     return DenseState(k, Stage.AFTER_W, psi.shape, _frozen(psi))
 
 
@@ -430,7 +432,7 @@ def mc_entropy_sweep(
 ) -> dict[Interval, EntropySamples]:
     """Sample ``trials`` networks once and read all intervals off each draw.
 
-    Trial ``t`` uses master seed ``(*seed, t)``, so any subset of trials is
+    Trial ``t`` draws from key ``(*seed, t)``, so any subset of trials is
     reproducible independently of sweep composition.  A region listed more
     than once is computed once.  Each draw is built up to the ``after_V``
     stage of the deepest region's level (level 0 alone if every region is
@@ -460,11 +462,10 @@ def mc_entropy_sweep(
     acc_s = {iv: np.empty(trials) for iv in intervals}
     acc_s2 = {iv: np.empty(trials) for iv in intervals}
     for t in range(trials):
-        key = (*base, t)
-        traj = build_state(network, key, stop=stop)
+        traj = build_state(network, (*base, t), stop=stop)
         for iv in acc_s:
             # the pulled-back state is dropped as soon as its spectrum is read
-            spec = interval_spectrum(_pulled_back(traj, iv, key), iv)
+            spec = interval_spectrum(_pulled_back(traj, iv), iv)
             acc_s[iv][t] = entropy_vn(spec)
             acc_s2[iv][t] = entropy_renyi2(spec)
         del traj  # free this draw before the next one is built

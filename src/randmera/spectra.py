@@ -63,12 +63,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SuperOperatorSpec:
-    """Dimensions and seed of one random coarse-graining map."""
+    """Dimensions of one random coarse-graining map, and the seed it is drawn from.
+
+    ``seed`` is a `haar.seed_key` key ``(master, *path)``; map ``i`` of a run draws from ``(master, i)``.
+    """
 
     d_A: int
     d_B: int
     d_E: int
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         for name in ("d_A", "d_B", "d_E"):
@@ -78,14 +81,6 @@ class SuperOperatorSpec:
             raise UsageError(
                 f"d_B*d_E = {self.d_B * self.d_E} must be at least d_A = {self.d_A}"
             )
-
-    @property
-    def x(self) -> float:
-        return self.d_B / (self.d_A * self.d_E)
-
-    @property
-    def y(self) -> float:
-        return self.d_A / (self.d_B * self.d_E)
 
     @property
     def label(self) -> str:

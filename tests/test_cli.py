@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from randmera import Interval, MeraNetwork, Stage, cut_dp, haar, simulator, spectra
@@ -168,11 +169,13 @@ def test_spectra_lists_every_value_per_seed(tmp_path, capsys):
     )
     assert code == 0
     rows = _read_csv(out)
-    assert rows[0] == ["spec", "seed", "i", "lambda"]
-    assert len(rows) == 1 + 2 * 4  # two seeds, d_B^2 values each
+    assert rows[0] == ["spec", "draw", "i", "lambda"]
+    assert len(rows) == 1 + 2 * 4  # two draws, d_B^2 values each
+    assert [r[1] for r in rows[1:]] == ["0"] * 4 + ["1"] * 4
     assert {r[0] for r in rows[1:]} == {"8:2:4"}
     assert "mean_lambda0=" in capsys.readouterr().out
-    assert "<svg" in svg.read_text(encoding="utf-8")
+    text = svg.read_text(encoding="utf-8")
+    assert "<svg" in text and ">draw 1</text>" in text
 
 
 @pytest.mark.parametrize("dims", [("3", "5", "2"), ("1", "3", "5")])
@@ -403,3 +406,61 @@ def test_a_deep_dense_build_exits_with_the_resource_code_under_any_budget(monkey
     assert proc.returncode == 3
     assert proc.stderr.startswith("infeasible: dense build needs exp(")
     assert "Traceback" not in proc.stderr
+
+
+def test_moments_check_refuses_a_single_trial_before_any_draw(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a batch was drawn for a check that has no standard error")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "1")  # admission would exit 3
+    assert main(["moments-check", "--d1", "2", "--d2", "4", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials of at least 2" in captured.err
+
+
+def _drawn_keys(monkeypatch, module, name):
+    keys = []
+    sampler = getattr(module, name)
+
+    def spy(*args):
+        keys.append(args[-1])
+        return sampler(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return keys
+
+
+def test_each_map_and_pattern_draws_from_the_seed_and_its_index(monkeypatch, capsys):
+    maps = _drawn_keys(monkeypatch, spectra, "sample_isometry")
+    assert main(["spectra", "--dA", "4", "--dB", "2", "--dE", "2", "--seeds", "3", "--seed", "9"]) == 0
+    assert main(["collapse", "--mode", "sqrt-d", "--dims", "2,3", "--seed", "9"]) == 0
+    assert maps == [(9, 0), (9, 1), (9, 2), (9, 0), (9, 1)]
+    batches = _drawn_keys(monkeypatch, haar, "sample_isometry_batch")
+    assert main(["moments-check", "--d1", "1", "--d2", "2", "--trials", "8", "--seed", "9"]) == 0
+    assert batches == [(9, idx) for idx in range(5)]
+    # pattern 0 no longer draws the bare seed's stream
+    first = haar.sample_isometry_batch(1, 2, 8, (9, 0))
+    assert np.max(np.abs(first - haar.sample_isometry_batch(1, 2, 8, 9))) > 1e-3
+
+
+def test_spectra_runs_under_neighbouring_seeds_share_no_map(tmp_path, capsys):
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"spectra{seed}.csv"
+        argv = ["spectra", "--dA", "8", "--dB", "4", "--dE", "4", "--seeds", "2", "--seed", seed]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = _read_csv(out)[1:]
+        runs.append([tuple(r[3] for r in rows if r[1] == draw) for draw in ("0", "1")])
+    assert not set(runs[0]) & set(runs[1])
+
+
+def test_a_master_seed_of_2_to_the_128_exits_2(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a network was drawn from an invalid key")
+
+    monkeypatch.setattr(simulator, "sample_isometry", no_draw)
+    argv = ["entropy", "--epsilon", L3_EPS, "--interval", "1:2", "--trials", "1", "--seed", str(2**128)]
+    assert main(argv) == 2
+    assert "seed (340282366920938463463374607431768211456,)" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from randmera import (
     find_epsilon,
     mi_prediction,
 )
-from randmera.cutbounds import LOG_BRANCH, engine_for
+from randmera.cutbounds import LOG_BRANCH, CutEngine, engine_for
 
 # Small networks whose sequence space can be enumerated outright.
 SMALL_SCHEDULES = [(2, math.log(2.0)), (2, 0.35), (2, 0.22), (3, 0.4), (4, 0.9), (5, 1.2)]
@@ -466,6 +466,19 @@ def test_mi_bracket_is_pinned_to_the_last_bit(net_big, length, bracket):
     right = Interval.of_length(12, Stage.AFTER_W, 1 + length, length)
     pred = mi_prediction(net_big, left, right)
     assert (pred.i_lower.hex(), pred.i_upper.hex()) == bracket
+
+
+def test_the_mi_bracket_walks_no_argmin(monkeypatch):
+    def no_walk(self, interval):
+        raise AssertionError("mi_prediction walked an argmin it does not read")
+
+    monkeypatch.setattr(CutEngine, "argmin_sequence", no_walk)
+    net = MeraNetwork.build(2, 0.05)  # a cold memo: every state is solved under the patch
+    for length, bracket in GOLDEN_MI_L12:
+        left = Interval.of_length(12, Stage.AFTER_W, 1, length)
+        right = Interval.of_length(12, Stage.AFTER_W, 1 + length, length)
+        pred = mi_prediction(net, left, right)
+        assert (pred.i_lower.hex(), pred.i_upper.hex()) == bracket
 
 
 def test_entropy_scaling_table_on_a_deep_network(net_big):

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randmera import (
     CANONICAL_CONTRACTIONS,
     MIXED_CONTRACTION,
+    SuperOperatorSpec,
     UsageError,
     fourth_moment_exact,
     fourth_moment_mc,
     moment_constants,
     sample_isometry,
     sample_isometry_batch,
+    singular_spectrum,
 )
 from randmera.haar import McEstimate, seed_key
 
@@ -61,11 +66,93 @@ def test_every_seed_form_names_one_key():
     assert seed_key(3) == seed_key(np.int64(3)) == seed_key((3,)) == (3,)
     key = seed_key((np.int64(4), 2))
     assert key == (4, 2) and all(type(s) is int for s in key)
-    for bad in (-1, (4, -2), np.int64(-3)):
-        with pytest.raises(UsageError):
-            seed_key(bad)
+    assert seed_key((2**128 - 1, 2**32 - 1)) == (2**128 - 1, 2**32 - 1)
     a = sample_isometry(3, 9, seed=np.int64(7))
     assert a.tobytes() == sample_isometry(3, 9, seed=(7,)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (),  # no master
+        2.7,
+        (2.7, 1),  # a float entry
+        "12",
+        [1, 2],  # a key is an int or a tuple
+        -1,
+        (4, -2),
+        np.int64(-3),
+        2**128,  # past four words, the master splits and aliases
+        (2**128, 0),
+        (0, 2**32),  # past one word, a path entry splits and aliases
+    ],
+)
+def test_an_invalid_key_is_a_usage_error(bad):
+    with pytest.raises(UsageError):
+        seed_key(bad)
+    with pytest.raises(UsageError):
+        sample_isometry(1, 2, seed=bad)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [((8, 3), (8, 3, 0)), (2**32, (0, 1)), ((5,), (5, 0)), (0, (0, 0)), ((1, 0), (1, 0, 0))],
+)
+def test_keys_that_numpy_once_padded_alike_draw_differently(a, b):
+    assert np.max(np.abs(sample_isometry(3, 9, a) - sample_isometry(3, 9, b))) > 1e-3
+
+
+def test_a_key_draws_from_the_spawn_child_at_its_path(monkeypatch):
+    seen = []
+    default_rng = np.random.default_rng
+
+    def spy(seq):
+        seen.append(seq)
+        return default_rng(seq)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    sample_isometry(3, 9, (8, 3, 1))
+    child = np.random.SeedSequence(8).spawn(4)[3].spawn(2)[1]
+    assert (seen[0].entropy, seen[0].spawn_key) == (child.entropy, child.spawn_key) == (8, (3, 1))
+    assert np.array_equal(seen[0].generate_state(8), child.generate_state(8))
+
+
+# sha256 of the bytes of draws keyed by a bare int, written before keys took
+# the spawn tree: SeedSequence(s) is the old SeedSequence((s,)), bit for bit
+INT_KEYED_SHA256 = {
+    "sample_isometry_batch(3, 9, 4, 7)": "ecb7749e0bbf66fc77b1f31a5947ef23c7f77ad42a618f4c6994a71680bb3924",
+    "singular_spectrum(8:4:4, seed=3)": "f09a200cccfe1fad60a839c3a8a0b220464b20f2aa0a01a6478a9a576b573eaf",
+}
+
+
+def test_int_keyed_draws_are_unchanged():
+    batch = sample_isometry_batch(3, 9, 4, 7)
+    values = singular_spectrum(SuperOperatorSpec(8, 4, 4, seed=3)).values
+    got = {
+        "sample_isometry_batch(3, 9, 4, 7)": hashlib.sha256(batch.tobytes()).hexdigest(),
+        "singular_spectrum(8:4:4, seed=3)": hashlib.sha256(values.tobytes()).hexdigest(),
+    }
+    assert got == INT_KEYED_SHA256
+
+
+_KEYS = st.builds(
+    lambda master, path: (master, *path),
+    st.integers(0, 2**128 - 1),
+    st.lists(st.integers(0, 2**32 - 1), max_size=4),
+)
+
+
+def _words(key):
+    master, *path = seed_key(key)
+    return tuple(np.random.SeedSequence(master, spawn_key=path).generate_state(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_KEYS, b=_KEYS, zeros=st.integers(1, 3))
+def test_distinct_keys_give_distinct_entropy_words(a, b, zeros):
+    assert _words(a) != _words((*a, *(0,) * zeros))
+    if a != b:
+        assert _words(a) != _words(b)
 
 
 @pytest.mark.parametrize("d_in,d_out", SHAPES)

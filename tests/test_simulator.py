@@ -200,10 +200,9 @@ def _assert_the_sweep_matches_the_full_snapshots(net, seed, regions):
     splits the snapshot the region lives on.
     """
     res = mc_entropy_sweep(net, regions, trials=1, seed=seed)
-    key = (*seed, 0)
-    traj = build_state(net, key)
+    traj = build_state(net, (*seed, 0))
     for iv in regions:
-        pulled = interval_spectrum(simulator._pulled_back(traj, iv, key), iv)
+        pulled = interval_spectrum(simulator._pulled_back(traj, iv), iv)
         oracle = _svd_spectrum(traj.state_at(iv.level, iv.stage), iv.sites())
         a, b = _padded(pulled, oracle)
         assert np.max(np.abs(a - b)) <= 1e-14, iv
@@ -592,15 +591,16 @@ def test_monte_carlo_mutual_information_matches_a_manual_loop(net_l3):
     res = mc_mutual_information(net_l3, pairs, trials=4, seed=14)
     assert [(r.left, r.right) for r in res] == pairs
 
-    def s_vn(traj, region, key):
-        return entropy_vn(interval_spectrum(simulator._pulled_back(traj, region, key), region))
+    def s_vn(traj, region):
+        return entropy_vn(interval_spectrum(simulator._pulled_back(traj, region), region))
 
     for t in range(4):
         traj = build_state(net_l3, (14, t))
+        assert traj.key == (14, t)
         for r in res:
             union = Interval.of_length(3, Stage.AFTER_W, r.left.i, r.left.length + r.right.length)
-            manual = s_vn(traj, r.left, (14, t)) + s_vn(traj, r.right, (14, t))
-            manual -= s_vn(traj, union, (14, t))
+            manual = s_vn(traj, r.left) + s_vn(traj, r.right)
+            manual -= s_vn(traj, union)
             assert len(r.samples) == 4
             assert r.samples[t] == manual
             assert r.samples[t] >= -1e-8

@@ -70,8 +70,6 @@ def _superop_by_explicit_partial_trace(w, d_A, d_B, d_E):
 
 def test_spec_validation_and_derived_ratios():
     spec = SuperOperatorSpec(d_A=50, d_B=10, d_E=10, seed=3)
-    assert spec.x == pytest.approx(10 / (50 * 10), abs=1e-15)
-    assert spec.y == pytest.approx(50 / 100, abs=1e-15)
     assert spec.label == "50:10:10"
     with pytest.raises(UsageError):
         SuperOperatorSpec(d_A=101, d_B=10, d_E=10)  # not enough room
