@@ -9,7 +9,8 @@ Conventions shared by every command:
 
 * all randomness flows from ``--seed`` (an integer in [0, 2**128); runs are
   reproducible byte for byte): Monte Carlo trial, map or ``moments-check``
-  pattern ``i`` draws from the `haar.seed_key` key ``(seed, i)``,
+  pattern ``i`` draws from the `haar.seed_key` key ``(seed, i)``; a seed
+  outside those bounds exits 2 before any amplitude-budget check,
 * ``--config FILE`` reads flat ``key = value`` lines (``#`` comments);
   explicit flags override the file, unknown keys are rejected,
 * ``--out`` writes a UTF-8 CSV with a header row and RFC-4180 quoting, and
@@ -43,6 +44,7 @@ from .haar import (
     fourth_moment_exact,
     fourth_moment_mc,
     moment_constants,
+    seed_key,
 )
 from .network import Interval, MeraNetwork, Stage
 from .schedule import schedule_report, solve_schedule
@@ -262,6 +264,8 @@ def _merge_options(command: str, explicit: dict) -> dict:
     for dest, o in opts.items():
         if o.required and merged.get(dest) is None:
             raise UsageError(f"missing required option {o.flag} (flag or config)")
+    if "seed" in merged:  # a bad seed is a usage error, before any budget check
+        seed_key(merged["seed"])
     return merged
 
 

@@ -10,10 +10,11 @@ the amplitude budget by `admit` before the call allocates any of them.
 Entropies are in nats.  The spectrum of a reduced state is taken from the
 Gram matrix ``A A^dagger`` of the smaller side of the cut, where ``A`` is the
 amplitude tensor split into that side against the rest: the Gram matrix has
-the nonzero eigenvalues of both reduced states, and it is filled tile by tile
-from a strided view of the snapshot, so no full-size copy of the state is
-made.  Its Hermitian eigenvalues are clipped at zero, and eigenvalues at or
-below 1e-12 are dropped before logs.  Snapshots are read-only.
+the nonzero eigenvalues of both reduced states.  It is filled tile by tile
+from column panels copied out of a strided view of a snapshot, so no
+full-size copy of a state is made (`_gram` states the buffer rule).  Its
+Hermitian eigenvalues are clipped at zero, and eigenvalues at or below
+1e-12 are dropped before logs.  Snapshots are read-only.
 
 `mc_entropy_sweep` is the one Monte Carlo trial loop: trial ``t`` builds the
 network from the `haar.seed_key` key ``(*seed, t)`` (a seed is a key
@@ -21,13 +22,18 @@ network from the `haar.seed_key` key ``(*seed, t)`` (a seed is a key
 draw and frees it before the next one.  It reads an ``after_W`` region
 without the ``after_W`` state.  An isometry lying wholly on one side of a
 cut leaves that side's nonzero spectrum unchanged, so a region at level
-``k`` is read off the ``(k, after_V)`` snapshot with only the (at most two)
-rotation pairs that cross its boundary applied: the region's state pulled
-back through the rotation layer.  The build stops at the deepest ``after_V``
-stage a region needs, so the leaf ``after_W`` state, the largest of the
-trajectory, is never formed (nor admitted).  On 8 leaves of dimension 6, the
-balanced cut then reads a 256 x 256 Gram (odd start) or a 576 x 576 one
-(even start) instead of a 1296 x 1296 one.
+``k`` has the spectrum of the ``(k, after_V)`` snapshot with only the (at
+most two) rotation pairs that cross its boundary applied: the region's
+state pulled back through the rotation layer.  That state is not formed
+either.  Each crossing pair's isometry is drawn once per region, and the
+Gram applies it to every column panel it reads from the snapshot; the
+panels slice only the sites in no crossing pair, so both sites of a pair
+are whole in each.  The build stops at the deepest ``after_V`` stage a
+region needs, so the leaf ``after_W`` state, the largest of the trajectory,
+is never formed (nor admitted).  On 8 leaves of dimension 6, the balanced
+cut then reads a 256 x 256 Gram (odd start) or a 576 x 576 one (even start)
+off the 4**8-amplitude ``after_V`` snapshot, instead of a 1296 x 1296 one
+off the 6**8-amplitude leaf.
 `mc_entropy_stats` (one region) and `mc_mutual_information` (left, right
 and union regions of adjacent pairs) are read off the sweep, and every mean
 and standard error comes from `haar.McEstimate.of`.
@@ -157,8 +163,8 @@ def _frozen(psi: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _rotated(network: MeraNetwork, psi: np.ndarray, k: int, slots, base) -> np.ndarray:
-    """``psi`` with the level-``k`` rotation isometries of ``slots`` applied.
+def _rotations(network: MeraNetwork, k: int, slots, base) -> tuple:
+    """The level-``k`` rotation isometries of ``slots``, each with the site pair it rotates.
 
     Slot ``j`` rotates the site pair ``w_pairs(k)[j]`` with the isometry
     drawn from key ``(*base, k, 1, j)``; its two sites go from dimension
@@ -166,12 +172,21 @@ def _rotated(network: MeraNetwork, psi: np.ndarray, k: int, slots, base) -> np.n
     """
     dv, dk = network.schedule.dims_v[k], network.schedule.dims[k]
     pairs = network.w_pairs(k)
-    for j in slots:
-        iso = sample_isometry(dv * dv, dk * dk, (*base, k, 1, j))
-        t = np.moveaxis(psi, pairs[j], (0, 1))
+    return tuple((pairs[j], sample_isometry(dv * dv, dk * dk, (*base, k, 1, j))) for j in slots)
+
+
+def _rotated(psi: np.ndarray, rotations) -> np.ndarray:
+    """``psi`` with each ``(axes, isometry)`` of ``rotations`` applied to its pair of axes.
+
+    An isometry of shape ``(dk**2, dv**2)`` takes its two axes from
+    dimension ``dv`` to ``dk``.
+    """
+    for axes, iso in rotations:
+        t = np.moveaxis(psi, axes, (0, 1))
         rest = t.shape[2:]
-        t = iso @ t.reshape(dv * dv, -1)
-        psi = np.moveaxis(t.reshape((dk, dk) + rest), (0, 1), pairs[j])
+        dk = math.isqrt(iso.shape[0])
+        t = iso @ t.reshape(iso.shape[1], -1)
+        psi = np.moveaxis(t.reshape((dk, dk) + rest), (0, 1), axes)
     return psi
 
 
@@ -248,24 +263,46 @@ def build_state(
         if (k, Stage.AFTER_V) == (stop_level, stop_stage):
             break
         # rotation: staggered pairs, the last one wrapping around the ring
-        psi = _rotated(network, psi, k, range(n_prev), base)
+        psi = _rotated(psi, _rotations(network, k, range(n_prev), base))
         snaps[(k, Stage.AFTER_W)] = DenseState(k, Stage.AFTER_W, psi.shape, _frozen(psi))
     return StateTrajectory(network=network, snapshots=snaps, key=base)
 
 
-def _pulled_back(traj: StateTrajectory, region: Interval) -> DenseState:
+@dataclass(frozen=True)
+class _PulledBack:
+    """A ``(k, after_V)`` snapshot with the rotations a region's walls cut, not yet applied.
+
+    It has the ``level``, ``site_dims`` and ``n_sites`` of the `DenseState`
+    that applying them (`_rotated`) would form: sites of dimension
+    ``dims[k]`` where a rotated pair lies and ``dims_v[k]`` elsewhere.
+    `interval_spectrum` reads it without forming that state.
+    """
+
+    snapshot: DenseState
+    rotations: tuple  # ((site, site), isometry) per cut pair
+    site_dims: tuple[int, ...]
+
+    @property
+    def level(self) -> int:
+        return self.snapshot.level
+
+    @property
+    def n_sites(self) -> int:
+        return self.snapshot.n_sites
+
+
+def _pulled_back(traj: StateTrajectory, region: Interval):
     """A state with the nonzero spectrum of ``region``, as small as the draw allows.
 
     An ``after_V`` region, and the level-0 ring, read their snapshot.  An
     ``after_W`` region at level ``k`` reads the ``(k, after_V)`` snapshot
-    with only the rotation pairs its walls cut applied, each re-drawn from
-    its slot key under ``traj.key``, the key the trajectory was built
-    from.  A pair with both sites on one side of the cut is an isometry on
-    that side alone: it leaves the nonzero spectrum of either side
-    unchanged.  The result lives on the same ring with the same site
-    indices; its sites have dimension ``dims[k]`` where a crossing pair was
-    applied and ``dims_v[k]`` elsewhere.  With no pair crossing, it is the
-    snapshot itself.
+    with only the rotation pairs its walls cut applied, each drawn once
+    here from its slot key under ``traj.key``, the key the trajectory was
+    built from.  A pair with both sites on one side of the cut is an
+    isometry on that side alone: it leaves the nonzero spectrum of either
+    side unchanged.  With no pair cut, the result is the snapshot itself;
+    otherwise it is a `_PulledBack`, whose pairs `_gram` applies panel by
+    panel, so the rotated state is never formed.
     """
     k = region.level
     if region.stage == Stage.AFTER_V or k == 0:
@@ -274,8 +311,11 @@ def _pulled_back(traj: StateTrajectory, region: Interval) -> DenseState:
     slots = traj.network.w_slots_cut(region)
     if not slots:
         return split
-    psi = _rotated(traj.network, split.as_tensor(), k, slots, traj.key)
-    return DenseState(k, Stage.AFTER_W, psi.shape, _frozen(psi))
+    rotations = _rotations(traj.network, k, slots, traj.key)
+    rotated = {s for pair, _ in rotations for s in pair}
+    dk = traj.network.schedule.dims[k]
+    dims = tuple(dk if s in rotated else d for s, d in enumerate(split.site_dims))
+    return _PulledBack(split, rotations, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -319,33 +359,55 @@ def _boxes(shape: tuple[int, ...], cap: int):
             yield head + (slice(lo, lo + step),)
 
 
-def _gram(state: DenseState, rows: list[int], cols: list[int]) -> np.ndarray:
-    """``A A^dagger`` for ``A`` the amplitudes split into ``rows`` against ``cols``.
+def _gram(state, rows: list[int], cols: list[int]) -> np.ndarray:
+    """``A A^dagger`` for ``A`` the amplitudes of ``state`` split into ``rows`` against ``cols``.
 
-    Column panels of ``A`` are copied from a strided view of the snapshot
-    into one reused buffer, and each block of the result is accumulated
-    from one reused tile.  A buffer holds at most ``_TILE_AMPLITUDES``
-    amplitudes and at most a sixteenth of the state (or one column of ``A``
-    if that is more); all are freed on return.  Only the lower triangle is
-    filled.
+    ``state`` is a `DenseState`, or a `_PulledBack` snapshot with rotation
+    pairs still to apply; a `DenseState` is the case with none.  ``A`` is
+    read in column panels.  A panel slices the column sites that lie in no
+    rotated pair (the free sites) and holds every other site whole, so it
+    is copied from a strided view of the snapshot into one reused buffer
+    and each pair is rotated there (`_rotated`); the rotated state is never
+    formed.  Each block of the result is accumulated from one reused tile,
+    and only the lower triangle is filled.
+
+    Buffer rule: every array a panel forms (the copy, its rotated and
+    conjugated forms, the tile) holds at most the larger of a sixteenth of
+    ``A`` and an eighth of the Gram, and at most ``_TILE_AMPLITUDES``, unless
+    the columns of one free index are more.  The eigensolve that follows
+    holds the Gram and LAPACK's copy of it, so buffers of an eighth of the
+    Gram add nothing to the peak of a balanced cut; on a lopsided cut, where
+    the Gram is small, a sixteenth of ``A`` bounds them.  All are freed on
+    return.
     """
-    t = state.as_tensor().transpose(rows + cols)
-    d = math.prod(t.shape[: len(rows)])
-    cap = max(d, min(_TILE_AMPLITUDES, t.size >> 4))
+    snap, rotations = (
+        (state.snapshot, state.rotations) if isinstance(state, _PulledBack) else (state, ())
+    )
+    paired = {s for pair, _ in rotations for s in pair}
+    whole = rows + [s for s in cols if s in paired]
+    free = [s for s in cols if s not in paired]
+    t = snap.as_tensor().transpose(whole + free)
+    axis = {s: a for a, s in enumerate(whole)}
+    moves = [((axis[a], axis[b]), iso) for (a, b), iso in rotations]
+    d = math.prod(state.site_dims[s] for s in rows)
+    width = math.prod(state.site_dims[s] for s in whole)  # amplitudes of A per free index
+    n_free = math.prod(t.shape[len(whole) :])
+    cap = max(width, min(_TILE_AMPLITUDES, max(width * n_free >> 4, d * d >> 3)))
+    cells = min(cap // width, n_free)  # free indices per panel
     rb = min(d, math.isqrt(cap))
     blocks = [(lo, min(lo + rb, d)) for lo in range(0, d, rb)]
     pairs = [(bi, bj) for bi in blocks for bj in blocks if bj[0] <= bi[0]]
     g = np.zeros((d, d), dtype=np.complex128)
-    panel = np.empty(min(cap, t.size), dtype=np.complex128)
-    conj = np.empty_like(panel)
+    panel = np.empty(cells * (t.size // n_free), dtype=np.complex128)
+    conj = np.empty(cells * width, dtype=np.complex128)
     tile = np.empty(rb * rb, dtype=np.complex128)
-    lead = (slice(None),) * len(rows)
-    for idx in _boxes(t.shape[len(rows) :], cap // d):
+    lead = (slice(None),) * len(whole)
+    for idx in _boxes(t.shape[len(whole) :], cells):
         src = t[lead + idx]
         p = panel[: src.size].reshape(src.shape)
         np.copyto(p, src)
-        p = p.reshape(d, -1)
-        c = np.conjugate(p, out=conj[: src.size].reshape(p.shape))
+        p = _rotated(p, moves).reshape(d, -1)
+        c = np.conjugate(p, out=conj[: p.size].reshape(p.shape))
         for (i0, i1), (j0, j1) in pairs:
             out = tile[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
             g[i0:i1, j0:j1] += np.matmul(p[i0:i1], c[j0:j1].T, out=out)
@@ -355,6 +417,8 @@ def _gram(state: DenseState, rows: list[int], cols: list[int]) -> np.ndarray:
 def interval_spectrum(state: DenseState, region) -> np.ndarray:
     """Eigenvalues of the reduced state of ``region``, descending.
 
+    ``state`` is a `DenseState`, or the `_PulledBack` state of a sweep's
+    ``after_W`` region (`_pulled_back`), which is read without being formed.
     Computed by ``eigvalsh`` from the Gram matrix of whichever side of the
     cut, ``region`` or its complement, has the smaller dimension (``region``
     on a tie): both sides share their nonzero spectrum.  There are
@@ -440,7 +504,8 @@ def mc_entropy_sweep(
     `_pulled_back`), whose isometries are re-drawn from the slot keys the
     full build uses, so the draw is the same network.  Before the first
     draw, the stages of that build and then each pulled-back state are
-    admitted (`admit`); no other state is formed.
+    admitted (`admit`), the latter although it is never formed; no other
+    state is formed.
     """
     if trials < 1:
         raise UsageError("trials must be positive")
@@ -464,7 +529,6 @@ def mc_entropy_sweep(
     for t in range(trials):
         traj = build_state(network, (*base, t), stop=stop)
         for iv in acc_s:
-            # the pulled-back state is dropped as soon as its spectrum is read
             spec = interval_spectrum(_pulled_back(traj, iv), iv)
             acc_s[iv][t] = entropy_vn(spec)
             acc_s2[iv][t] = entropy_renyi2(spec)

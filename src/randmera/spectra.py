@@ -10,8 +10,10 @@ in the basis of elementary matrix units (row-major index pairing) is a
 correlations die off under coarse graining.  The key dimensionless ratios
 are ``x = d_B / (d_A d_E)`` and ``y = d_A / (d_B d_E)``: at ``y = 1`` the
 map is an isometry on operators (all singular values exactly 1), while for
-small ``x`` and ``y`` the top value sits near 1 with a gap to the rest, and
-the second value empirically tracks ``sqrt(y)``.
+small ``x`` and ``y`` the top value sits near 1 with a gap to the rest.
+The second value is then near ``sqrt(y) (1 + d_B / d_A)``, the upper edge of
+the rest of the spectrum, which tends to ``sqrt(y)`` only when ``d_A >> d_B``:
+at 30:30:30, ``sqrt(y)`` is 0.183 while the second value is about 0.363.
 
 The spectrum is taken from a real matrix.  The map preserves Hermiticity,
 so with ``S`` the swap ``(b, c) -> (c, b)`` of a unit pair its matrix ``M``

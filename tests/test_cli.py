@@ -324,6 +324,31 @@ def test_affine_collapse_rejects_a_non_finite_shift_or_alpha(option, value, monk
     assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("seed", [str(2**128), "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--epsilon", L3_EPS, "--interval", "1:2", "--trials", "2"],
+        ["mutual-info", "--epsilon", L3_EPS, "--trials", "2"],
+        ["spectra", "--dA", "8", "--dB", "4", "--dE", "4"],
+        ["collapse", "--mode", "sqrt-d", "--dims", "4,6"],
+        ["moments-check", "--d1", "2", "--d2", "4", "--trials", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_bad_seed_exits_2_before_the_budget_is_checked(argv, seed, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an isometry was drawn from an invalid key")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    # every command's first array is over a budget of one amplitude
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "1")
+    assert main([*argv, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: seed ({int(seed)},)")
+
+
 def test_spectra_and_collapse_refuse_an_oversized_map_before_any_draw(monkeypatch, capsys):
     def no_draw(*args, **kwargs):
         raise AssertionError("a map was drawn before its size was checked")
