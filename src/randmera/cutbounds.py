@@ -12,8 +12,8 @@ price of such a *reduction sequence* is an upper bound on the entanglement
 entropy of every sampled state, and aggregates over all sequences bound the
 averages from below.
 
-This module computes, by one memoised recursion over the (level, stage,
-wall, wall) states an interval can reach, all of:
+This module computes, by one memoised recursion over the states an interval
+can reach, all of:
 
 * ``min_cost``     - the cheapest reduction sequence (per-sample upper bound
   on the von Neumann entropy, hence also on the order-2 entropy),
@@ -23,13 +23,27 @@ wall, wall) states an interval can reach, all of:
   bound on ``lse``, hence on the same average; the ``log 8`` per step pays
   for the at-most-four-way branching plus a convergent geometric slack).
 
-The memo holds these three numbers for each state and nothing else; the
+A state is the tuple of ints ``(level, w, a, b)``: ``w`` is 1 after the
+rotation layer (after_W) and 0 after the splitting layer (after_V), and
+``a``, ``b`` are the walls.  The wall moves are stated once, by `_moves`, as
+a function of the price, ``w`` and the two walls' parities; the layer below
+a stage is ``(level - 1 + w, 1 - w)``, whose walls are the aligned ones
+shifted right by ``1 - w``.  The fold reads each successor inline: one
+whose walls meet costs nothing, one already in the memo is read from it,
+and only a new state is solved by recursing, two frames per level.
+
+The memo holds the three numbers of each state and nothing else; the
 states of a network are shared across queries, and no table of unreachable
-states is ever built.  The argmin sequence is walked from the interval's
-state afterwards, picking at each step the branch whose price plus the
-memoised ``min_cost`` of its successor is smallest.  The rules treat both
-walls alike, so an interval and its complement, which has the same walls in
-the other order, have the same aggregates.
+states or of moves is ever built.  The argmin sequence is walked from the
+interval's state afterwards, picking at each step the branch whose price
+plus the memoised ``min_cost`` of its successor is smallest.  The rules
+treat both walls alike, so an interval and its complement, which has the
+same walls in the other order, have the same aggregates.  That holds to the
+bit because ``log_z`` sums two or four branch terms with `math.fsum`, which
+is exactly rounded and so gives the same bits whatever order the mirror
+image or the complement meets the branches in.  A single branch needs no
+sum: ``t + 0.0`` equals ``t + log(fsum([exp(t - t)]))``, including the sign
+of a zero.
 
 All costs are in nats.
 """
@@ -38,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import product
 from weakref import WeakKeyDictionary
 
 from .errors import UsageError
@@ -58,9 +71,10 @@ __all__ = [
 
 LOG_BRANCH = math.log(8.0)
 
-# DP states are (level, stage, a, b): the region runs clockwise from gap a
-# to gap b, and a == b (empty or whole) ends the sequence.
-_State = tuple[int, Stage, int, int]
+# DP states are (level, w, a, b), w = 1 after_W and 0 after_V: the region
+# runs clockwise from gap a to gap b, and a == b (empty or whole) ends the
+# sequence.
+_State = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -134,16 +148,40 @@ class MiPrediction:
 # (min_cost, log_z, min_mod) of one state
 _Entry = tuple[float, float, float]
 
+# a state whose walls meet ends every sequence and costs nothing; -0.0 so
+# that the empty interval's lse is +0.0
+_END: _Entry = (0.0, -0.0, 0.0)
+
+
+# (da, price) of each move one wall may make
+_WallMoves = tuple[tuple[int, float], ...]
+
+
+def _moves(price: float, w: int, pa: int, pb: int) -> tuple[_WallMoves, _WallMoves]:
+    """``(da, price)`` moves of the first wall and of the second, of parities ``pa`` and ``pb``.
+
+    After_W (``w`` 1) wants both walls in odd gaps, after_V (``w`` 0) both
+    in even ones; a misaligned wall moves one gap either way at ``price``.
+    A branch is one move of each wall, first wall outer, at the sum of
+    their prices.
+    """
+    step = ((-1, price), (1, price))
+    return ((0, 0.0),) if pa == w else step, ((0, 0.0),) if pb == w else step
+
 
 class CutEngine:
     """One memoised recursion over the reduction states a network's queries reach.
 
-    `_branches` states the wall moves; `_solve` folds a state's branches into
-    its three aggregates and stores them in the single memo ``_min`` (one
-    entry per state reached whose walls have not met); `argmin_sequence`
-    walks the cheapest branches back out of the memo; `bounds` reads one
-    entry.  The engine keeps the level count and log dimensions, not the
-    network, so that `engine_for` can drop it together with its network.
+    States are int tuples ``(level, w, a, b)``, ``w`` 1 for after_W and 0
+    for after_V.  `_solve` folds the branches that `_moves` gives a state
+    into its three aggregates and stores them in the single memo ``_min``
+    (one entry per state reached whose walls have not met).  It reads each
+    successor inline, as a meeting of walls or a memo hit, and recurses only
+    to solve a new one.  `argmin_sequence` walks the cheapest branches back
+    out of the memo under the same `_moves`; `aggregates` reads one entry,
+    for `bounds` and `mi_prediction` alike.  The engine keeps the level
+    count and log dimensions, not the network, so that `engine_for` can
+    drop it together with its network.
     """
 
     def __init__(self, network: MeraNetwork):
@@ -157,59 +195,62 @@ class CutEngine:
             raise UsageError(
                 f"interval level {interval.level} exceeds network depth {self._levels}"
             )
-        return (interval.level, interval.stage, *interval.walls)
+        return (interval.level, int(interval.stage is Stage.AFTER_W), *interval.walls)
 
-    def _branches(self, state: _State):
-        """``(price, a2, b2, successor)`` for each alignment of the walls of ``state``.
-
-        ``a2``/``b2`` are the aligned walls on the state's ring, just before
-        its layer is removed.
-        """
-        level, stage, a, b = state
-        n = 1 << level
-        after_w = stage is Stage.AFTER_W
-        # after_W wants both walls in odd gaps, after_V both in even ones; a
-        # misaligned wall moves one gap either way at the penalty
-        penalty = (self._log_d if after_w else self._log_dv)[level]
-        moves = ((-1, penalty), (1, penalty))
-        left = ((0, 0.0),) if a % 2 == after_w else moves
-        right = ((0, 0.0),) if b % 2 == after_w else moves
-        for (da, cost_a), (db, cost_b) in product(left, right):
-            a2, b2 = (a + da) % n, (b + db) % n
-            if after_w:
-                nxt = (level, Stage.AFTER_V, a2, b2)
-            else:
-                nxt = (level - 1, Stage.AFTER_W, a2 // 2, b2 // 2)
-            yield cost_a + cost_b, a2, b2, nxt
+    def _read(self, state: _State) -> _Entry:
+        """``(min_cost, log_z, min_mod)`` of ``state``, solved if the memo lacks it."""
+        if state[2] == state[3]:
+            return _END
+        entry = self._min.get(state)
+        return entry if entry is not None else self._solve(state)
 
     def _solve(self, state: _State) -> _Entry:
-        """``(min_cost, log_z, min_mod)`` of ``state``.
+        """Fold the branches of a new ``state`` whose walls have not met.
 
         ``log_z`` is the ``log`` of the sum of ``exp(-cost)`` over all
         sequences and ``min_mod`` the minimum of ``cost - log(8) * steps``.
-        A state whose walls meet ends every sequence: it costs nothing and
-        is not stored.  Ties are left to `argmin_sequence`.
+        Ties are left to `argmin_sequence`.
         """
-        if state[2] == state[3]:
-            # -0.0 so that the empty interval's lse is +0.0
-            return (0.0, -0.0, 0.0)
-        entry = self._min.get(state)
-        if entry is not None:
-            return entry
+        level, w, a, b = state
+        memo = self._min
+        mask = (1 << level) - 1
+        below, w2 = level - 1 + w, 1 - w
         min_cost = min_mod = math.inf
         terms = []
-        for price, _, _, nxt in self._branches(state):
-            c, lz, mod = self._solve(nxt)
-            min_cost = min(min_cost, price + c)
-            min_mod = min(min_mod, price - LOG_BRANCH + mod)
-            terms.append(-price + lz)
-        # fsum is exactly rounded, so the mirror image's or the complement's
-        # branches, met in another order, give the same bits
-        top = max(terms)
-        log_z = top + math.log(math.fsum(math.exp(v - top) for v in terms))
+        left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
+        for da, cost_a in left:
+            a2 = ((a + da) & mask) >> w2
+            for db, cost_b in right:
+                b2 = ((b + db) & mask) >> w2
+                if a2 == b2:
+                    c, lz, mod = _END
+                else:
+                    nxt = (below, w2, a2, b2)
+                    entry = memo.get(nxt)
+                    c, lz, mod = entry if entry is not None else self._solve(nxt)
+                price = cost_a + cost_b
+                total = price + c
+                if total < min_cost:
+                    min_cost = total
+                total = price - LOG_BRANCH + mod
+                if total < min_mod:
+                    min_mod = total
+                terms.append(-price + lz)
+        # one term: t + 0.0 is t + log(fsum([1.0])) to the bit; more: fsum is
+        # exactly rounded, so mirrored or complementary branches, met in
+        # another order, give the same bits
+        if len(terms) == 1:
+            log_z = terms[0] + 0.0
+        else:
+            top = max(terms)
+            log_z = top + math.log(math.fsum([math.exp(v - top) for v in terms]))
         entry = (min_cost, log_z, min_mod)
-        self._min[state] = entry
+        memo[state] = entry
         return entry
+
+    def aggregates(self, interval: Interval) -> _Entry:
+        """``(min_cost, log_z, min_mod)`` of ``interval``, read from the memo."""
+        return self._read(self.state_of(interval))
 
     def argmin_sequence(self, interval: Interval) -> ReductionSequence:
         """The cheapest sequence, walked from the memoised ``min_cost`` values.
@@ -220,22 +261,30 @@ class CutEngine:
         tests.
         """
         state = self.state_of(interval)
-        cost = self._solve(state)[0]
+        cost = self._read(state)[0]
         steps: list[ReductionStep] = []
-        while state[2] != state[3]:
-            level, stage, _, _ = state
-            n = 1 << level
-            # every successor is solved by now: _solve only reads the memo
-            _, m, last, _, price, state = min(
-                (round(price + self._solve(nxt)[0], 12), a2, (b2 - 1) % n, idx, price, nxt)
-                for idx, (price, a2, b2, nxt) in enumerate(self._branches(state))
-            )
-            kind = "W" if stage is Stage.AFTER_W else "V"
-            steps.append(ReductionStep(kind, level, m, last, price))
+        level, w, a, b = state
+        while a != b:
+            mask = (1 << level) - 1
+            below, w2 = level - 1 + w, 1 - w
+            left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
+            # every successor is solved by now: _read only reads the memo
+            branches = []
+            for da, cost_a in left:
+                a2 = (a + da) & mask
+                for db, cost_b in right:
+                    b2 = (b + db) & mask
+                    price = cost_a + cost_b
+                    nxt = (below, w2, a2 >> w2, b2 >> w2)
+                    total = round(price + self._read(nxt)[0], 12)
+                    branches.append((total, a2, (b2 - 1) & mask, len(branches), price, nxt))
+            _, m, last, _, price, nxt = min(branches)
+            steps.append(ReductionStep("W" if w else "V", level, m, last, price))
+            level, w, a, b = nxt
         return ReductionSequence(start=interval, steps=tuple(steps), cost=cost)
 
     def bounds(self, interval: Interval) -> CutBounds:
-        min_cost, log_z, min_mod = self._solve(self.state_of(interval))
+        min_cost, log_z, min_mod = self.aggregates(interval)
         return CutBounds(
             interval=interval,
             min_cost=min_cost,
@@ -271,7 +320,7 @@ def mi_prediction(network: MeraNetwork, left: Interval, right: Interval) -> MiPr
     side gives the trivial bracket.  It reads the engine's memo, walking no argmin.
     """
     eng = engine_for(network)
-    memo = [eng._solve(eng.state_of(iv)) for iv in (left, right, left.join(right))]
+    memo = [eng.aggregates(iv) for iv in (left, right, left.join(right))]
     (c_left, _, _), (c_right, _, _), (c_union, _, _) = memo
     f_left, f_right, f_union = (max(0.0, min_mod) for _, _, min_mod in memo)
     return MiPrediction(

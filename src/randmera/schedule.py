@@ -38,8 +38,10 @@ __all__ = [
     "unrounded_log_dims",
 ]
 
-# `cutbounds.CutEngine` recurses two frames per level (one per stage), so
-# 128 levels stay far inside Python's default recursion limit of 1000
+# A cold `cutbounds.cut_dp` query recurses two `CutEngine._solve` frames per
+# level (one per stage) under four more (cut_dp, bounds, aggregates, _read):
+# 2 * 128 + 4 = 260 frames at 128 levels, far inside Python's default
+# recursion limit of 1000
 _MAX_LEVELS = 128
 
 

@@ -30,7 +30,7 @@ LOG8 = math.log(8.0)
 
 
 def enumerate_reduction_costs(
-    network: MeraNetwork, interval: Interval
+    network: MeraNetwork, interval: Interval, states: set | None = None
 ) -> list[tuple[float, int]]:
     """(cost, step count) of every legal peeling sequence for ``interval``.
 
@@ -42,6 +42,10 @@ def enumerate_reduction_costs(
     endpoint must step one site either way, paying the log dimension of a
     site on the current ring.  An interval that empties or covers its whole
     ring (a pure state) ends the sequence at no further cost.
+
+    Given a set ``states``, the walk also adds to it every state it passes
+    through that does not end the sequence, keyed by walls as
+    ``(level, stage, start, (start + length) % 2**level)``.
     """
     log_d = network.schedule.log_dims
     log_dv = network.schedule.log_dims_v
@@ -52,6 +56,8 @@ def enumerate_reduction_costs(
         if length == 0 or length == n:
             results.append((cost, steps))
             return
+        if states is not None:
+            states.add((level, stage, start, (start + length) % n))
         if stage is Stage.AFTER_W:
             price = log_d[level]
             left_ok = start % 2 == 1

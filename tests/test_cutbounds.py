@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -98,6 +99,61 @@ def test_dynamic_program_matches_enumeration_on_drawn_schedules(data):
 
 
 W, V = Stage.AFTER_W, Stage.AFTER_V
+
+
+def _assert_the_memo_holds_the_walked_states(leaf, eps, queries):
+    # A fresh network, so that no other test's queries are in its memo.
+    # The engine keys a state (level, w, a, b), w = 1 after_W and 0 after_V.
+    net = MeraNetwork.build(leaf, eps)
+    walked = set()
+    for iv in queries:
+        cut_dp(net, iv)
+        enumerate_reduction_costs(net, iv, walked)
+        want = {(level, int(stage is W), a, b) for level, stage, a, b in walked}
+        assert set(engine_for(net)._min) == want, iv
+
+
+def test_the_memo_holds_exactly_the_states_the_queries_reach(net_l3, net_l4):
+    # The memo neither skips a state a sequence passes through nor solves
+    # one that no sequence reaches, query after query.
+    _assert_the_memo_holds_the_walked_states(
+        net_l3.schedule.leaf_dim, net_l3.schedule.epsilon, list(_all_intervals(net_l3))
+    )
+    rng = np.random.default_rng(5)
+    queries = []
+    for _ in range(16):
+        level = int(rng.integers(1, net_l4.levels + 1))
+        n = 1 << level
+        stage = W if rng.integers(2) else V
+        start, length = int(rng.integers(n)), int(rng.integers(n + 1))
+        queries.append(Interval.of_length(level, stage, start, length))
+    _assert_the_memo_holds_the_walked_states(
+        net_l4.schedule.leaf_dim, net_l4.schedule.epsilon, queries
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_memo_holds_exactly_the_states_reached_on_drawn_schedules(data):
+    leaf = data.draw(st.integers(2, 6), label="leaf")
+    eps = data.draw(st.floats(0.25, math.log(leaf)), label="epsilon")
+    levels = MeraNetwork.build(leaf, eps).levels
+    assume(levels <= 4)  # keeps the enumeration small
+    queries = []
+    for _ in range(data.draw(st.integers(1, 3), label="queries")):
+        level = data.draw(st.integers(0, levels), label="level")
+        stage = data.draw(st.sampled_from([W] if level == 0 else [W, V]), label="stage")
+        n = 1 << level
+        queries.append(
+            Interval.of_length(
+                level,
+                stage,
+                data.draw(st.integers(0, n - 1), label="start"),
+                data.draw(st.integers(0, n), label="length"),
+            )
+        )
+    _assert_the_memo_holds_the_walked_states(leaf, eps, queries)
+
 
 # float.hex of (min_cost, lse, lower_bound) and the argmin steps, written
 # "<kind><level> <m>..<n> <step cost>", on the 12-level (2, 0.05) network
@@ -545,10 +601,32 @@ def test_an_engine_is_freed_with_its_network():
     assert engine() is None
 
 
+def _frames_in_use() -> int:
+    """Recursion depth the caller's stack counts, C calls into Python included.
+
+    It is the limit less the frames a plain recursion can still add.
+    """
+
+    def down(k: int) -> int:
+        try:
+            return down(k + 1)
+        except RecursionError:
+            return k
+
+    return sys.getrecursionlimit() - down(1)
+
+
 def test_the_dp_answers_at_the_level_cap():
-    # two recursion frames per level: 128 levels stay inside the default limit
+    # A cold query at the level cap recurses two `_solve` frames per level
+    # below cut_dp, bounds, aggregates and _read: 2 * 128 + 4 frames above
+    # this one.  The limit leaves a few more, so a third frame per level fails.
     net = MeraNetwork.build(2, find_epsilon(2, 128))
     assert net.levels == 128
-    b = cut_dp(net, Interval.of_length(128, Stage.AFTER_W, 5, (1 << 127) - 5))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames_in_use() + 2 * 128 + 8)
+    try:
+        b = cut_dp(net, Interval.of_length(128, Stage.AFTER_W, 5, (1 << 127) - 5))
+    finally:
+        sys.setrecursionlimit(limit)
     assert b.height_of_argmin > 128
     assert 0.0 < b.lower_bound <= b.lse <= b.min_cost

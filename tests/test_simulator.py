@@ -304,6 +304,9 @@ def test_a_sweep_of_the_d6_network_never_holds_its_leaf_state():
     # Gram off the 1 MiB after_V snapshot.  The sweep holds that Gram and its
     # buffers, but no second array of its size: the rotated state the pairs
     # would form (6**4 * 4**4 amplitudes, as large as the Gram) is never formed.
+    # The traced peak leaves out the working copy of the Gram that
+    # numpy.linalg.eigvalsh makes, and LAPACK's workspace: numpy allocates
+    # them outside tracemalloc's view, so resident memory peaks one Gram higher.
     net = MeraNetwork.build(6, 0.5777)
     gram_bytes = 16 * 576**2
     regions = [
@@ -413,6 +416,8 @@ def test_a_known_spectrum_across_the_clamp_is_recovered():
 
 
 def test_a_lopsided_cut_reads_the_state_without_copying_it(traj_l4):
+    # The traced peak leaves out eigvalsh's working copy of the Gram, which
+    # numpy allocates outside tracemalloc's view; the bound is on the rest.
     leaf = traj_l4.leaf
     interval_spectrum(leaf, [5])  # first call: numpy's one-time allocations
     for region in ([5], [0, 1], [15, 0, 1], list(range(3, 16))):
@@ -666,6 +671,8 @@ def test_a_second_trial_does_not_hold_the_first_draw(net_l4, sweep):
             mc_mutual_information(net_l4, [(left, right)], trials, seed=5)
 
     run(1)  # first call: numpy's one-time allocations
+    # Neither traced peak counts eigvalsh's working copy of a Gram, which
+    # numpy allocates outside tracemalloc's view.
     peaks = []
     for trials in (1, 2):
         tracemalloc.start()
