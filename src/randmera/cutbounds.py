@@ -28,9 +28,18 @@ rotation layer (after_W) and 0 after the splitting layer (after_V), and
 ``a``, ``b`` are the walls.  The wall moves are stated once, by `_moves`, as
 a function of the price, ``w`` and the two walls' parities; the layer below
 a stage is ``(level - 1 + w, 1 - w)``, whose walls are the aligned ones
-shifted right by ``1 - w``.  The fold reads each successor inline: one
-whose walls meet costs nothing, one already in the memo is read from it,
-and only a new state is solved by recursing, two frames per level.
+shifted right by ``1 - w``.
+
+The fold of a state has three cases, by its number of misaligned walls: 0,
+1 or 2 of them give 1, 2 or 4 branches.  Every branch of a state pays the
+same price ``p``: 0.0, the layer's price, or twice it, since an aligned
+wall's move is free and a misaligned one's is the price whichever way it
+goes.  So ``p`` is added once per state, after the successors are folded.
+Rounding is monotone, so ``min_i fl(p + c_i) == fl(p + min_i c_i)`` to the
+bit, and likewise for ``min_mod`` with ``p - log 8``: each minimum is taken
+over the successors before the one add.  Each case reads its successors
+inline: one whose walls meet costs nothing, one already in the memo is read
+from it, and only a new state is solved by recursing, two frames per level.
 
 The memo holds the three numbers of each state and nothing else; the
 states of a network are shared across queries, and no table of unreachable
@@ -39,19 +48,21 @@ interval's state afterwards, picking at each step the branch whose price
 plus the memoised ``min_cost`` of its successor is smallest.  The rules
 treat both walls alike, so an interval and its complement, which has the
 same walls in the other order, have the same aggregates.  That holds to the
-bit because ``log_z`` sums two or four branch terms with `math.fsum`, which
-is exactly rounded and so gives the same bits whatever order the mirror
-image or the complement meets the branches in.  A single branch needs no
-sum: ``t + 0.0`` equals ``t + log(fsum([exp(t - t)]))``, including the sign
-of a zero.
+bit because ``log_z`` sums the branch terms exactly rounded, so it gives the
+same bits whatever order the mirror image or the complement meets the
+branches in.  Two terms need no `math.fsum`: the float sum of two floats is
+already the exactly rounded one.  Four terms do, since a plain sum rounds
+after each of its three adds and so depends on their order.  A single
+branch needs no sum: ``t + 0.0`` equals ``t + log(fsum([exp(t - t)]))``,
+including the sign of a zero.
 
 All costs are in nats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
+from math import exp, fsum, log
 from weakref import WeakKeyDictionary
 
 from .errors import UsageError
@@ -69,7 +80,7 @@ __all__ = [
     "mi_prediction",
 ]
 
-LOG_BRANCH = math.log(8.0)
+LOG_BRANCH = log(8.0)
 
 # DP states are (level, w, a, b), w = 1 after_W and 0 after_V: the region
 # runs clockwise from gap a to gap b, and a == b (empty or whole) ends the
@@ -173,15 +184,21 @@ class CutEngine:
     """One memoised recursion over the reduction states a network's queries reach.
 
     States are int tuples ``(level, w, a, b)``, ``w`` 1 for after_W and 0
-    for after_V.  `_solve` folds the branches that `_moves` gives a state
-    into its three aggregates and stores them in the single memo ``_min``
-    (one entry per state reached whose walls have not met).  It reads each
-    successor inline, as a meeting of walls or a memo hit, and recurses only
-    to solve a new one.  `argmin_sequence` walks the cheapest branches back
-    out of the memo under the same `_moves`; `aggregates` reads one entry,
-    for `bounds` and `mi_prediction` alike.  The engine keeps the level
-    count and log dimensions, not the network, so that `engine_for` can
-    drop it together with its network.
+    for after_V.  `_solve` folds a new state into its three aggregates and
+    stores them in the single memo ``_min`` (one entry per state reached
+    whose walls have not met).  It has one case for each number of
+    misaligned walls, 0, 1 or 2, with the 1, 2 or 4 branches that `_moves`
+    gives, in its order.  The branches share one price, so each minimum is
+    taken over the successors and the price added once: rounding is
+    monotone, so that gives the bits of adding it to every branch first.
+    ``log_z`` adds two branch terms with one float add and sums four with
+    `math.fsum`; both are exactly rounded.  `_solve` reads each successor
+    inline, as a meeting of walls or a memo hit, and recurses only to solve
+    a new one.  `argmin_sequence` walks the cheapest branches back out of
+    the memo under `_moves`; `aggregates` reads one entry, for `bounds` and
+    `mi_prediction` alike.  The engine keeps the level count and log
+    dimensions, not the network, so that `engine_for` can drop it together
+    with its network.
     """
 
     def __init__(self, network: MeraNetwork):
@@ -205,46 +222,96 @@ class CutEngine:
         return entry if entry is not None else self._solve(state)
 
     def _solve(self, state: _State) -> _Entry:
-        """Fold the branches of a new ``state`` whose walls have not met.
+        """Fold the successors of a new ``state`` whose walls have not met.
 
         ``log_z`` is the ``log`` of the sum of ``exp(-cost)`` over all
         sequences and ``min_mod`` the minimum of ``cost - log(8) * steps``.
-        Ties are left to `argmin_sequence`.
+        Ties are left to `argmin_sequence`.  The three cases are the 0, 1 or
+        2 misaligned walls of `_moves`, whose branches all pay one price
+        ``p``; each case reads its successors in `_moves`' branch order.
         """
         level, w, a, b = state
         memo = self._min
-        mask = (1 << level) - 1
         below, w2 = level - 1 + w, 1 - w
-        min_cost = min_mod = math.inf
-        terms = []
-        left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
-        for da, cost_a in left:
-            a2 = ((a + da) & mask) >> w2
-            for db, cost_b in right:
-                b2 = ((b + db) & mask) >> w2
-                if a2 == b2:
-                    c, lz, mod = _END
-                else:
-                    nxt = (below, w2, a2, b2)
-                    entry = memo.get(nxt)
-                    c, lz, mod = entry if entry is not None else self._solve(nxt)
-                price = cost_a + cost_b
-                total = price + c
-                if total < min_cost:
-                    min_cost = total
-                total = price - LOG_BRANCH + mod
-                if total < min_mod:
-                    min_mod = total
-                terms.append(-price + lz)
-        # one term: t + 0.0 is t + log(fsum([1.0])) to the bit; more: fsum is
-        # exactly rounded, so mirrored or complementary branches, met in
-        # another order, give the same bits
-        if len(terms) == 1:
-            log_z = terms[0] + 0.0
+        a_stays, b_stays = a & 1 == w, b & 1 == w
+        if a_stays and b_stays:
+            # one branch at p = 0.0: these equal 0.0 + c, (-0.0 + lz) + 0.0
+            # and (0.0 - LOG_BRANCH) + mod to the bit; aligned walls stay
+            # apart on the layer below, so the successor never ends
+            nxt = (below, w2, a >> w2, b >> w2)
+            entry = memo.get(nxt)
+            c, lz, mod = entry if entry is not None else self._solve(nxt)
+            entry = (c + 0.0, lz + 0.0, mod - LOG_BRANCH)
+            memo[state] = entry
+            return entry
+        mask = (1 << level) - 1
+        p = (self._log_d if w else self._log_dv)[level]
+        if a_stays or b_stays:
+            # two branches at the one misaligned wall's price
+            if a_stays:
+                a0 = a1 = a >> w2
+                b0, b1 = ((b - 1) & mask) >> w2, ((b + 1) & mask) >> w2
+            else:
+                a0, a1 = ((a - 1) & mask) >> w2, ((a + 1) & mask) >> w2
+                b0 = b1 = b >> w2
+            if a0 == b0:
+                c0, lz0, m0 = _END
+            else:
+                nxt = (below, w2, a0, b0)
+                entry = memo.get(nxt)
+                c0, lz0, m0 = entry if entry is not None else self._solve(nxt)
+            if a1 == b1:
+                c1, lz1, m1 = _END
+            else:
+                nxt = (below, w2, a1, b1)
+                entry = memo.get(nxt)
+                c1, lz1, m1 = entry if entry is not None else self._solve(nxt)
+            v0, v1 = lz0 - p, lz1 - p
+            top = v1 if v1 > v0 else v0
+            entry = (
+                p + (c0 if c0 <= c1 else c1),
+                top + log(exp(v0 - top) + exp(v1 - top)),
+                (p - LOG_BRANCH) + (m0 if m0 <= m1 else m1),
+            )
+            memo[state] = entry
+            return entry
+        # four branches at twice the price, p + p exactly
+        a0, a1 = ((a - 1) & mask) >> w2, ((a + 1) & mask) >> w2
+        b0, b1 = ((b - 1) & mask) >> w2, ((b + 1) & mask) >> w2
+        if a0 == b0:
+            c0, lz0, m0 = _END
         else:
-            top = max(terms)
-            log_z = top + math.log(math.fsum([math.exp(v - top) for v in terms]))
-        entry = (min_cost, log_z, min_mod)
+            nxt = (below, w2, a0, b0)
+            entry = memo.get(nxt)
+            c0, lz0, m0 = entry if entry is not None else self._solve(nxt)
+        if a0 == b1:
+            c1, lz1, m1 = _END
+        else:
+            nxt = (below, w2, a0, b1)
+            entry = memo.get(nxt)
+            c1, lz1, m1 = entry if entry is not None else self._solve(nxt)
+        if a1 == b0:
+            c2, lz2, m2 = _END
+        else:
+            nxt = (below, w2, a1, b0)
+            entry = memo.get(nxt)
+            c2, lz2, m2 = entry if entry is not None else self._solve(nxt)
+        if a1 == b1:
+            c3, lz3, m3 = _END
+        else:
+            nxt = (below, w2, a1, b1)
+            entry = memo.get(nxt)
+            c3, lz3, m3 = entry if entry is not None else self._solve(nxt)
+        p = p + p
+        v0, v1, v2, v3 = lz0 - p, lz1 - p, lz2 - p, lz3 - p
+        top = max(v0, v1, v2, v3)
+        c01, c23 = c0 if c0 <= c1 else c1, c2 if c2 <= c3 else c3
+        m01, m23 = m0 if m0 <= m1 else m1, m2 if m2 <= m3 else m3
+        entry = (
+            p + (c01 if c01 <= c23 else c23),
+            top + log(fsum((exp(v0 - top), exp(v1 - top), exp(v2 - top), exp(v3 - top)))),
+            (p - LOG_BRANCH) + (m01 if m01 <= m23 else m23),
+        )
         memo[state] = entry
         return entry
 
@@ -256,19 +323,21 @@ class CutEngine:
         """The cheapest sequence, walked from the memoised ``min_cost`` values.
 
         Each step takes the branch with the smallest price plus successor
-        ``min_cost``; among totals that agree to 12 decimals the smallest
-        ``(m, n, branch index)`` wins, so walks are deterministic for golden
-        tests.
+        ``min_cost``, read straight from the memo that the fold filled;
+        among totals that agree to 12 decimals the smallest ``(m, n, branch
+        index)`` wins, so walks are deterministic for golden tests.  A step
+        with one branch takes it unrounded.
         """
         state = self.state_of(interval)
         cost = self._read(state)[0]
+        memo = self._min
         steps: list[ReductionStep] = []
         level, w, a, b = state
         while a != b:
             mask = (1 << level) - 1
             below, w2 = level - 1 + w, 1 - w
             left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
-            # every successor is solved by now: _read only reads the memo
+            one = len(left) == len(right) == 1
             branches = []
             for da, cost_a in left:
                 a2 = (a + da) & mask
@@ -276,7 +345,10 @@ class CutEngine:
                     b2 = (b + db) & mask
                     price = cost_a + cost_b
                     nxt = (below, w2, a2 >> w2, b2 >> w2)
-                    total = round(price + self._read(nxt)[0], 12)
+                    # the fold solved every successor: one missing raises KeyError
+                    total = price + (_END if nxt[2] == nxt[3] else memo[nxt])[0]
+                    if not one:
+                        total = round(total, 12)
                     branches.append((total, a2, (b2 - 1) & mask, len(branches), price, nxt))
             _, m, last, _, price, nxt = min(branches)
             steps.append(ReductionStep("W" if w else "V", level, m, last, price))

@@ -31,11 +31,9 @@ from .errors import FeasibilityError, UsageError
 
 __all__ = [
     "DimensionSchedule",
-    "closed_form_log_dim",
     "find_epsilon",
     "schedule_report",
     "solve_schedule",
-    "unrounded_log_dims",
 ]
 
 # A cold `cutbounds.cut_dp` query recurses two `CutEngine._solve` frames per
@@ -115,29 +113,6 @@ def solve_schedule(leaf_dim: int, epsilon: float) -> DimensionSchedule:
     log_dims, dims = zip(*reversed(up))
     log_dims_v, dims_v = zip((0.0, 1), *reversed(up_v))
     return DimensionSchedule(leaf_dim, float(epsilon), m, log_dims, log_dims_v, dims, dims_v)
-
-
-def unrounded_log_dims(leaf_dim: int, epsilon: float, m_max: int) -> list[float]:
-    """Real-valued reference recursion without the integer ceilings.
-
-    Iterates the same two rows in units of log-dimension per covered leaf
-    (``t_m = log dims[L-m] / 2**m``), where both rows together reduce to
-    ``t_{m+1} = t_m - 1.5 epsilon``; this keeps 20+ doublings free of float
-    blow-up.  Returns ``log dims[L - m]`` for ``m = 0 .. m_max``.
-    """
-    if leaf_dim < 2 or not (epsilon > 0):
-        raise UsageError("need leaf_dim >= 2 and epsilon > 0")
-    t = math.log(leaf_dim)
-    out = []
-    for m in range(m_max + 1):
-        out.append(t * (1 << m))
-        t = t - 1.5 * epsilon
-    return out
-
-
-def closed_form_log_dim(leaf_dim: int, epsilon: float, m: int) -> float:
-    """Closed form ``2**m log(leaf_dim) - 3 m epsilon 2**(m-1)`` of the recursion."""
-    return (1 << m) * math.log(leaf_dim) - 3.0 * m * epsilon * (2.0 ** (m - 1))
 
 
 def find_epsilon(leaf_dim: int, target_levels: int) -> float:

@@ -1,9 +1,11 @@
-"""Shared fixtures, an independently written reduction enumerator, and a budget probe.
+"""Shared fixtures, an independently written reduction enumerator, a reference fold and a budget probe.
 
 The enumerator below re-derives the layer-peeling rules as a plain recursion
 that lists every legal sequence outright.  It shares no code with the
 memoized dynamic program in ``randmera.cutbounds``, so agreement between the
-two is a real cross-check rather than a tautology.
+two is a real cross-check rather than a tautology.  The reference fold is
+the dynamic program's generic form, one loop over the branches of
+``cutbounds._moves``; the engine's unrolled cases must give its bits.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import warnings
 import pytest
 
 from randmera import FeasibilityError, Interval, MeraNetwork, Stage, find_epsilon, simulator
+from randmera.cutbounds import _END, LOG_BRANCH, CutEngine, ReductionSequence, ReductionStep, _moves
 
 # hypothesis imports this module to report a failing example; its libcst
 # import warns, and under ``-W error`` that would end the whole run with an
@@ -93,6 +96,75 @@ def brute_cut_stats(network: MeraNetwork, interval: Interval) -> tuple[float, fl
     lse = -(top + math.log(sum(math.exp(-c - top) for c, _ in seqs)))
     lower = min(c - LOG8 * h for c, h in seqs)
     return min_cost, lse, lower
+
+
+class ReferenceEngine(CutEngine):
+    """`CutEngine` with the generic fold: every branch of `_moves` in one loop.
+
+    Each branch adds its own price to its successor's numbers and keeps a
+    minimum by ``if total < best``; ``log_z`` sums the list of branch terms
+    with `math.fsum`.  The argmin walk reads each successor through `_read`
+    and rounds every step's totals.  The engine's three unrolled cases, with
+    the shared price added after the minima, must give the same bits.
+    """
+
+    def _solve(self, state):
+        level, w, a, b = state
+        memo = self._min
+        mask = (1 << level) - 1
+        below, w2 = level - 1 + w, 1 - w
+        min_cost = min_mod = math.inf
+        terms = []
+        left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
+        for da, cost_a in left:
+            a2 = ((a + da) & mask) >> w2
+            for db, cost_b in right:
+                b2 = ((b + db) & mask) >> w2
+                if a2 == b2:
+                    c, lz, mod = _END
+                else:
+                    nxt = (below, w2, a2, b2)
+                    entry = memo.get(nxt)
+                    c, lz, mod = entry if entry is not None else self._solve(nxt)
+                price = cost_a + cost_b
+                total = price + c
+                if total < min_cost:
+                    min_cost = total
+                total = price - LOG_BRANCH + mod
+                if total < min_mod:
+                    min_mod = total
+                terms.append(-price + lz)
+        if len(terms) == 1:
+            log_z = terms[0] + 0.0
+        else:
+            top = max(terms)
+            log_z = top + math.log(math.fsum([math.exp(v - top) for v in terms]))
+        entry = (min_cost, log_z, min_mod)
+        memo[state] = entry
+        return entry
+
+    def argmin_sequence(self, interval):
+        state = self.state_of(interval)
+        cost = self._read(state)[0]
+        steps = []
+        level, w, a, b = state
+        while a != b:
+            mask = (1 << level) - 1
+            below, w2 = level - 1 + w, 1 - w
+            left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
+            branches = []
+            for da, cost_a in left:
+                a2 = (a + da) & mask
+                for db, cost_b in right:
+                    b2 = (b + db) & mask
+                    price = cost_a + cost_b
+                    nxt = (below, w2, a2 >> w2, b2 >> w2)
+                    total = round(price + self._read(nxt)[0], 12)
+                    branches.append((total, a2, (b2 - 1) & mask, len(branches), price, nxt))
+            _, m, last, _, price, nxt = min(branches)
+            steps.append(ReductionStep("W" if w else "V", level, m, last, price))
+            level, w, a, b = nxt
+        return ReductionSequence(start=interval, steps=tuple(steps), cost=cost)
 
 
 class _Drawn(Exception):

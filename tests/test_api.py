@@ -24,9 +24,6 @@ import randmera
 PACKAGE = Path(randmera.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# closed-form oracles that tests/test_schedule.py compares `solve_schedule` against
-EXEMPT = {("schedule", "closed_form_log_dim"), ("schedule", "unrounded_log_dims")}
-
 
 def _identifiers(node: ast.AST) -> set[str]:
     """Every name, attribute and imported name that ``node`` mentions in code."""
@@ -76,19 +73,12 @@ def unconsumed() -> list[str]:
             reached = set().union(*(_identifiers(definitions[d]) for d in frontier))
             frontier = (reached & set(definitions)) - live
             live |= frontier
-        missing += [
-            f"{name}.{attr}" for attr in sorted(public - live) if (name, attr) not in EXEMPT
-        ]
+        missing += [f"{name}.{attr}" for attr in sorted(public - live)]
     return missing
 
 
 def test_every_public_function_and_class_has_a_consumer():
     assert unconsumed() == []
-
-
-def test_the_exempt_oracles_are_still_public():
-    for module, attr in EXEMPT:
-        assert attr in getattr(randmera, module).__all__
 
 
 @pytest.mark.parametrize("attr", randmera.__all__)

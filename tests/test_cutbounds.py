@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import random
 import sys
 import weakref
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_cut_stats, enumerate_reduction_costs
+from conftest import ReferenceEngine, brute_cut_stats, enumerate_reduction_costs
 from randmera import (
     Interval,
     MeraNetwork,
@@ -153,6 +154,87 @@ def test_the_memo_holds_exactly_the_states_reached_on_drawn_schedules(data):
             )
         )
     _assert_the_memo_holds_the_walked_states(leaf, eps, queries)
+
+
+def _hex_steps(seq):
+    return seq.cost.hex(), [(s.kind, s.level, s.m, s.n, s.cost.hex()) for s in seq.steps]
+
+
+def _assert_the_fold_matches_the_reference(network, queries):
+    # Both engines answer the same queries in turn: the same states, solved
+    # in the same order, hold the same bits, and the walks take the same steps.
+    engine, reference = CutEngine(network), ReferenceEngine(network)
+    for iv in queries:
+        got, want = engine.aggregates(iv), reference.aggregates(iv)
+        assert [x.hex() for x in got] == [x.hex() for x in want], iv
+        assert len(engine._min) == len(reference._min), iv
+        walks = engine.argmin_sequence(iv), reference.argmin_sequence(iv)
+        assert _hex_steps(walks[0]) == _hex_steps(walks[1]), iv
+    assert [(k, [x.hex() for x in v]) for k, v in engine._min.items()] == [
+        (k, [x.hex() for x in v]) for k, v in reference._min.items()
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_fold_matches_the_reference_on_drawn_schedules(data):
+    leaf = data.draw(st.integers(2, 6), label="leaf")
+    eps = data.draw(st.floats(0.04, math.log(leaf)), label="epsilon")
+    net = MeraNetwork.build(leaf, eps)
+    assume(net.levels <= 12)
+    queries = []
+    for _ in range(data.draw(st.integers(1, 6), label="queries")):
+        level = data.draw(st.integers(0, net.levels), label="level")
+        stage = data.draw(st.sampled_from([W] if level == 0 else [W, V]), label="stage")
+        n = 1 << level
+        queries.append(
+            Interval.of_length(
+                level,
+                stage,
+                data.draw(st.integers(0, n - 1), label="start"),
+                data.draw(st.integers(0, n), label="length"),
+            )
+        )
+    _assert_the_fold_matches_the_reference(net, queries)
+
+
+def test_the_fold_matches_the_reference_on_every_interval_of_the_d6_network():
+    net = MeraNetwork.build(6, 0.5777)
+    _assert_the_fold_matches_the_reference(net, list(_all_intervals(net)))
+
+
+def test_the_fold_matches_the_reference_at_depth():
+    # 96 levels, whose costs pass 2**53: at every level and stage the empty
+    # and whole rings and one proper interval at a drawn start, in turn the
+    # shortest, the longest, half the ring and a drawn length, each stage
+    # meeting all four within any four levels
+    net = MeraNetwork.build(2, 0.005)
+    assert net.levels == 96
+    rng = random.Random(96)
+    queries = []
+    for level in range(net.levels + 1):
+        n = 1 << level
+        for stage in [W] if level == 0 else [W, V]:
+            lengths = [0, n]
+            if n > 1:
+                proper = (1, n - 1, n // 2, rng.randint(1, n - 1))
+                lengths.append(proper[(3 * level + (stage is V)) % 4])
+            for length in lengths:
+                queries.append(Interval.of_length(level, stage, rng.randrange(n), length))
+    _assert_the_fold_matches_the_reference(net, queries)
+
+
+def test_the_argmin_walk_reads_only_solved_states(net_l4):
+    # The fold solves every state the walk can reach, so a missing one is a
+    # broken memo, reported rather than solved again.
+    iv = Interval.of_length(4, Stage.AFTER_W, 2, 5)
+    engine = CutEngine(net_l4)
+    state = engine.state_of(iv)
+    engine.aggregates(iv)
+    assert engine.argmin_sequence(iv).height > 1
+    engine._min = {state: engine._min[state]}
+    with pytest.raises(KeyError):
+        engine.argmin_sequence(iv)
 
 
 # float.hex of (min_cost, lse, lower_bound) and the argmin steps, written

@@ -15,7 +15,28 @@ from randmera import (
     schedule_report,
     solve_schedule,
 )
-from randmera.schedule import closed_form_log_dim, unrounded_log_dims
+
+
+def unrounded_log_dims(leaf_dim, epsilon, m_max):
+    """Real-valued reference recursion without the integer ceilings.
+
+    Iterates the same two rows in units of log-dimension per covered leaf
+    (``t_m = log dims[L-m] / 2**m``), where both rows together reduce to
+    ``t_{m+1} = t_m - 1.5 epsilon``; this keeps 20+ doublings free of float
+    blow-up.  Returns ``log dims[L - m]`` for ``m = 0 .. m_max``.
+    """
+    t = math.log(leaf_dim)
+    out = []
+    for m in range(m_max + 1):
+        out.append(t * (1 << m))
+        t = t - 1.5 * epsilon
+    return out
+
+
+def closed_form_log_dim(leaf_dim, epsilon, m):
+    """Closed form ``2**m log(leaf_dim) - 3 m epsilon 2**(m-1)`` of the recursion."""
+    return (1 << m) * math.log(leaf_dim) - 3.0 * m * epsilon * (2.0 ** (m - 1))
+
 
 CASES = [(2, 0.22), (2, 0.35), (2, 0.5057021323536758), (3, 0.4), (4, 0.9), (5, 1.2)]
 
