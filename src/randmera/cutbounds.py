@@ -25,10 +25,11 @@ can reach, all of:
 
 A state is the tuple of ints ``(level, w, a, b)``: ``w`` is 1 after the
 rotation layer (after_W) and 0 after the splitting layer (after_V), and
-``a``, ``b`` are the walls.  The wall moves are stated once, by `_moves`, as
-a function of the price, ``w`` and the two walls' parities; the layer below
-a stage is ``(level - 1 + w, 1 - w)``, whose walls are the aligned ones
-shifted right by ``1 - w``.
+``a``, ``b`` are the walls.  After_W wants both walls in odd gaps and
+after_V both in even ones: an aligned wall stays for free, and a misaligned
+one moves one gap either way at the layer's price.  The layer below a stage
+is ``(level - 1 + w, 1 - w)``, whose walls are the moved ones shifted right
+by ``1 - w``.
 
 The fold of a state has three cases, by its number of misaligned walls: 0,
 1 or 2 of them give 1, 2 or 4 branches.  Every branch of a state pays the
@@ -41,20 +42,40 @@ over the successors before the one add.  Each case reads its successors
 inline: one whose walls meet costs nothing, one already in the memo is read
 from it, and only a new state is solved by recursing, two frames per level.
 
+The one free branch adds nothing: its state takes its successor's numbers,
+``min_mod`` less ``log 8``.  Adding the price 0.0 would change a bit only
+of a -0.0, and there is none.  Aligned walls never meet on the layer below
+(after_W leaves them where they are, after_V halves two distinct even
+gaps), so the successor is a solved state, never the ended one whose
+``log_z`` is -0.0.  No solved ``log_z`` is -0.0: each is a top term plus
+the log of a sum that holds exp(0.0) = 1, a log of +0.0 or more, or is a
+solved successor's.  No ``min_cost`` is -0.0, as prices and the ended cost
+are +0.0 or more.
+
 The memo holds the three numbers of each state and nothing else; the
 states of a network are shared across queries, and no table of unreachable
 states or of moves is ever built.  The argmin sequence is walked from the
-interval's state afterwards, picking at each step the branch whose price
-plus the memoised ``min_cost`` of its successor is smallest.  The rules
-treat both walls alike, so an interval and its complement, which has the
-same walls in the other order, have the same aggregates.  That holds to the
-bit because ``log_z`` sums the branch terms exactly rounded, so it gives the
-same bits whatever order the mirror image or the complement meets the
-branches in.  Two terms need no `math.fsum`: the float sum of two floats is
-already the exactly rounded one.  Four terms do, since a plain sum rounds
-after each of its three adds and so depends on their order.  A single
-branch needs no sum: ``t + 0.0`` equals ``t + log(fsum([exp(t - t)]))``,
-including the sign of a zero.
+interval's state afterwards, through the fold's three cases: each step
+takes the branch whose price plus the memoised ``min_cost`` of its
+successor is smallest, and among totals that agree to 12 decimals the one
+with the smallest ``(m, n, branch index)``.  Each case lists its branches
+in that key's order, so an exact tie takes the first of them with no
+rounding, and `round` is called only for a total within 2e-12 of the
+smallest.  That picks the branch that rounding every total would, bit for
+bit.  Rounding is monotone, so the smallest rounded total is the smallest
+total's, rounded.  Two totals that round alike are equal or at most 1e-12
+apart (above 8192, where floats are more than 1e-12 apart,
+``round(x, 12) == x``), so a total more than 2e-12 above the smallest never
+ties with it.
+
+The rules treat both walls alike, so an interval and its complement, which
+has the same walls in the other order, have the same aggregates.  That
+holds to the bit because ``log_z`` sums the branch terms exactly rounded,
+so it gives the same bits whatever order the mirror image or the complement
+meets the branches in.  Two terms need no `math.fsum`: the float sum of two
+floats is already the exactly rounded one, and the top one of them is
+exp(0.0), the literal 1.0.  Four terms do, since a plain sum rounds after
+each of its three adds and so depends on their order.
 
 All costs are in nats.
 """
@@ -164,22 +185,6 @@ _Entry = tuple[float, float, float]
 _END: _Entry = (0.0, -0.0, 0.0)
 
 
-# (da, price) of each move one wall may make
-_WallMoves = tuple[tuple[int, float], ...]
-
-
-def _moves(price: float, w: int, pa: int, pb: int) -> tuple[_WallMoves, _WallMoves]:
-    """``(da, price)`` moves of the first wall and of the second, of parities ``pa`` and ``pb``.
-
-    After_W (``w`` 1) wants both walls in odd gaps, after_V (``w`` 0) both
-    in even ones; a misaligned wall moves one gap either way at ``price``.
-    A branch is one move of each wall, first wall outer, at the sum of
-    their prices.
-    """
-    step = ((-1, price), (1, price))
-    return ((0, 0.0),) if pa == w else step, ((0, 0.0),) if pb == w else step
-
-
 class CutEngine:
     """One memoised recursion over the reduction states a network's queries reach.
 
@@ -187,15 +192,18 @@ class CutEngine:
     for after_V.  `_solve` folds a new state into its three aggregates and
     stores them in the single memo ``_min`` (one entry per state reached
     whose walls have not met).  It has one case for each number of
-    misaligned walls, 0, 1 or 2, with the 1, 2 or 4 branches that `_moves`
-    gives, in its order.  The branches share one price, so each minimum is
-    taken over the successors and the price added once: rounding is
-    monotone, so that gives the bits of adding it to every branch first.
-    ``log_z`` adds two branch terms with one float add and sums four with
-    `math.fsum`; both are exactly rounded.  `_solve` reads each successor
-    inline, as a meeting of walls or a memo hit, and recurses only to solve
-    a new one.  `argmin_sequence` walks the cheapest branches back out of
-    the memo under `_moves`; `aggregates` reads one entry, for `bounds` and
+    misaligned walls, 0, 1 or 2, with 1, 2 or 4 branches, the first wall's
+    move outer and each wall's move down before up.  The branches share one
+    price, so each minimum is taken over the successors and the price added
+    once: rounding is monotone, so that gives the bits of adding it to
+    every branch first.  The one free branch takes its successor's numbers
+    unchanged but for ``min_mod``.  ``log_z`` adds two branch terms with one
+    float add and sums four with `math.fsum`; both are exactly rounded.
+    `_solve` reads each successor inline, as a meeting of walls or a memo
+    hit, and recurses only to solve a new one.  `argmin_sequence` walks the
+    cheapest branches back out of the memo through the same three cases,
+    rounding only at near-ties, where rounding every total would give the
+    same branch; `aggregates` reads one entry, for `bounds` and
     `mi_prediction` alike.  The engine keeps the level count and log
     dimensions, not the network, so that `engine_for` can drop it together
     with its network.
@@ -227,21 +235,22 @@ class CutEngine:
         ``log_z`` is the ``log`` of the sum of ``exp(-cost)`` over all
         sequences and ``min_mod`` the minimum of ``cost - log(8) * steps``.
         Ties are left to `argmin_sequence`.  The three cases are the 0, 1 or
-        2 misaligned walls of `_moves`, whose branches all pay one price
-        ``p``; each case reads its successors in `_moves`' branch order.
+        2 misaligned walls, whose branches all pay one price ``p``; each
+        case reads its successors in branch order, the first wall's move
+        outer and each wall's move down before up.
         """
         level, w, a, b = state
         memo = self._min
         below, w2 = level - 1 + w, 1 - w
         a_stays, b_stays = a & 1 == w, b & 1 == w
         if a_stays and b_stays:
-            # one branch at p = 0.0: these equal 0.0 + c, (-0.0 + lz) + 0.0
-            # and (0.0 - LOG_BRANCH) + mod to the bit; aligned walls stay
-            # apart on the layer below, so the successor never ends
+            # one free branch: the successor's numbers, min_mod less log 8;
+            # the successor is a solved state, so neither c nor lz is -0.0
+            # and adding the price 0.0 would change no bit
             nxt = (below, w2, a >> w2, b >> w2)
             entry = memo.get(nxt)
             c, lz, mod = entry if entry is not None else self._solve(nxt)
-            entry = (c + 0.0, lz + 0.0, mod - LOG_BRANCH)
+            entry = (c, lz, mod - LOG_BRANCH)
             memo[state] = entry
             return entry
         mask = (1 << level) - 1
@@ -266,11 +275,11 @@ class CutEngine:
                 nxt = (below, w2, a1, b1)
                 entry = memo.get(nxt)
                 c1, lz1, m1 = entry if entry is not None else self._solve(nxt)
+            # the top term is exp(0.0), the literal 1.0
             v0, v1 = lz0 - p, lz1 - p
-            top = v1 if v1 > v0 else v0
             entry = (
                 p + (c0 if c0 <= c1 else c1),
-                top + log(exp(v0 - top) + exp(v1 - top)),
+                v1 + log(1.0 + exp(v0 - v1)) if v1 > v0 else v0 + log(1.0 + exp(v1 - v0)),
                 (p - LOG_BRANCH) + (m0 if m0 <= m1 else m1),
             )
             memo[state] = entry
@@ -304,7 +313,9 @@ class CutEngine:
             c3, lz3, m3 = entry if entry is not None else self._solve(nxt)
         p = p + p
         v0, v1, v2, v3 = lz0 - p, lz1 - p, lz2 - p, lz3 - p
-        top = max(v0, v1, v2, v3)
+        # max of four, keeping its first maximal term
+        v01, v23 = v1 if v1 > v0 else v0, v3 if v3 > v2 else v2
+        top = v23 if v23 > v01 else v01
         c01, c23 = c0 if c0 <= c1 else c1, c2 if c2 <= c3 else c3
         m01, m23 = m0 if m0 <= m1 else m1, m2 if m2 <= m3 else m3
         entry = (
@@ -325,8 +336,13 @@ class CutEngine:
         Each step takes the branch with the smallest price plus successor
         ``min_cost``, read straight from the memo that the fold filled;
         among totals that agree to 12 decimals the smallest ``(m, n, branch
-        index)`` wins, so walks are deterministic for golden tests.  A step
-        with one branch takes it unrounded.
+        index)`` wins, so walks are deterministic for golden tests.  The walk
+        mirrors the fold's three cases, with the 1, 2 or 4 branches ordered
+        so that the one this rule prefers at a tie comes first.  An exact tie
+        takes the first branch with no `round`; `round` is called only for a
+        total within 2e-12 of the smallest.  That is the choice of rounding
+        every total: rounding is monotone, and totals that round alike are
+        equal or at most 1e-12 apart (``round(x, 12) == x`` above 8192).
         """
         state = self.state_of(interval)
         cost = self._read(state)[0]
@@ -336,23 +352,55 @@ class CutEngine:
         while a != b:
             mask = (1 << level) - 1
             below, w2 = level - 1 + w, 1 - w
-            left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
-            one = len(left) == len(right) == 1
-            branches = []
-            for da, cost_a in left:
-                a2 = (a + da) & mask
-                for db, cost_b in right:
-                    b2 = (b + db) & mask
-                    price = cost_a + cost_b
-                    nxt = (below, w2, a2 >> w2, b2 >> w2)
-                    # the fold solved every successor: one missing raises KeyError
-                    total = price + (_END if nxt[2] == nxt[3] else memo[nxt])[0]
-                    if not one:
-                        total = round(total, 12)
-                    branches.append((total, a2, (b2 - 1) & mask, len(branches), price, nxt))
-            _, m, last, _, price, nxt = min(branches)
-            steps.append(ReductionStep("W" if w else "V", level, m, last, price))
-            level, w, a, b = nxt
+            a_stays, b_stays = a & 1 == w, b & 1 == w
+            if a_stays and b_stays:
+                price = 0.0
+            else:
+                p = (self._log_d if w else self._log_dv)[level]
+                # a misaligned wall's two moves, the one the rule prefers at
+                # a tie first: the first wall's by m, the moved wall, and the
+                # second wall's by n, the site before it; an aligned wall's
+                # one move is to stay
+                a1, b1 = a, b
+                if not a_stays:
+                    a, a1 = (a - 1) & mask, (a + 1) & mask
+                    if a > a1:
+                        a, a1 = a1, a
+                if not b_stays:
+                    b, b1 = (b - 1) & mask, (b + 1) & mask
+                    if (b - 1) & mask > (b1 - 1) & mask:
+                        b, b1 = b1, b
+                # the fold solved every successor: one missing raises KeyError
+                if a_stays or b_stays:
+                    # two branches at the misaligned wall's price, (a, b)
+                    # then (a1, b1)
+                    price = p
+                    x0, y0, x1, y1 = a >> w2, b >> w2, a1 >> w2, b1 >> w2
+                    t0 = p + (0.0 if x0 == y0 else memo[(below, w2, x0, y0)][0])
+                    t1 = p + (0.0 if x1 == y1 else memo[(below, w2, x1, y1)][0])
+                    if t1 < t0 and (t0 - t1 > 2e-12 or round(t1, 12) < round(t0, 12)):
+                        a, b = a1, b1
+                else:
+                    # four branches at twice the price, in the rule's order
+                    # (a, b), (a, b1), (a1, b), (a1, b1)
+                    price = p + p
+                    x0, x1, y0, y1 = a >> w2, a1 >> w2, b >> w2, b1 >> w2
+                    t0 = price + (0.0 if x0 == y0 else memo[(below, w2, x0, y0)][0])
+                    t1 = price + (0.0 if x0 == y1 else memo[(below, w2, x0, y1)][0])
+                    t2 = price + (0.0 if x1 == y0 else memo[(below, w2, x1, y0)][0])
+                    t3 = price + (0.0 if x1 == y1 else memo[(below, w2, x1, y1)][0])
+                    t01, t23 = t0 if t0 <= t1 else t1, t2 if t2 <= t3 else t3
+                    lo = t01 if t01 <= t23 else t23
+                    if t0 == lo or t0 - lo <= 2e-12 and round(t0, 12) == round(lo, 12):
+                        pass
+                    elif t1 == lo or t1 - lo <= 2e-12 and round(t1, 12) == round(lo, 12):
+                        b = b1
+                    elif t2 == lo or t2 - lo <= 2e-12 and round(t2, 12) == round(lo, 12):
+                        a = a1
+                    else:
+                        a, b = a1, b1
+            steps.append(ReductionStep("W" if w else "V", level, a, (b - 1) & mask, price))
+            level, w, a, b = below, w2, a >> w2, b >> w2
         return ReductionSequence(start=interval, steps=tuple(steps), cost=cost)
 
     def bounds(self, interval: Interval) -> CutBounds:

@@ -4,8 +4,11 @@ The enumerator below re-derives the layer-peeling rules as a plain recursion
 that lists every legal sequence outright.  It shares no code with the
 memoized dynamic program in ``randmera.cutbounds``, so agreement between the
 two is a real cross-check rather than a tautology.  The reference fold is
-the dynamic program's generic form, one loop over the branches of
-``cutbounds._moves``; the engine's unrolled cases must give its bits.
+the dynamic program's generic form, one loop over the branches of `_moves`.
+`_moves` states the wall rule once, as a function of the price, the stage
+and the walls' parities; it lives here, apart from the package, whose fold
+and argmin walk are unrolled into their three cases and must give the
+reference's bits.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import warnings
 import pytest
 
 from randmera import FeasibilityError, Interval, MeraNetwork, Stage, find_epsilon, simulator
-from randmera.cutbounds import _END, LOG_BRANCH, CutEngine, ReductionSequence, ReductionStep, _moves
+from randmera.cutbounds import _END, LOG_BRANCH, CutEngine, ReductionSequence, ReductionStep
 
 # hypothesis imports this module to report a failing example; its libcst
 # import warns, and under ``-W error`` that would end the whole run with an
@@ -98,14 +101,28 @@ def brute_cut_stats(network: MeraNetwork, interval: Interval) -> tuple[float, fl
     return min_cost, lse, lower
 
 
+def _moves(price: float, w: int, pa: int, pb: int):
+    """``(da, price)`` moves of the first wall and of the second, of parities ``pa`` and ``pb``.
+
+    After_W (``w`` 1) wants both walls in odd gaps, after_V (``w`` 0) both
+    in even ones; a misaligned wall moves one gap either way at ``price``.
+    A branch is one move of each wall, first wall outer, at the sum of
+    their prices.
+    """
+    step = ((-1, price), (1, price))
+    return ((0, 0.0),) if pa == w else step, ((0, 0.0),) if pb == w else step
+
+
 class ReferenceEngine(CutEngine):
     """`CutEngine` with the generic fold: every branch of `_moves` in one loop.
 
     Each branch adds its own price to its successor's numbers and keeps a
     minimum by ``if total < best``; ``log_z`` sums the list of branch terms
-    with `math.fsum`.  The argmin walk reads each successor through `_read`
-    and rounds every step's totals.  The engine's three unrolled cases, with
-    the shared price added after the minima, must give the same bits.
+    with `math.fsum`.  The argmin walk reads each successor through `_read`,
+    rounds every branch's total to 12 decimals and takes the `min` of the
+    ``(total, m, n, branch index)`` tuples.  The engine's three unrolled
+    cases, with the shared price added after the minima and `round` called
+    only at near-ties, must give the same bits and the same steps.
     """
 
     def _solve(self, state):

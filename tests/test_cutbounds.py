@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ReferenceEngine, brute_cut_stats, enumerate_reduction_costs
+from conftest import ReferenceEngine, _moves, brute_cut_stats, enumerate_reduction_costs
 from randmera import (
     Interval,
     MeraNetwork,
@@ -23,6 +23,7 @@ from randmera import (
     find_epsilon,
     mi_prediction,
 )
+from randmera import cutbounds
 from randmera.cutbounds import LOG_BRANCH, CutEngine, engine_for
 
 # Small networks whose sequence space can be enumerated outright.
@@ -235,6 +236,111 @@ def test_the_argmin_walk_reads_only_solved_states(net_l4):
     engine._min = {state: engine._min[state]}
     with pytest.raises(KeyError):
         engine.argmin_sequence(iv)
+
+
+def _branches(engine, state):
+    """``(price, successor, (m, n))`` of each branch of ``state``, in `_moves`' order."""
+    level, w, a, b = state
+    mask, w2 = (1 << level) - 1, 1 - w
+    left, right = _moves((engine._log_d if w else engine._log_dv)[level], w, a & 1, b & 1)
+    return [
+        (
+            pa + pb,
+            (level - 1 + w, w2, ((a + da) & mask) >> w2, ((b + db) & mask) >> w2),
+            ((a + da) & mask, (b + db - 1) & mask),
+        )
+        for da, pa in left
+        for db, pb in right
+    ]
+
+
+def _count_round_calls(monkeypatch):
+    calls = []
+
+    def counted(x, ndigits):
+        calls.append(x)
+        return round(x, ndigits)
+
+    monkeypatch.setattr(cutbounds, "round", counted, raising=False)
+    return calls
+
+
+# First steps on the 12-level (2, 0.05) network: three with two branches,
+# then three with four.  Each group has one step away from the ring's seam,
+# then steps where a wall's move or its n wraps the seam, so that the walk's
+# tie order is not always down before up.
+NEAR_TIE_QUERIES = [
+    (12, W, 1, 101),
+    (12, W, 0, 101),
+    (12, V, 4000, 97),
+    (12, V, 1, 100),
+    (12, V, 3001, 1096),
+    (12, V, 4095, 100),
+]
+
+
+@pytest.mark.parametrize("gap", [0.0, 4e-13, 1.5e-12, 3e-12])
+@pytest.mark.parametrize("magnitude", [1.0, 1e4])
+def test_the_walk_breaks_near_ties_as_rounding_every_total_does(net_big, monkeypatch, magnitude, gap):
+    # The successors' min_cost entries are overwritten so that one branch's
+    # total lies near R, a 12-decimal number above the price plus
+    # ``magnitude``, another ``gap`` above it and the rest 1 above.  The
+    # reference rounds every total; the engine rounds only a total within
+    # 2e-12 of the smallest that the (m, n, branch index) rule prefers to
+    # it, and both walks must take the same steps.
+    calls = _count_round_calls(monkeypatch)
+    for query in NEAR_TIE_QUERIES:
+        iv = Interval.of_length(*query)
+        engine = CutEngine(net_big)
+        engine.aggregates(iv)
+        solved = engine._min
+        branches = _branches(engine, engine.state_of(iv))
+        assert len(branches) in (2, 4) and all(nxt[2] != nxt[3] for _, nxt, _ in branches)
+        price = branches[0][0]
+        r = round(price + magnitude, 12)
+        for low in range(len(branches)):
+            for near in range(len(branches)):
+                if near == low:
+                    continue
+                memo = dict(solved)
+                totals = {}
+                for k, (_, nxt, _) in enumerate(branches):
+                    target = r - 2e-13 + (0.0 if k == low else gap if k == near else 1.0)
+                    memo[nxt] = (target - price, *memo[nxt][1:])
+                    totals[k] = price + memo[nxt][0]
+                t_low, t_near = totals[low], totals[near]
+                if magnitude == 1.0:
+                    # the premise: equal, alike to 12 decimals, or not
+                    assert (t_low == t_near) == (gap == 0.0)
+                    assert (round(t_low, 12) == round(t_near, 12)) == (gap < 1e-12)
+                reference = ReferenceEngine(net_big)
+                engine._min = reference._min = memo
+                del calls[:]
+                got = engine.argmin_sequence(iv)
+                assert _hex_steps(got) == _hex_steps(reference.argmin_sequence(iv)), (query, low, near)
+                preferred = (*branches[near][2], near) < (*branches[low][2], low)
+                assert bool(calls) == (preferred and 0.0 < t_near - t_low <= 2e-12), (query, low, near)
+
+
+def test_the_walk_rounds_nothing_where_ties_are_exact(monkeypatch):
+    # Every interval of the (6, 0.5777) network: some steps meet exact ties,
+    # none a near one, so the walk calls no round at all.
+    net = MeraNetwork.build(6, 0.5777)
+    engine = CutEngine(net)
+    intervals = list(_all_intervals(net))
+    for iv in intervals:
+        engine.aggregates(iv)
+    ties = 0
+    for state in engine._min:
+        totals = sorted(
+            p + (0.0 if nxt[2] == nxt[3] else engine._min[nxt][0]) for p, nxt, _ in _branches(engine, state)
+        )
+        ties += len(totals) > 1 and totals[0] == totals[1]
+    assert ties > 0
+    calls = _count_round_calls(monkeypatch)
+    for iv in intervals:
+        engine.argmin_sequence(iv)
+    assert calls == []
 
 
 # float.hex of (min_cost, lse, lower_bound) and the argmin steps, written
