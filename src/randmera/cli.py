@@ -4,6 +4,9 @@ Subcommands cover the full workbench: dimension schedules, Monte Carlo
 interval entropies with their dynamic-programming brackets, mutual
 information sweeps, reduction-sequence bounds with argmin export, channel
 singular spectra, rescaling collapses, and the isometry-moment self check.
+Both ``collapse`` modes read one ``--specs`` list of ``dA:dB:dE`` maps (a
+two-part ``dA:dB`` takes ``d_E`` from y = 1/2), and rescale with the fixed
+constants of `spectra.collapse_experiment`.
 
 Conventions shared by every command:
 
@@ -97,9 +100,12 @@ def _spec_list(text: str) -> tuple[tuple[int, ...], ...]:
         if len(parts) not in (2, 3):
             raise argparse.ArgumentTypeError(f"expected dA:dB or dA:dB:dE, got {tok!r}")
         try:
-            out.append(tuple(int(p) for p in parts))
+            dims = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"expected integers in {tok!r}") from exc
+        if min(dims) < 1:  # dA:dB divides by dB
+            raise argparse.ArgumentTypeError(f"expected positive integers in {tok!r}")
+        out.append(dims)
     if not out:
         raise argparse.ArgumentTypeError("empty spec list")
     return tuple(out)
@@ -179,11 +185,7 @@ def _cfg_commands() -> dict[str, dict]:
             "help": "rescaled overlay of spectra across sizes",
             "opts": [
                 _Opt("--mode", str, None, "rescaling mode", required=True, choices=("sqrt-d", "affine")),
-                _Opt("--dims", _int_list, (), "sqrt-d mode: comma-separated d values (d_A=d_B=d_E=d)"),
-                _Opt("--specs", _spec_list, (), "affine mode: dA:dB or dA:dB:dE list"),
-                _Opt("--y", float, 0.5, "affine mode: ratio fixing d_E for dA:dB pairs"),
-                _Opt("--shift", float, 0.706, "affine mode: subtracted constant"),
-                _Opt("--alpha", float, 2.0 / 3.0, "affine mode: rescaling exponent"),
+                _Opt("--specs", _spec_list, None, "dA:dB:dE list, all equal for sqrt-d; dA:dB means y = 1/2", required=True),
                 _SEED,
                 _OUT,
                 _SVG,
@@ -473,25 +475,15 @@ def _cmd_spectra(args: dict) -> int:
 def _cmd_collapse(args: dict) -> int:
     mode = args["mode"].replace("-", "_")
     specs = []
-    if mode == "sqrt_d":
-        if not args["dims"]:
-            raise UsageError("sqrt-d mode needs --dims")
-        for idx, d in enumerate(args["dims"]):
-            specs.append(spectra.SuperOperatorSpec(d_A=d, d_B=d, d_E=d, seed=(args["seed"], idx)))
-    else:
-        if not args["specs"]:
-            raise UsageError("affine mode needs --specs")
-        if not (math.isfinite(args["y"]) and args["y"] > 0):
-            raise UsageError(f"--y must be positive and finite, got {args['y']!r}")
-        for idx, parts in enumerate(args["specs"]):
-            if len(parts) == 2:
-                d_a, d_b = parts
-                d_e = round(d_a / (args["y"] * d_b))
-            else:
-                d_a, d_b, d_e = parts
-            specs.append(spectra.SuperOperatorSpec(d_A=d_a, d_B=d_b, d_E=d_e, seed=(args["seed"], idx)))
+    for idx, parts in enumerate(args["specs"]):
+        if len(parts) == 2:
+            d_a, d_b = parts
+            d_e = round(d_a / (spectra.PAIR_Y * d_b))
+        else:
+            d_a, d_b, d_e = parts
+        specs.append(spectra.SuperOperatorSpec(d_A=d_a, d_B=d_b, d_E=d_e, seed=(args["seed"], idx)))
     _check_map_sizes(specs)
-    rows = spectra.collapse_experiment(specs, mode, shift=args["shift"], alpha=args["alpha"])
+    rows = spectra.collapse_experiment(specs, mode)
     if args["out"]:
         _write_csv(
             args["out"],

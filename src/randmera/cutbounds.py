@@ -82,8 +82,9 @@ All costs are in nats.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import exp, fsum, log
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .errors import UsageError
@@ -109,8 +110,7 @@ LOG_BRANCH = log(8.0)
 _State = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One peeling step: wall alignment plus removal of one layer.
 
     ``kind`` is "W" when a rotation layer is removed and "V" for a splitting
@@ -150,7 +150,7 @@ class ReductionSequence:
             },
             "cost": self.cost,
             "height": self.height,
-            "steps": [asdict(s) for s in self.steps],
+            "steps": [s._asdict() for s in self.steps],
         }
 
 
@@ -191,22 +191,12 @@ class CutEngine:
     States are int tuples ``(level, w, a, b)``, ``w`` 1 for after_W and 0
     for after_V.  `_solve` folds a new state into its three aggregates and
     stores them in the single memo ``_min`` (one entry per state reached
-    whose walls have not met).  It has one case for each number of
-    misaligned walls, 0, 1 or 2, with 1, 2 or 4 branches, the first wall's
-    move outer and each wall's move down before up.  The branches share one
-    price, so each minimum is taken over the successors and the price added
-    once: rounding is monotone, so that gives the bits of adding it to
-    every branch first.  The one free branch takes its successor's numbers
-    unchanged but for ``min_mod``.  ``log_z`` adds two branch terms with one
-    float add and sums four with `math.fsum`; both are exactly rounded.
-    `_solve` reads each successor inline, as a meeting of walls or a memo
-    hit, and recurses only to solve a new one.  `argmin_sequence` walks the
-    cheapest branches back out of the memo through the same three cases,
-    rounding only at near-ties, where rounding every total would give the
-    same branch; `aggregates` reads one entry, for `bounds` and
-    `mi_prediction` alike.  The engine keeps the level count and log
-    dimensions, not the network, so that `engine_for` can drop it together
-    with its network.
+    whose walls have not met); `argmin_sequence` walks the cheapest branches
+    back out of it through the same three cases; `aggregates` reads one
+    entry, for `bounds` and `mi_prediction` alike.  Why both give the bits
+    of the generic fold is argued once, in the module docstring.  The
+    engine keeps the level count and log dimensions, not the network, so
+    that `engine_for` can drop it together with its network.
     """
 
     def __init__(self, network: MeraNetwork):
@@ -235,18 +225,17 @@ class CutEngine:
         ``log_z`` is the ``log`` of the sum of ``exp(-cost)`` over all
         sequences and ``min_mod`` the minimum of ``cost - log(8) * steps``.
         Ties are left to `argmin_sequence`.  The three cases are the 0, 1 or
-        2 misaligned walls, whose branches all pay one price ``p``; each
-        case reads its successors in branch order, the first wall's move
-        outer and each wall's move down before up.
+        2 misaligned walls; each reads its successors in branch order, the
+        first wall's move outer and each wall's move down before up, and
+        adds the one price after the minima (module docstring).
         """
         level, w, a, b = state
         memo = self._min
         below, w2 = level - 1 + w, 1 - w
         a_stays, b_stays = a & 1 == w, b & 1 == w
         if a_stays and b_stays:
-            # one free branch: the successor's numbers, min_mod less log 8;
-            # the successor is a solved state, so neither c nor lz is -0.0
-            # and adding the price 0.0 would change no bit
+            # one free branch: the successor's numbers, min_mod less log 8
+            # (the module docstring says why adding 0.0 is skipped)
             nxt = (below, w2, a >> w2, b >> w2)
             entry = memo.get(nxt)
             c, lz, mod = entry if entry is not None else self._solve(nxt)
@@ -337,12 +326,8 @@ class CutEngine:
         ``min_cost``, read straight from the memo that the fold filled;
         among totals that agree to 12 decimals the smallest ``(m, n, branch
         index)`` wins, so walks are deterministic for golden tests.  The walk
-        mirrors the fold's three cases, with the 1, 2 or 4 branches ordered
-        so that the one this rule prefers at a tie comes first.  An exact tie
-        takes the first branch with no `round`; `round` is called only for a
-        total within 2e-12 of the smallest.  That is the choice of rounding
-        every total: rounding is monotone, and totals that round alike are
-        equal or at most 1e-12 apart (``round(x, 12) == x`` above 8192).
+        mirrors the fold's three cases and rounds only at near-ties (module
+        docstring).
         """
         state = self.state_of(interval)
         cost = self._read(state)[0]

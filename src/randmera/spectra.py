@@ -141,6 +141,16 @@ def frobenius_exact(d_A: int, d_B: int, d_E: int) -> float:
     return (d_B / d_A) * (c * t_direct + c_prime * t_swapped)
 
 
+# The affine collapse's fitted rescaling, and the ratio y = d_A / (d_B d_E)
+# that fixes d_E for a two-part dA:dB spec.  The shift 0.706 ~ sqrt(1/2) is
+# the fitted edge of the y = 1/2 family's second value; the exponent 2/3
+# absorbs that edge's (1 + d_B / d_A) factor and its fluctuations.  The
+# Marchenko-Pastur edge is the closed form they approximate (ROADMAP item 3).
+AFFINE_SHIFT = 0.706
+AFFINE_EXPONENT = 2.0 / 3.0
+PAIR_Y = 0.5
+
+
 @dataclass(frozen=True)
 class CollapseRow:
     """One rescaled point of one spectrum: (curve label, index, x, y)."""
@@ -151,29 +161,20 @@ class CollapseRow:
     y: float
 
 
-def collapse_experiment(
-    specs: list[SuperOperatorSpec],
-    rescale: str,
-    shift: float = 0.706,
-    alpha: float = 2.0 / 3.0,
-) -> list[CollapseRow]:
+def collapse_experiment(specs: list[SuperOperatorSpec], rescale: str) -> list[CollapseRow]:
     """Overlay several spectra after rescaling, dropping the top value.
 
     ``rescale="sqrt_d"`` plots ``lambda(i) * sqrt(d)`` against ``i / d^2``
     and requires each spec to have all three dimensions equal.
-    ``rescale="affine"`` plots ``(lambda(i) - shift) * d_B**alpha`` against
-    ``i / d_B^2``; shift and exponent are free parameters (the defaults are
-    the ones that happen to work for the fixed-``y`` family) and must be
-    finite.  The largest
-    singular value of each spectrum is excluded in both modes, so every
-    spec needs ``d_B >= 2``: a one-value spectrum would leave no point.
+    ``rescale="affine"`` plots ``(lambda(i) - AFFINE_SHIFT) * d_B**AFFINE_EXPONENT``
+    against ``i / d_B^2``, with the fitted constants 0.706 and 2/3 above.
+    The largest singular value of each spectrum is excluded in both modes,
+    so every spec needs ``d_B >= 2``: a one-value spectrum would leave no point.
     """
     if not specs:
         raise UsageError("need at least one spec")
     if rescale not in ("sqrt_d", "affine"):
         raise UsageError(f"unknown rescale mode {rescale!r}")
-    if rescale == "affine" and not (math.isfinite(shift) and math.isfinite(alpha)):
-        raise UsageError(f"affine shift and alpha must be finite, got {shift!r} and {alpha!r}")
     for spec in specs:
         if rescale == "sqrt_d" and not spec.d_A == spec.d_B == spec.d_E:
             raise UsageError("sqrt_d mode needs d_A = d_B = d_E")
@@ -188,6 +189,6 @@ def collapse_experiment(
             if rescale == "sqrt_d":
                 ycoord = lam * math.sqrt(spec.d_B)
             else:
-                ycoord = (lam - shift) * spec.d_B**alpha
+                ycoord = (lam - AFFINE_SHIFT) * spec.d_B**AFFINE_EXPONENT
             rows.append(CollapseRow(label=spec.label, index=i, x=i / d_sq, y=ycoord))
     return rows

@@ -198,9 +198,9 @@ def test_spectra_with_one_output_dimension_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["collapse", "--mode", "sqrt-d", "--dims", "1,4"],
-        ["collapse", "--mode", "sqrt-d", "--dims", "4,1"],
-        ["collapse", "--mode", "affine", "--specs", "2:1", "--y", "1"],
+        ["collapse", "--mode", "sqrt-d", "--specs", "1:1:1,4:4:4"],
+        ["collapse", "--mode", "sqrt-d", "--specs", "4:4:4,1:1:1"],
+        ["collapse", "--mode", "affine", "--specs", "2:1:2"],
     ],
 )
 def test_collapse_with_one_output_dimension_is_a_usage_error(argv, monkeypatch, capsys):
@@ -217,7 +217,7 @@ def test_collapse_with_one_output_dimension_is_a_usage_error(argv, monkeypatch, 
 
 def test_collapse_modes_and_spec_derivation(tmp_path):
     out = tmp_path / "sqrt.csv"
-    assert main(["collapse", "--mode", "sqrt-d", "--dims", "3,4", "--out", str(out)]) == 0
+    assert main(["collapse", "--mode", "sqrt-d", "--specs", "3:3:3,4:4:4", "--out", str(out)]) == 0
     rows = _read_csv(out)
     assert rows[0] == ["spec", "i", "x", "y"]
     assert {r[0] for r in rows[1:]} == {"3:3:3", "4:4:4"}
@@ -226,10 +226,14 @@ def test_collapse_modes_and_spec_derivation(tmp_path):
     out2 = tmp_path / "affine.csv"
     assert main(["collapse", "--mode", "affine", "--specs", "8:4", "--out", str(out2)]) == 0
     rows2 = _read_csv(out2)
-    assert {r[0] for r in rows2[1:]} == {"8:4:4"}  # d_E from the default y 0.5
+    assert {r[0] for r in rows2[1:]} == {"8:4:4"}  # d_E from y = 1/2
 
-    assert main(["collapse", "--mode", "sqrt-d"]) == 2  # --dims missing
+    assert main(["collapse", "--mode", "sqrt-d"]) == 2  # --specs missing
+    assert main(["collapse", "--mode", "sqrt-d", "--specs", "8:4"]) == 2  # 8:4:4 is not d:d:d
     assert main(["collapse", "--mode", "affine", "--specs", "8:4:1"]) == 2  # no room
+    with pytest.raises(SystemExit) as exc:  # dA:dB divides by dB
+        main(["collapse", "--mode", "affine", "--specs", "8:0"])
+    assert exc.value.code == 2
 
 
 def test_moments_check_validates_all_patterns(tmp_path, capsys):
@@ -303,27 +307,6 @@ def test_console_script_is_installed():
     assert "levels=3" in proc.stdout
 
 
-@pytest.mark.parametrize("y", ["0", "nan", "inf", "-0.5"])
-def test_affine_collapse_rejects_a_bad_y(y, capsys):
-    argv = ["collapse", "--mode", "affine", "--specs", "8:4", "--y", y]
-    assert main(argv) == 2
-    assert "--y" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "option,value", [("--shift", "nan"), ("--shift", "inf"), ("--alpha", "nan"), ("--alpha", "inf")]
-)
-def test_affine_collapse_rejects_a_non_finite_shift_or_alpha(option, value, monkeypatch, capsys):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("a map was drawn before the rescaling was checked")
-
-    monkeypatch.setattr(spectra, "sample_isometry", no_draw)
-    assert main(["collapse", "--mode", "affine", "--specs", "8:4", option, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be finite" in captured.err
-
-
 @pytest.mark.parametrize("seed", [str(2**128), "-1"])
 @pytest.mark.parametrize(
     "argv",
@@ -331,7 +314,7 @@ def test_affine_collapse_rejects_a_non_finite_shift_or_alpha(option, value, monk
         ["entropy", "--epsilon", L3_EPS, "--interval", "1:2", "--trials", "2"],
         ["mutual-info", "--epsilon", L3_EPS, "--trials", "2"],
         ["spectra", "--dA", "8", "--dB", "4", "--dE", "4"],
-        ["collapse", "--mode", "sqrt-d", "--dims", "4,6"],
+        ["collapse", "--mode", "sqrt-d", "--specs", "4:4:4,6:6:6"],
         ["moments-check", "--d1", "2", "--d2", "4", "--trials", "100"],
     ],
     ids=lambda argv: argv[0],
@@ -356,10 +339,10 @@ def test_spectra_and_collapse_refuse_an_oversized_map_before_any_draw(monkeypatc
     monkeypatch.setattr(spectra, "sample_isometry", no_draw)
     monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES", raising=False)
     for argv in (
-        # d_E = 2e9: a 4e9 x 8 isometry
-        ["collapse", "--mode", "affine", "--specs", "8:4", "--y", "1e-9"],
+        # d_E = 2e9: an 8e9 x 8 isometry
+        ["collapse", "--mode", "affine", "--specs", "8:4:2000000000"],
         # the second map has 1e8 entries
-        ["collapse", "--mode", "sqrt-d", "--dims", "10,100"],
+        ["collapse", "--mode", "sqrt-d", "--specs", "10:10:10,100:100:100"],
         ["spectra", "--dA", "100", "--dB", "100", "--dE", "2"],
     ):
         assert main(argv) == 3
@@ -460,7 +443,7 @@ def _drawn_keys(monkeypatch, module, name):
 def test_each_map_and_pattern_draws_from_the_seed_and_its_index(monkeypatch, capsys):
     maps = _drawn_keys(monkeypatch, spectra, "sample_isometry")
     assert main(["spectra", "--dA", "4", "--dB", "2", "--dE", "2", "--seeds", "3", "--seed", "9"]) == 0
-    assert main(["collapse", "--mode", "sqrt-d", "--dims", "2,3", "--seed", "9"]) == 0
+    assert main(["collapse", "--mode", "sqrt-d", "--specs", "2:2:2,3:3:3", "--seed", "9"]) == 0
     assert maps == [(9, 0), (9, 1), (9, 2), (9, 0), (9, 1)]
     batches = _drawn_keys(monkeypatch, haar, "sample_isometry_batch")
     assert main(["moments-check", "--d1", "1", "--d2", "2", "--trials", "8", "--seed", "9"]) == 0

@@ -17,7 +17,7 @@ from randmera import (
     sample_isometry,
     singular_spectrum,
 )
-from randmera.spectra import SingularSpectrum
+from randmera.spectra import AFFINE_EXPONENT, AFFINE_SHIFT, SingularSpectrum
 
 
 def _superop_from_matrix(w, d_A, d_B, d_E):
@@ -270,11 +270,13 @@ def test_collapse_rows_drop_the_leading_value_and_rescale():
 
 
 def test_affine_collapse_applies_shift_and_exponent():
+    # the fitted constants themselves: a drift in either moves every affine curve
+    assert (AFFINE_SHIFT, AFFINE_EXPONENT) == (0.706, 2.0 / 3.0)
     spec = SuperOperatorSpec(8, 4, 4, seed=2)
-    rows = collapse_experiment([spec], rescale="affine", shift=0.5, alpha=0.75)
+    rows = collapse_experiment([spec], rescale="affine")
     sp = singular_spectrum(spec)
     row = next(r for r in rows if r.index == 2)
-    assert row.y == pytest.approx((float(sp.values[2]) - 0.5) * 4**0.75, rel=1e-12)
+    assert row.y == (float(sp.values[2]) - AFFINE_SHIFT) * 4**AFFINE_EXPONENT
 
 
 def test_collapse_validation():
