@@ -14,15 +14,14 @@ Conventions shared by every command:
   reproducible byte for byte): Monte Carlo trial, map or ``moments-check``
   pattern ``i`` draws from the `haar.seed_key` key ``(seed, i)``; a seed
   outside those bounds exits 2 before any amplitude-budget check,
-* ``--config FILE`` reads flat ``key = value`` lines (``#`` comments);
-  explicit flags override the file, unknown keys are rejected,
 * ``--out`` writes a UTF-8 CSV with a header row and RFC-4180 quoting, and
   a one-line summary always goes to stdout,
-* entropic quantities are computed in nats and converted when
-  ``--units bits`` is given,
-* exit codes: 0 success, 2 usage problem, 3 feasibility limit: a schedule
-  over 128 levels, or a dense state (never past 2**53 per site), a map or
-  a ``moments-check`` batch of isometries over the amplitude budget.
+* entropic quantities (entropies, cut costs, mutual-information brackets)
+  are printed and written in nats,
+* exit codes: 0 success, 2 usage problem or an output file that cannot be
+  written, 3 feasibility limit: a schedule over 128 levels, or a dense
+  state (never past 2**53 per site), a map or a ``moments-check`` batch of
+  isometries over the amplitude budget.
 
 The amplitude budget caps, before the first draw, each dense state, map
 and isometry batch a command forms; it can be overridden through the
@@ -36,8 +35,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import cutbounds, simulator, spectra, svgplot
 from .errors import FeasibilityError, UsageError
@@ -56,22 +54,17 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# option table / config merging
+# option table
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Opt:
+class _Opt(NamedTuple):
     flag: str
     type: Callable
     default: object
     help: str
     required: bool = False
     choices: tuple | None = None
-
-    @property
-    def dest(self) -> str:
-        return self.flag.lstrip("-").replace("-", "_")
 
 
 def _interval_arg(text: str) -> tuple[int, int]:
@@ -113,100 +106,85 @@ def _spec_list(text: str) -> tuple[tuple[int, ...], ...]:
 
 _SEED = _Opt("--seed", int, 0, "master seed; all randomness derives from it")
 _OUT = _Opt("--out", str, None, "write results to this CSV file")
-_CONFIG = _Opt("--config", str, None, "flat key = value config file; flags override it")
-_UNITS = _Opt("--units", str, "nats", "entropy units", choices=("nats", "bits"))
 _LEAF = _Opt("--leaf-dim", int, 2, "leaf site dimension (>= 2)")
 _EPS = _Opt("--epsilon", float, None, "per-scale contraction rate (> 0)", required=True)
 _TRIALS = _Opt("--trials", int, 200, "number of Monte Carlo trials")
 _SVG = _Opt("--svg", str, None, "also write a line plot to this SVG file")
 
 
-def _cfg_commands() -> dict[str, dict]:
-    return {
-        "schedule": {
-            "help": "solve the level-dimension recursion and report the schedule",
-            "opts": [_LEAF, _EPS, _OUT, _SVG, _CONFIG],
-        },
-        "entropy": {
-            "help": "Monte Carlo interval entropies with their DP bracket",
-            "opts": [
-                _LEAF,
-                _EPS,
-                _Opt("--interval", _interval_arg, None, "leaf interval i:j (inclusive, modular)", required=True),
-                _TRIALS,
-                _SEED,
-                _UNITS,
-                _OUT,
-                _CONFIG,
-            ],
-        },
-        "mutual-info": {
-            "help": "mutual information of adjacent leaf intervals vs DP brackets",
-            "opts": [
-                _LEAF,
-                _EPS,
-                _Opt("--lengths", _int_list, (1, 2, 4), "comma-separated interval lengths"),
-                _Opt("--offset", int, 0, "left interval start site"),
-                _TRIALS,
-                _SEED,
-                _UNITS,
-                _OUT,
-                _CONFIG,
-            ],
-        },
-        "cuts": {
-            "help": "reduction-sequence bounds for one interval",
-            "opts": [
-                _LEAF,
-                _EPS,
-                _Opt("--interval", _interval_arg, None, "interval i:j on the chosen ring", required=True),
-                _Opt("--level", int, None, "ring level (default: leaf level)"),
-                _Opt("--stage", str, "after_W", "ring stage", choices=("after_W", "after_V")),
-                _Opt("--emit-argmin", str, None, "write the argmin sequence to this JSON file"),
-                _UNITS,
-                _OUT,
-                _CONFIG,
-            ],
-        },
-        "spectra": {
-            "help": "singular spectra of the random coarse-graining channel",
-            "opts": [
-                _Opt("--dA", int, None, "input dimension", required=True),
-                _Opt("--dB", int, None, "kept output dimension", required=True),
-                _Opt("--dE", int, None, "traced output dimension", required=True),
-                _Opt("--seeds", int, 10, "number of independent draws"),
-                _SEED,
-                _OUT,
-                _SVG,
-                _CONFIG,
-            ],
-        },
-        "collapse": {
-            "help": "rescaled overlay of spectra across sizes",
-            "opts": [
-                _Opt("--mode", str, None, "rescaling mode", required=True, choices=("sqrt-d", "affine")),
-                _Opt("--specs", _spec_list, None, "dA:dB:dE list, all equal for sqrt-d; dA:dB means y = 1/2", required=True),
-                _SEED,
-                _OUT,
-                _SVG,
-                _CONFIG,
-            ],
-        },
-        "moments-check": {
-            "help": "Monte Carlo check of the isometry fourth-moment closed forms",
-            "opts": [
-                _Opt("--d1", int, None, "input dimension", required=True),
-                _Opt("--d2", int, None, "output dimension", required=True),
-                _Opt("--trials", int, 100_000, "number of sampled isometries"),
-                _SEED,
-                _OUT,
-                _CONFIG,
-            ],
-        },
-    }
-
-
-_COMMANDS = _cfg_commands()
+_COMMANDS: dict[str, dict] = {
+    "schedule": {
+        "help": "solve the level-dimension recursion and report the schedule",
+        "opts": [_LEAF, _EPS, _OUT, _SVG],
+    },
+    "entropy": {
+        "help": "Monte Carlo interval entropies with their DP bracket",
+        "opts": [
+            _LEAF,
+            _EPS,
+            _Opt("--interval", _interval_arg, None, "leaf interval i:j (inclusive, modular)", required=True),
+            _TRIALS,
+            _SEED,
+            _OUT,
+        ],
+    },
+    "mutual-info": {
+        "help": "mutual information of adjacent leaf intervals vs DP brackets",
+        "opts": [
+            _LEAF,
+            _EPS,
+            _Opt("--lengths", _int_list, (1, 2, 4), "comma-separated interval lengths"),
+            _Opt("--offset", int, 0, "left interval start site"),
+            _TRIALS,
+            _SEED,
+            _OUT,
+        ],
+    },
+    "cuts": {
+        "help": "reduction-sequence bounds for one interval",
+        "opts": [
+            _LEAF,
+            _EPS,
+            _Opt("--interval", _interval_arg, None, "interval i:j on the chosen ring", required=True),
+            _Opt("--level", int, None, "ring level (default: leaf level)"),
+            _Opt("--stage", str, "after_W", "ring stage", choices=("after_W", "after_V")),
+            _Opt("--emit-argmin", str, None, "write the argmin sequence to this JSON file"),
+            _OUT,
+        ],
+    },
+    "spectra": {
+        "help": "singular spectra of the random coarse-graining channel",
+        "opts": [
+            _Opt("--dA", int, None, "input dimension", required=True),
+            _Opt("--dB", int, None, "kept output dimension", required=True),
+            _Opt("--dE", int, None, "traced output dimension", required=True),
+            _Opt("--seeds", int, 10, "number of independent draws"),
+            _SEED,
+            _OUT,
+            _SVG,
+        ],
+    },
+    "collapse": {
+        "help": "rescaled overlay of spectra across sizes",
+        "opts": [
+            _Opt("--mode", str, None, "rescaling mode", required=True, choices=("sqrt-d", "affine")),
+            _Opt("--specs", _spec_list, None, "dA:dB:dE list, all equal for sqrt-d; dA:dB means y = 1/2", required=True),
+            _SEED,
+            _OUT,
+            _SVG,
+        ],
+    },
+    "moments-check": {
+        "help": "Monte Carlo check of the isometry fourth-moment closed forms",
+        "opts": [
+            _Opt("--d1", int, None, "input dimension", required=True),
+            _Opt("--d2", int, None, "output dimension", required=True),
+            _Opt("--trials", int, 100_000, "number of sampled isometries"),
+            _SEED,
+            _OUT,
+        ],
+    },
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,57 +196,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, info in _COMMANDS.items():
         p = sub.add_parser(name, help=info["help"])
         for opt in info["opts"]:
-            kwargs: dict = {
-                "type": opt.type,
-                "default": argparse.SUPPRESS,
-                "help": opt.help,
-            }
-            if opt.choices:
-                kwargs["choices"] = opt.choices
-            p.add_argument(opt.flag, **kwargs)
+            p.add_argument(
+                opt.flag,
+                type=opt.type,
+                default=opt.default,
+                help=opt.help,
+                required=opt.required,
+                choices=opt.choices,
+            )
     return parser
-
-
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{line_no}: expected key = value")
-                key, val = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _merge_options(command: str, explicit: dict) -> dict:
-    opts = {o.dest: o for o in _COMMANDS[command]["opts"]}
-    merged = {dest: o.default for dest, o in opts.items()}
-    config_path = explicit.pop("config", None)
-    if config_path is not None:
-        for key, raw in _load_config(config_path).items():
-            if key not in opts or key == "config":
-                raise UsageError(f"unknown config key {key!r} for command {command!r}")
-            opt = opts[key]
-            try:
-                value = opt.type(raw)
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise UsageError(f"bad config value for {key!r}: {exc}") from exc
-            if opt.choices and value not in opt.choices:
-                raise UsageError(f"config key {key!r} must be one of {opt.choices}")
-            merged[key] = value
-    merged.update(explicit)
-    for dest, o in opts.items():
-        if o.required and merged.get(dest) is None:
-            raise UsageError(f"missing required option {o.flag} (flag or config)")
-    if "seed" in merged:  # a bad seed is a usage error, before any budget check
-        seed_key(merged["seed"])
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +223,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def _write_svg(path: str, series, title, x_label, y_label) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svgplot.line_plot(series, title=title, x_label=x_label, y_label=y_label))
-
-
-def _unit_factor(units: str) -> float:
-    return 1.0 if units == "nats" else 1.0 / math.log(2.0)
 
 
 def _network(args: dict) -> MeraNetwork:
@@ -336,18 +268,17 @@ def _cmd_entropy(args: dict) -> int:
     interval = _ring_interval(network.levels, Stage.AFTER_W, args["interval"])
     stats = simulator.mc_entropy_stats(network, interval, args["trials"], args["seed"])
     bounds = cutbounds.cut_dp(network, interval)
-    f = _unit_factor(args["units"])
     if args["out"]:
         rows = [
-            [t, f * float(s), f * float(s2)]
+            [t, float(s), float(s2)]
             for t, (s, s2) in enumerate(zip(stats.samples_s, stats.samples_s2))
         ]
         _write_csv(args["out"], ["trial", "entropy_vn", "entropy_renyi2"], rows)
     print(
-        f"entropy[{args['interval'][0]}:{args['interval'][1]}] ({args['units']}): "
-        f"mean_S={f * stats.mean_s:.6f} mean_S2={f * stats.mean_s2:.6f} "
-        f"dp_upper={f * bounds.min_cost:.6f} dp_lse={f * bounds.lse:.6f} "
-        f"dp_lower={f * max(0.0, bounds.lower_bound):.6f} trials={args['trials']}"
+        f"entropy[{args['interval'][0]}:{args['interval'][1]}] (nats): "
+        f"mean_S={stats.mean_s:.6f} mean_S2={stats.mean_s2:.6f} "
+        f"dp_upper={bounds.min_cost:.6f} dp_lse={bounds.lse:.6f} "
+        f"dp_lower={max(0.0, bounds.lower_bound):.6f} trials={args['trials']}"
     )
     return 0
 
@@ -368,23 +299,15 @@ def _cmd_mutual_info(args: dict) -> int:
         pairs.append((left, right))
         predictions.append(cutbounds.mi_prediction(network, left, right))
     mc = simulator.mc_mutual_information(network, pairs, args["trials"], args["seed"])
-    f = _unit_factor(args["units"])
-    rows = []
-    for length, pred, samples in zip(args["lengths"], predictions, mc):
-        rows.append(
-            [
-                length,
-                f * pred.i_lower,
-                f * pred.i_upper,
-                f * samples.mean,
-                f * samples.stderr,
-            ]
-        )
+    rows = [
+        [length, pred.i_lower, pred.i_upper, samples.mean, samples.stderr]
+        for length, pred, samples in zip(args["lengths"], predictions, mc)
+    ]
     if args["out"]:
         _write_csv(args["out"], ["length", "i_lower", "i_upper", "mc_mean", "mc_stderr"], rows)
     last = rows[-1]
     print(
-        f"mutual-info ({args['units']}): lengths={list(args['lengths'])} trials={args['trials']} "
+        f"mutual-info (nats): lengths={list(args['lengths'])} trials={args['trials']} "
         f"last: l={last[0]} bracket=[{last[1]:.6f}, {last[2]:.6f}] mc={last[3]:.6f}±{last[4]:.6f}"
     )
     return 0
@@ -398,7 +321,6 @@ def _cmd_cuts(args: dict) -> int:
     stage = Stage(args["stage"])
     interval = _ring_interval(level, stage, args["interval"])
     bounds = cutbounds.cut_dp(network, interval)
-    f = _unit_factor(args["units"])
     if args["emit_argmin"]:
         with open(args["emit_argmin"], "w", encoding="utf-8") as fh:
             json.dump(bounds.argmin.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -413,17 +335,17 @@ def _cmd_cuts(args: dict) -> int:
                     interval.j,
                     level,
                     stage.value,
-                    f * bounds.min_cost,
-                    f * bounds.lse,
-                    f * bounds.lower_bound,
+                    bounds.min_cost,
+                    bounds.lse,
+                    bounds.lower_bound,
                     bounds.height_of_argmin,
                 ]
             ],
         )
     print(
-        f"cuts[{interval.i}:{interval.j}]@level {level} {stage.value} ({args['units']}): "
-        f"min_cost={f * bounds.min_cost:.6f} lse={f * bounds.lse:.6f} "
-        f"lower={f * max(0.0, bounds.lower_bound):.6f} height={bounds.height_of_argmin}"
+        f"cuts[{interval.i}:{interval.j}]@level {level} {stage.value} (nats): "
+        f"min_cost={bounds.min_cost:.6f} lse={bounds.lse:.6f} "
+        f"lower={max(0.0, bounds.lower_bound):.6f} height={bounds.height_of_argmin}"
     )
     return 0
 
@@ -548,20 +470,14 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    command = ns.command
-    explicit = {k: v for k, v in vars(ns).items() if k != "command"}
+    args = vars(_build_parser().parse_args(argv))
     try:
-        args = _merge_options(command, explicit)
-        return _DISPATCH[command](args)
-    except UsageError as exc:
+        if "seed" in args:  # a bad seed is a usage error, before any budget check
+            seed_key(args["seed"])
+        return _DISPATCH[args["command"]](args)
+    except (UsageError, OSError) as exc:  # an OSError is an output write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FeasibilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

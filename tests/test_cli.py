@@ -1,4 +1,4 @@
-"""Command-line interface: outputs, config precedence, and exit codes."""
+"""Command-line interface: outputs and exit codes."""
 
 from __future__ import annotations
 
@@ -73,17 +73,6 @@ def test_entropy_reports_samples_and_bracket(tmp_path, capsys):
         assert token in text
 
 
-def test_unit_conversion_scales_every_sample(tmp_path):
-    nats, bits = tmp_path / "nats.csv", tmp_path / "bits.csv"
-    base = ["entropy", "--epsilon", L3_EPS, "--interval", "0:2", "--trials", "3", "--seed", "7"]
-    assert main([*base, "--out", str(nats)]) == 0
-    assert main([*base, "--units", "bits", "--out", str(bits)]) == 0
-    rows_n, rows_b = _read_csv(nats)[1:], _read_csv(bits)[1:]
-    for rn, rb in zip(rows_n, rows_b):
-        assert float(rb[1]) == pytest.approx(float(rn[1]) / math.log(2), rel=1e-12)
-        assert float(rb[2]) == pytest.approx(float(rn[2]) / math.log(2), rel=1e-12)
-
-
 def test_mutual_info_brackets_each_length(tmp_path, capsys):
     out = tmp_path / "mi.csv"
     code = main(
@@ -134,23 +123,16 @@ def test_an_empty_interval_is_a_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("lengths", [","], ids=["flag"])
 def test_an_empty_length_list_is_a_usage_error_before_any_draw(
-    form, tmp_path, monkeypatch, capsys
+    lengths, tmp_path, monkeypatch, capsys
 ):
     def no_draw(*args, **kwargs):
         raise AssertionError("a network was drawn before the lengths were checked")
 
     monkeypatch.setattr(simulator, "build_state", no_draw)
     out = tmp_path / "mi.csv"
-    argv = ["mutual-info", "--epsilon", L3_EPS, "--out", str(out)]
-    if form == "flag":
-        argv += ["--lengths", ","]
-    else:
-        cfg = tmp_path / "mi.cfg"
-        cfg.write_text("lengths =\n", encoding="utf-8")
-        argv += ["--config", str(cfg)]
-    assert main(argv) == 2
+    assert main(["mutual-info", "--epsilon", L3_EPS, "--lengths", lengths, "--out", str(out)]) == 2
     assert "--lengths" in capsys.readouterr().err
     assert not out.exists()
 
@@ -215,7 +197,7 @@ def test_collapse_with_one_output_dimension_is_a_usage_error(argv, monkeypatch, 
     assert "d_B must be at least 2" in captured.err
 
 
-def test_collapse_modes_and_spec_derivation(tmp_path):
+def test_collapse_modes_and_spec_derivation(tmp_path, capsys):
     out = tmp_path / "sqrt.csv"
     assert main(["collapse", "--mode", "sqrt-d", "--specs", "3:3:3,4:4:4", "--out", str(out)]) == 0
     rows = _read_csv(out)
@@ -228,7 +210,10 @@ def test_collapse_modes_and_spec_derivation(tmp_path):
     rows2 = _read_csv(out2)
     assert {r[0] for r in rows2[1:]} == {"8:4:4"}  # d_E from y = 1/2
 
-    assert main(["collapse", "--mode", "sqrt-d"]) == 2  # --specs missing
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", "--mode", "sqrt-d"])
+    assert exc.value.code == 2
+    assert "--specs" in capsys.readouterr().err
     assert main(["collapse", "--mode", "sqrt-d", "--specs", "8:4"]) == 2  # 8:4:4 is not d:d:d
     assert main(["collapse", "--mode", "affine", "--specs", "8:4:1"]) == 2  # no room
     with pytest.raises(SystemExit) as exc:  # dA:dB divides by dB
@@ -262,24 +247,10 @@ def test_moments_check_runs_at_input_width_one(capsys):
     assert "no Weingarten values" in capsys.readouterr().err
 
 
-def test_config_file_supplies_flags_and_explicit_flags_win(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("epsilon = 0.35\nleaf-dim = 2\n# a comment\n", encoding="utf-8")
-    assert main(["schedule", "--config", str(cfg)]) == 0
-    assert "levels=3" in capsys.readouterr().out
-    assert main(["schedule", "--config", str(cfg), "--epsilon", L4_EPS]) == 0
-    assert "levels=4" in capsys.readouterr().out
-
-
-def test_unknown_config_keys_are_rejected(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("epsilon = 0.35\nbond_dim = 7\n", encoding="utf-8")
-    assert main(["schedule", "--config", str(cfg)]) == 2
-    assert "bond_dim" in capsys.readouterr().err
-
-
 def test_missing_required_flag_is_a_usage_error(capsys):
-    assert main(["entropy", "--epsilon", L3_EPS]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--epsilon", L3_EPS])
+    assert exc.value.code == 2
     assert "--interval" in capsys.readouterr().err
 
 
@@ -291,10 +262,47 @@ def test_impossible_dense_build_exits_with_the_resource_code(capsys):
     assert "level" in err
 
 
-def test_bad_choice_values_exit_through_the_parser():
+def test_bad_choice_values_exit_through_the_parser(capsys):
+    for argv, choice in (
+        (["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--stage", "sideways"], "sideways"),
+        (["collapse", "--mode", "cubic", "--specs", "4:4:4"], "cubic"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{choice}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--epsilon", L3_EPS, "--config", "x.cfg"],
+        ["entropy", "--epsilon", L3_EPS, "--interval", "0:1", "--units", "bits"],
+    ],
+    ids=["config", "units"],
+)
+def test_removed_flags_are_unrecognised_arguments(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["entropy", "--epsilon", L3_EPS, "--interval", "0:1", "--units", "trits"])
+        main(argv)
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--out"],
+        ["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--emit-argmin"],
+        ["schedule", "--epsilon", L3_EPS, "--svg"],
+    ],
+    ids=["out", "emit-argmin", "svg"],
+)
+def test_an_output_path_that_cannot_be_written_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
 
 
 def test_console_script_is_installed():
