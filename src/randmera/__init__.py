@@ -14,7 +14,7 @@ schedule   - the log-dimension recursion, its report and scaling.
 network    - ring geometry: stages, rotation pairs, intervals.
 simulator  - exact dense states, reduced spectra, entropies, Monte Carlo.
 cutbounds  - reduction-sequence dynamic programs and entropy brackets.
-spectra    - coarse-graining channel spectra and rescaling collapses.
+spectra    - coarse-graining channel spectra, their Marchenko-Pastur edge and collapse.
 svgplot    - dependency-free SVG line plots.
 cli        - the ``randmera`` command-line front end.
 """
@@ -60,6 +60,7 @@ from .spectra import (
     SuperOperatorSpec,
     collapse_experiment,
     frobenius_exact,
+    mp_edge,
     singular_spectrum,
 )
 
@@ -101,6 +102,7 @@ __all__ = [
     "SuperOperatorSpec",
     "collapse_experiment",
     "frobenius_exact",
+    "mp_edge",
     "singular_spectrum",
     "__version__",
 ]

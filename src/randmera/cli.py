@@ -3,10 +3,10 @@
 Subcommands cover the full workbench: dimension schedules, Monte Carlo
 interval entropies with their dynamic-programming brackets, mutual
 information sweeps, reduction-sequence bounds with argmin export, channel
-singular spectra, rescaling collapses, and the isometry-moment self check.
-Both ``collapse`` modes read one ``--specs`` list of ``dA:dB:dE`` maps (a
-two-part ``dA:dB`` takes ``d_E`` from y = 1/2), and rescale with the fixed
-constants of `spectra.collapse_experiment`.
+singular spectra, their collapse, and the isometry-moment self check.
+``collapse`` reads one ``--specs`` list of distinct ``dA:dB:dE`` maps and
+divides each spectrum by its Marchenko-Pastur edge (`spectra.mp_edge`),
+with no fitted parameter.
 
 Conventions shared by every command:
 
@@ -19,7 +19,8 @@ Conventions shared by every command:
 * entropic quantities (entropies, cut costs, mutual-information brackets)
   are printed and written in nats,
 * exit codes: 0 success, 2 usage problem or an output file that cannot be
-  written, 3 feasibility limit: a schedule over 128 levels, or a dense
+  written (before the run if it is a directory or its directory is missing
+  or read-only), 3 feasibility limit: a schedule over 128 levels, or a dense
   state (never past 2**53 per site), a map or a ``moments-check`` batch of
   isometries over the amplitude budget.
 
@@ -34,6 +35,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -84,20 +86,20 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _spec_list(text: str) -> tuple[tuple[int, ...], ...]:
+def _spec_list(text: str) -> tuple[tuple[int, int, int], ...]:
     out = []
     for tok in text.split(","):
         if not tok:
             continue
         parts = tok.split(":")
-        if len(parts) not in (2, 3):
-            raise argparse.ArgumentTypeError(f"expected dA:dB or dA:dB:dE, got {tok!r}")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(f"expected dA:dB:dE, got {tok!r}")
         try:
             dims = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"expected integers in {tok!r}") from exc
-        if min(dims) < 1:  # dA:dB divides by dB
-            raise argparse.ArgumentTypeError(f"expected positive integers in {tok!r}")
+        if dims in out:  # curves are keyed by their label
+            raise argparse.ArgumentTypeError(f"map {tok!r} is repeated")
         out.append(dims)
     if not out:
         raise argparse.ArgumentTypeError("empty spec list")
@@ -165,10 +167,9 @@ _COMMANDS: dict[str, dict] = {
         ],
     },
     "collapse": {
-        "help": "rescaled overlay of spectra across sizes",
+        "help": "overlay of spectra across sizes, each divided by its Marchenko-Pastur edge",
         "opts": [
-            _Opt("--mode", str, None, "rescaling mode", required=True, choices=("sqrt-d", "affine")),
-            _Opt("--specs", _spec_list, None, "dA:dB:dE list, all equal for sqrt-d; dA:dB means y = 1/2", required=True),
+            _Opt("--specs", _spec_list, None, "distinct dA:dB:dE maps, dA and dB >= 2", required=True),
             _SEED,
             _OUT,
             _SVG,
@@ -395,17 +396,12 @@ def _cmd_spectra(args: dict) -> int:
 
 
 def _cmd_collapse(args: dict) -> int:
-    mode = args["mode"].replace("-", "_")
-    specs = []
-    for idx, parts in enumerate(args["specs"]):
-        if len(parts) == 2:
-            d_a, d_b = parts
-            d_e = round(d_a / (spectra.PAIR_Y * d_b))
-        else:
-            d_a, d_b, d_e = parts
-        specs.append(spectra.SuperOperatorSpec(d_A=d_a, d_B=d_b, d_E=d_e, seed=(args["seed"], idx)))
+    specs = [
+        spectra.SuperOperatorSpec(*dims, seed=(args["seed"], idx))
+        for idx, dims in enumerate(args["specs"])
+    ]
     _check_map_sizes(specs)
-    rows = spectra.collapse_experiment(specs, mode)
+    rows = spectra.collapse_experiment(specs)
     if args["out"]:
         _write_csv(
             args["out"],
@@ -416,12 +412,10 @@ def _cmd_collapse(args: dict) -> int:
         series: dict[str, list[tuple[float, float]]] = {}
         for r in rows:
             series.setdefault(r.label, []).append((r.x, r.y))
-        _write_svg(args["svg"], series, f"collapse ({args['mode']})", "i / d_B^2", "rescaled lambda")
-    first = {}
-    for r in rows:
-        first.setdefault(r.label, r.y)
+        _write_svg(args["svg"], series, "collapse", "i / d_B^2", "lambda / MP edge")
+    first = {r.label: r.y for r in rows if r.index == 1}  # labels are distinct
     summary = " ".join(f"{label}:y(1)={y:.4f}" for label, y in first.items())
-    print(f"collapse mode={args['mode']} curves={len(first)} {summary}")
+    print(f"collapse curves={len(first)} {summary}")
     return 0
 
 
@@ -474,6 +468,10 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:  # a bad seed is a usage error, before any budget check
             seed_key(args["seed"])
+        for path in filter(None, map(args.get, ("out", "svg", "emit_argmin"))):  # all outputs or none
+            parent = os.path.dirname(path) or "."
+            if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+                raise UsageError(f"cannot write {path}: not a file in a writable directory")
         return _DISPATCH[args["command"]](args)
     except (UsageError, OSError) as exc:  # an OSError is an output write
         print(f"error: {exc}", file=sys.stderr)

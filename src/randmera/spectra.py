@@ -11,9 +11,11 @@ correlations die off under coarse graining.  The key dimensionless ratios
 are ``x = d_B / (d_A d_E)`` and ``y = d_A / (d_B d_E)``: at ``y = 1`` the
 map is an isometry on operators (all singular values exactly 1), while for
 small ``x`` and ``y`` the top value sits near 1 with a gap to the rest.
-The second value is then near ``sqrt(y) (1 + d_B / d_A)``, the upper edge of
-the rest of the spectrum, which tends to ``sqrt(y)`` only when ``d_A >> d_B``:
-at 30:30:30, ``sqrt(y)`` is 0.183 while the second value is about 0.363.
+The rest, the bulk, follows the Marchenko-Pastur law of a ``(d_B^2 - 1) x
+(d_A^2 - 1)`` matrix whose entries share the mean Frobenius mass that the
+top value leaves (`mp_edge`).  Its upper edge is about ``sqrt(y) (1 + d_B / d_A)``,
+and about ``2 / sqrt(d)`` on ``d:d:d`` maps.  The law holds to about 1% for
+``y <= 0.2`` with ``d_B >= 16``, and drifts (about 10%) as ``y -> 1``.
 
 The spectrum is taken from a real matrix.  The map preserves Hermiticity,
 so with ``S`` the swap ``(b, c) -> (c, b)`` of a unit pair its matrix ``M``
@@ -39,8 +41,9 @@ rank at most ``d_A^2``, so when ``d_A < d_B`` the spectrum is padded with
 exact zeros to ``d_B^2`` values.
 
 The module also provides the closed-form Frobenius mass (the squared
-singular values sum to about ``d_A`` on average), and the rescaling
-experiments that overlay spectra of different sizes on a common curve.
+singular values sum to about ``d_A`` on average), the Marchenko-Pastur
+edge it sets, and the collapse that divides spectra of different sizes by
+their edges to overlay them on one curve.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
     "SuperOperatorSpec",
     "collapse_experiment",
     "frobenius_exact",
+    "mp_edge",
     "singular_spectrum",
 ]
 
@@ -141,14 +145,22 @@ def frobenius_exact(d_A: int, d_B: int, d_E: int) -> float:
     return (d_B / d_A) * (c * t_direct + c_prime * t_swapped)
 
 
-# The affine collapse's fitted rescaling, and the ratio y = d_A / (d_B d_E)
-# that fixes d_E for a two-part dA:dB spec.  The shift 0.706 ~ sqrt(1/2) is
-# the fitted edge of the y = 1/2 family's second value; the exponent 2/3
-# absorbs that edge's (1 + d_B / d_A) factor and its fluctuations.  The
-# Marchenko-Pastur edge is the closed form they approximate (ROADMAP item 3).
-AFFINE_SHIFT = 0.706
-AFFINE_EXPONENT = 2.0 / 3.0
-PAIR_Y = 0.5
+def mp_edge(d_A: int, d_B: int, d_E: int) -> float:
+    """Upper Marchenko-Pastur edge of the channel's spectrum below its top value.
+
+    The bulk is that of an ``n x p`` matrix, ``n = d_B^2 - 1`` and
+    ``p = d_A^2 - 1``, with entries of variance ``v = (F - 1) / (n p)``: the
+    top value, near 1, takes one unit of the mean Frobenius mass ``F``
+    (`frobenius_exact`).  The edge is ``sqrt(v) (sqrt(n) + sqrt(p))``.  A
+    ``d_A`` or ``d_B`` below 2 leaves no bulk and raises `UsageError`.
+    """
+    if min(d_A, d_B) < 2:
+        raise UsageError(
+            f"d_A and d_B must be at least 2, not {d_A} and {d_B}: below the top value there is no bulk"
+        )
+    n, p = d_B * d_B - 1, d_A * d_A - 1
+    v = (frobenius_exact(d_A, d_B, d_E) - 1) / (n * p)
+    return math.sqrt(v) * (math.sqrt(n) + math.sqrt(p))
 
 
 @dataclass(frozen=True)
@@ -161,34 +173,20 @@ class CollapseRow:
     y: float
 
 
-def collapse_experiment(specs: list[SuperOperatorSpec], rescale: str) -> list[CollapseRow]:
-    """Overlay several spectra after rescaling, dropping the top value.
+def collapse_experiment(specs: list[SuperOperatorSpec]) -> list[CollapseRow]:
+    """Overlay spectra, each divided by its Marchenko-Pastur edge.
 
-    ``rescale="sqrt_d"`` plots ``lambda(i) * sqrt(d)`` against ``i / d^2``
-    and requires each spec to have all three dimensions equal.
-    ``rescale="affine"`` plots ``(lambda(i) - AFFINE_SHIFT) * d_B**AFFINE_EXPONENT``
-    against ``i / d_B^2``, with the fitted constants 0.706 and 2/3 above.
-    The largest singular value of each spectrum is excluded in both modes,
-    so every spec needs ``d_B >= 2``: a one-value spectrum would leave no point.
+    Row ``i >= 1`` of a spectrum plots ``values[i] / mp_edge(d_A, d_B, d_E)``
+    against ``i / d_B^2`` (the top value is dropped), so every bulk ends near
+    1 with no fitted parameter.  Every edge is computed before the first draw.
     """
     if not specs:
         raise UsageError("need at least one spec")
-    if rescale not in ("sqrt_d", "affine"):
-        raise UsageError(f"unknown rescale mode {rescale!r}")
-    for spec in specs:
-        if rescale == "sqrt_d" and not spec.d_A == spec.d_B == spec.d_E:
-            raise UsageError("sqrt_d mode needs d_A = d_B = d_E")
-        if spec.d_B < 2:
-            raise UsageError(f"map {spec.label}: d_B must be at least 2, the top value is dropped")
+    edges = [mp_edge(spec.d_A, spec.d_B, spec.d_E) for spec in specs]
     rows: list[CollapseRow] = []
-    for spec in specs:
+    for spec, edge in zip(specs, edges):
         values = singular_spectrum(spec).values
         d_sq = spec.d_B**2
         for i in range(1, len(values)):
-            lam = float(values[i])
-            if rescale == "sqrt_d":
-                ycoord = lam * math.sqrt(spec.d_B)
-            else:
-                ycoord = (lam - AFFINE_SHIFT) * spec.d_B**AFFINE_EXPONENT
-            rows.append(CollapseRow(label=spec.label, index=i, x=i / d_sq, y=ycoord))
+            rows.append(CollapseRow(spec.label, i, i / d_sq, float(values[i]) / edge))
     return rows

@@ -180,13 +180,14 @@ def test_spectra_with_one_output_dimension_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["collapse", "--mode", "sqrt-d", "--specs", "1:1:1,4:4:4"],
-        ["collapse", "--mode", "sqrt-d", "--specs", "4:4:4,1:1:1"],
-        ["collapse", "--mode", "affine", "--specs", "2:1:2"],
+        ["collapse", "--specs", "1:1:1,4:4:4"],
+        ["collapse", "--specs", "4:4:4,1:1:1"],
+        ["collapse", "--specs", "2:1:2"],
+        ["collapse", "--specs", "4:4:4,1:4:4"],
     ],
 )
 def test_collapse_with_one_output_dimension_is_a_usage_error(argv, monkeypatch, capsys):
-    # the top value of each spectrum is dropped: a d_B = 1 map would leave no point
+    # the bulk below the top value needs d_A and d_B of at least 2
     def no_draw(*args, **kwargs):
         raise AssertionError("a map was drawn before every map was checked")
 
@@ -194,31 +195,35 @@ def test_collapse_with_one_output_dimension_is_a_usage_error(argv, monkeypatch, 
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "d_B must be at least 2" in captured.err
+    assert "d_A and d_B must be at least 2" in captured.err
 
 
-def test_collapse_modes_and_spec_derivation(tmp_path, capsys):
-    out = tmp_path / "sqrt.csv"
-    assert main(["collapse", "--mode", "sqrt-d", "--specs", "3:3:3,4:4:4", "--out", str(out)]) == 0
+def test_collapse_reads_distinct_three_part_maps(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "collapse.csv"
+    assert main(["collapse", "--specs", "3:3:3,8:4:4", "--out", str(out)]) == 0
     rows = _read_csv(out)
     assert rows[0] == ["spec", "i", "x", "y"]
-    assert {r[0] for r in rows[1:]} == {"3:3:3", "4:4:4"}
+    assert {r[0] for r in rows[1:]} == {"3:3:3", "8:4:4"}
     assert min(int(r[1]) for r in rows[1:]) == 1  # top value dropped
+    assert capsys.readouterr().out.startswith("collapse curves=2 3:3:3:y(1)=")
 
-    out2 = tmp_path / "affine.csv"
-    assert main(["collapse", "--mode", "affine", "--specs", "8:4", "--out", str(out2)]) == 0
-    rows2 = _read_csv(out2)
-    assert {r[0] for r in rows2[1:]} == {"8:4:4"}  # d_E from y = 1/2
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a map was drawn from a refused spec list")
 
-    with pytest.raises(SystemExit) as exc:
-        main(["collapse", "--mode", "sqrt-d"])
-    assert exc.value.code == 2
-    assert "--specs" in capsys.readouterr().err
-    assert main(["collapse", "--mode", "sqrt-d", "--specs", "8:4"]) == 2  # 8:4:4 is not d:d:d
-    assert main(["collapse", "--mode", "affine", "--specs", "8:4:1"]) == 2  # no room
-    with pytest.raises(SystemExit) as exc:  # dA:dB divides by dB
-        main(["collapse", "--mode", "affine", "--specs", "8:0"])
-    assert exc.value.code == 2
+    monkeypatch.setattr(spectra, "sample_isometry", no_draw)
+    for argv, err in (
+        (["collapse"], "--specs"),
+        (["collapse", "--specs", "8:4"], "expected dA:dB:dE, got '8:4'"),  # no two-part spec
+        (["collapse", "--specs", "4:4:4,6:6:6,4:4:4"], "map '4:4:4' is repeated"),
+        (["collapse", "--specs", "4:4:4,04:4:4"], "map '04:4:4' is repeated"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert err in capsys.readouterr().err
+    assert main(["collapse", "--specs", "8:4:1"]) == 2  # no room
+    assert main(["collapse", "--specs", "8:4:0"]) == 2
+    assert "d_E must be a positive integer" in capsys.readouterr().err
 
 
 def test_moments_check_validates_all_patterns(tmp_path, capsys):
@@ -263,14 +268,10 @@ def test_impossible_dense_build_exits_with_the_resource_code(capsys):
 
 
 def test_bad_choice_values_exit_through_the_parser(capsys):
-    for argv, choice in (
-        (["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--stage", "sideways"], "sideways"),
-        (["collapse", "--mode", "cubic", "--specs", "4:4:4"], "cubic"),
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"invalid choice: '{choice}'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--stage", "sideways"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -278,8 +279,9 @@ def test_bad_choice_values_exit_through_the_parser(capsys):
     [
         ["schedule", "--epsilon", L3_EPS, "--config", "x.cfg"],
         ["entropy", "--epsilon", L3_EPS, "--interval", "0:1", "--units", "bits"],
+        ["collapse", "--specs", "4:4:4", "--mode", "sqrt-d"],
     ],
-    ids=["config", "units"],
+    ids=["config", "units", "mode"],
 )
 def test_removed_flags_are_unrecognised_arguments(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -291,18 +293,29 @@ def test_removed_flags_are_unrecognised_arguments(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--out"],
-        ["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--emit-argmin"],
-        ["schedule", "--epsilon", L3_EPS, "--svg"],
+        ["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--out", "missing/x.csv"],
+        ["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--emit-argmin", "missing/x.json"],
+        ["schedule", "--epsilon", L3_EPS, "--svg", "missing/x.svg"],
+        # the first output is not written when the second cannot be
+        ["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--emit-argmin", "ok.json", "--out", "missing/x.csv"],
+        # refused before any draw
+        ["entropy", "--epsilon", L3_EPS, "--interval", "0:1", "--trials", "2", "--out", "missing/x.csv"],
+        ["schedule", "--epsilon", L3_EPS, "--out", "taken"],
     ],
-    ids=["out", "emit-argmin", "svg"],
+    ids=["out", "emit-argmin", "svg", "two-outputs", "entropy", "directory"],
 )
-def test_an_output_path_that_cannot_be_written_exits_2(argv, tmp_path, capsys):
-    path = tmp_path / "missing" / "x.csv"
-    assert main([*argv, str(path)]) == 2
+def test_an_output_path_that_cannot_be_written_exits_2(argv, tmp_path, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an isometry was drawn for a run whose output cannot be written")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert captured.err == f"error: cannot write {argv[-1]}: not a file in a writable directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_console_script_is_installed():
@@ -322,7 +335,7 @@ def test_console_script_is_installed():
         ["entropy", "--epsilon", L3_EPS, "--interval", "1:2", "--trials", "2"],
         ["mutual-info", "--epsilon", L3_EPS, "--trials", "2"],
         ["spectra", "--dA", "8", "--dB", "4", "--dE", "4"],
-        ["collapse", "--mode", "sqrt-d", "--specs", "4:4:4,6:6:6"],
+        ["collapse", "--specs", "4:4:4,6:6:6"],
         ["moments-check", "--d1", "2", "--d2", "4", "--trials", "100"],
     ],
     ids=lambda argv: argv[0],
@@ -348,9 +361,9 @@ def test_spectra_and_collapse_refuse_an_oversized_map_before_any_draw(monkeypatc
     monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES", raising=False)
     for argv in (
         # d_E = 2e9: an 8e9 x 8 isometry
-        ["collapse", "--mode", "affine", "--specs", "8:4:2000000000"],
+        ["collapse", "--specs", "8:4:2000000000"],
         # the second map has 1e8 entries
-        ["collapse", "--mode", "sqrt-d", "--specs", "10:10:10,100:100:100"],
+        ["collapse", "--specs", "10:10:10,100:100:100"],
         ["spectra", "--dA", "100", "--dB", "100", "--dE", "2"],
     ):
         assert main(argv) == 3
@@ -451,7 +464,7 @@ def _drawn_keys(monkeypatch, module, name):
 def test_each_map_and_pattern_draws_from_the_seed_and_its_index(monkeypatch, capsys):
     maps = _drawn_keys(monkeypatch, spectra, "sample_isometry")
     assert main(["spectra", "--dA", "4", "--dB", "2", "--dE", "2", "--seeds", "3", "--seed", "9"]) == 0
-    assert main(["collapse", "--mode", "sqrt-d", "--specs", "2:2:2,3:3:3", "--seed", "9"]) == 0
+    assert main(["collapse", "--specs", "2:2:2,3:3:3", "--seed", "9"]) == 0
     assert maps == [(9, 0), (9, 1), (9, 2), (9, 0), (9, 1)]
     batches = _drawn_keys(monkeypatch, haar, "sample_isometry_batch")
     assert main(["moments-check", "--d1", "1", "--d2", "2", "--trials", "8", "--seed", "9"]) == 0

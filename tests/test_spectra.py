@@ -14,10 +14,11 @@ from randmera import (
     UsageError,
     collapse_experiment,
     frobenius_exact,
+    mp_edge,
     sample_isometry,
     singular_spectrum,
 )
-from randmera.spectra import AFFINE_EXPONENT, AFFINE_SHIFT, SingularSpectrum
+from randmera.spectra import SingularSpectrum
 
 
 def _superop_from_matrix(w, d_A, d_B, d_E):
@@ -256,33 +257,48 @@ def test_second_value_scaling_tracks_the_inverse_square_root():
     assert 0.6 < twenty / ten < 0.82
 
 
+@pytest.mark.parametrize("d,edge_sqrt_d", [(4, 1.98820), (6, 1.99614), (8, 1.99829)])
+def test_the_edge_of_a_cubic_map_is_near_two_over_root_d(d, edge_sqrt_d):
+    # the quarter circle of radius 2 / sqrt(d), less the top value's unit of mass
+    assert mp_edge(d, d, d) * math.sqrt(d) == pytest.approx(edge_sqrt_d, abs=1e-5)
+
+
+@pytest.mark.parametrize("dims", [(30, 30, 30), (40, 20, 10), (72, 12, 12)])
+def test_the_edge_tends_to_root_y_times_one_plus_the_dimension_ratio(dims):
+    d_A, d_B, d_E = dims
+    limit = math.sqrt(d_A / (d_B * d_E)) * (1 + d_B / d_A)
+    assert mp_edge(*dims) == pytest.approx(limit, rel=2e-3)
+
+
+@pytest.mark.parametrize("dims", [(30, 30, 30), (20, 20, 20), (40, 20, 10)])
+def test_the_mean_second_value_sits_just_below_the_edge(dims):
+    # measured 0.993, 0.992 and 0.999; an edge built from F, not F - 1, reads
+    # 0.977 and 0.968 at the first two shapes
+    second = np.mean([singular_spectrum(SuperOperatorSpec(*dims, seed=s)).values[1] for s in range(4)])
+    assert 0.98 <= second / mp_edge(*dims) <= 1.01
+
+
+@pytest.mark.parametrize("dims", [(1, 4, 4), (4, 1, 4), (1, 1, 1)])
+def test_the_edge_needs_d_A_and_d_B_of_at_least_two(dims):
+    with pytest.raises(UsageError, match="must be at least 2"):
+        mp_edge(*dims)
+
+
 def test_collapse_rows_drop_the_leading_value_and_rescale():
-    specs = [SuperOperatorSpec(d, d, d, seed=1) for d in (3, 4)]
-    rows = collapse_experiment(specs, rescale="sqrt_d")
-    assert min(r.index for r in rows) == 1
+    specs = [SuperOperatorSpec(3, 3, 3, seed=1), SuperOperatorSpec(8, 4, 4, seed=2)]
+    rows = collapse_experiment(specs)
     assert len(rows) == (9 - 1) + (16 - 1)
-    by_label = {r.label for r in rows}
-    assert by_label == {"3:3:3", "4:4:4"}
-    first = next(r for r in rows if r.label == "3:3:3" and r.index == 1)
-    sp = singular_spectrum(specs[0])
-    assert first.y == pytest.approx(float(sp.values[1]) * math.sqrt(3), rel=1e-12)
-    assert first.x == pytest.approx(1 / 9, rel=1e-15)
-
-
-def test_affine_collapse_applies_shift_and_exponent():
-    # the fitted constants themselves: a drift in either moves every affine curve
-    assert (AFFINE_SHIFT, AFFINE_EXPONENT) == (0.706, 2.0 / 3.0)
-    spec = SuperOperatorSpec(8, 4, 4, seed=2)
-    rows = collapse_experiment([spec], rescale="affine")
-    sp = singular_spectrum(spec)
-    row = next(r for r in rows if r.index == 2)
-    assert row.y == (float(sp.values[2]) - AFFINE_SHIFT) * 4**AFFINE_EXPONENT
+    for spec in specs:
+        values = singular_spectrum(spec).values
+        curve = [r for r in rows if r.label == spec.label]
+        assert [r.index for r in curve] == list(range(1, spec.d_B**2))
+        assert [r.x for r in curve] == [i / spec.d_B**2 for i in range(1, spec.d_B**2)]
+        edge = mp_edge(spec.d_A, spec.d_B, spec.d_E)
+        assert [r.y for r in curve] == [values[i] / edge for i in range(1, spec.d_B**2)]
 
 
 def test_collapse_validation():
     with pytest.raises(UsageError):
-        collapse_experiment([], rescale="sqrt_d")
+        collapse_experiment([])
     with pytest.raises(UsageError):
-        collapse_experiment([SuperOperatorSpec(8, 4, 4)], rescale="sqrt_d")
-    with pytest.raises(UsageError):
-        collapse_experiment([SuperOperatorSpec(3, 3, 3)], rescale="cubic")
+        collapse_experiment([SuperOperatorSpec(3, 3, 3), SuperOperatorSpec(2, 1, 2)])
