@@ -18,11 +18,12 @@ Conventions shared by every command:
   a one-line summary always goes to stdout,
 * entropic quantities (entropies, cut costs, mutual-information brackets)
   are printed and written in nats,
-* exit codes: 0 success, 2 usage problem or an output file that cannot be
-  written (before the run if it is a directory or its directory is missing
-  or read-only), 3 feasibility limit: a schedule over 128 levels, or a dense
-  state (never past 2**53 per site), a map or a ``moments-check`` batch of
-  isometries over the amplitude budget.
+* exit codes: 0 success, 2 usage problem, one path named by two of
+  ``--out``, ``--svg`` and ``--emit-argmin``, or an output file that cannot
+  be written (before the run if it is a directory or its directory is
+  missing or read-only), 3 feasibility limit: a schedule over 128 levels,
+  or a dense state (never past 2**53 per site), a map or a
+  ``moments-check`` batch of isometries over the amplitude budget.
 
 The amplitude budget caps, before the first draw, each dense state, map
 and isometry batch a command forms; it can be overridden through the
@@ -354,7 +355,7 @@ def _cmd_cuts(args: dict) -> int:
 def _check_map_sizes(specs: list[spectra.SuperOperatorSpec]) -> None:
     """Refuse, before any draw, a map whose largest array is over the amplitude budget.
 
-    The largest arrays of one map are its ``(d_B d_A)^2`` Choi product and
+    The largest arrays of one map are its real ``d_B^2 x d_A^2`` form and
     the ``d_B d_E x d_A`` isometry it is built from; the larger is admitted.
     """
     for spec in specs:
@@ -468,7 +469,15 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:  # a bad seed is a usage error, before any budget check
             seed_key(args["seed"])
-        for path in filter(None, map(args.get, ("out", "svg", "emit_argmin"))):  # all outputs or none
+        flags: dict[str, str] = {}  # real path -> the flag that named it
+        for name in ("out", "svg", "emit_argmin"):  # all outputs or none
+            path = args.get(name)
+            if not path:
+                continue
+            flag, real = "--" + name.replace("_", "-"), os.path.realpath(path)
+            if real in flags:
+                raise UsageError(f"{flags[real]} and {flag} name one path: {path}")
+            flags[real] = flag
             parent = os.path.dirname(path) or "."
             if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
                 raise UsageError(f"cannot write {path}: not a file in a writable directory")

@@ -318,6 +318,35 @@ def test_an_output_path_that_cannot_be_written_exits_2(argv, tmp_path, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["schedule", "--epsilon", L3_EPS, "--out", "x", "--svg", "x"], "--out and --svg name one path: x"),
+        (
+            ["cuts", "--epsilon", L3_EPS, "--interval", "0:1", "--out", "y", "--emit-argmin", "y"],
+            "--out and --emit-argmin name one path: y",
+        ),
+        # compared as real paths, before any draw
+        (
+            ["spectra", "--dA", "8", "--dB", "4", "--dE", "4", "--out", "s.csv", "--svg", "./s.csv"],
+            "--out and --svg name one path: ./s.csv",
+        ),
+    ],
+    ids=["schedule", "cuts", "spectra"],
+)
+def test_one_path_named_by_two_outputs_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an isometry was drawn for a run with two outputs on one path")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "randmera", "schedule", "--epsilon", L3_EPS],
