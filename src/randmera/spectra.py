@@ -21,29 +21,36 @@ The spectrum is taken from a real matrix.  The map preserves Hermiticity,
 so with ``S`` the swap ``(b, c) -> (c, b)`` of a unit pair its matrix ``M``
 obeys ``conj(M) = S M S``.  The unitary ``U = ((1+i) I + (1-i) S) / 2``
 has ``conj(U) = S U``, so ``R = U_B^dagger M U_A`` is real, with the same
-singular values as ``M``.  With ``X`` and ``Y`` the real and imaginary
-parts of the isometry ``W[b, e, a]``, its entries are (unscaled)
+singular values as ``M``.  With ``P[(b, a), e] = W[b, e, a]`` the entries
+of ``M`` are those of ``sqrt(d_B/d_A) P P^dagger`` (the Choi product, a
+``d_B d_A x d_B d_A`` matrix ``g``) with the index pairs regrouped.  With
+``X`` and ``Y`` the real and imaginary parts of ``W``, the entries of
+``R`` are (unscaled)
 
-    R[(b, c), (a, f)] = sum_e X_bea X_cef + Y_bea Y_cef + Y_bef X_cea - X_bef Y_cea,
+    R[(b, c), (a, f)] = Re g[b, a, c, f] + Im g[b, f, c, a]
+                      = sum_e X_bea X_cef + Y_bea Y_cef + Y_bef X_cea - X_bef Y_cea.
 
-so ``R`` is built straight from ``X`` and ``Y``, a block of ``b`` rows at
-a time from two real products (`_real_form`); neither ``M`` nor the
-complex Choi product ``P P^dagger`` (``P[(b, a), e] = W[b, e, a]``, a
-``d_B d_A x d_B d_A`` matrix) is formed.
+Rows ``(b, .)`` of ``R`` need only rows ``(b, .)`` of ``g``, so `_real_form`
+reads ``R`` off ``g`` a block of ``b`` rows at a time: neither ``M`` nor
+the whole of ``g`` is formed.  Each entry is the complex product's own
+sum, so ``R`` rounds bit for bit as when read off the whole ``g``.  Summing
+the real products of ``X`` and ``Y`` instead rounds ``R`` differently (by
+about ``eps / 2``), which the Gram route below turns into moves of up to
+2.6e-13 in the smallest values.
 
 The singular values are the square roots of the eigenvalues of the
 smaller Gram of ``R`` (``R R^T`` when ``d_A > d_B``, else ``R^T R``),
 scaled by ``sqrt(d_B/d_A)`` after the root.  A value ``sigma`` is exact to
 about ``n eps sigma_1^2 / sigma`` (``n`` the Gram's order): absolute, not
 relative, accuracy.  Over 80 maps of 16 shapes the largest departure from
-a complex SVD of ``M`` was 5.4e-14, the largest relative one 2.4e-9 at
-``sigma`` near 9e-6.  The route holds ``R`` (half the bytes of ``M``),
-then ``R`` and its Gram, then the Gram and LAPACK's copy of it; while
-``R`` is built, its two block products add at most a quarter of it once
-``d_B >= 8``.  At 30:30:30 the ``tracemalloc`` peak is 1.00 times the
-bytes of ``M`` (LAPACK's copy is not traced), where reading ``R`` off the
-Choi product peaked at 1.64.  The map has rank at most ``d_A^2``, so when
-``d_A < d_B`` the spectrum is padded with exact zeros to ``d_B^2`` values.
+a complex SVD of ``M`` was 6.3e-14, the largest relative one 7e-9 at
+``sigma`` near 9e-6.  The route holds ``R`` (half the bytes of ``M``) and
+one block of ``g``, at most an eighth of ``R`` once ``d_B >= 16``; then
+``R`` and its Gram; then the Gram and LAPACK's copy of it.  At 30:30:30
+the ``tracemalloc`` peak is 1.00 times the bytes of ``M`` (LAPACK's copy
+is not traced), where reading ``R`` off the whole of ``g`` peaked at 1.64.
+The map has rank at most ``d_A^2``, so when ``d_A < d_B`` the spectrum is
+padded with exact zeros to ``d_B^2`` values.
 
 The module also provides the closed-form Frobenius mass (the squared
 singular values sum to about ``d_A`` on average), the Marchenko-Pastur
@@ -113,23 +120,20 @@ class SingularSpectrum:
 def _real_form(w: np.ndarray, d_A: int, d_B: int, d_E: int) -> np.ndarray:
     """The real form ``R`` of the unscaled map of ``w``, shape ``(d_B^2, d_A^2)``.
 
-    Built straight from the isometry (module docstring), a block of ``b``
-    rows at a time: the rows ``(b, a)`` of ``[X|Y]`` times ``[X|Y]^T`` give
-    the ``X X + Y Y`` terms at ``(a, f)``, and times ``[-Y|X]^T`` the rest at
-    ``(f, a)``.  Each product is at most an eighth of ``R``, unless one row
-    of ``b`` is more.
+    Read off the Choi product ``g = P P^dagger`` a block of ``b`` rows at a
+    time (module docstring); a block is at most an eighth of ``R`` once
+    ``d_B >= 16``.  At ``d_A = 1`` a block of one row would be a vector
+    product, which numpy rounds differently, so ``g`` (``d_B x d_B``, no
+    more entries than ``R``) is formed whole.
     """
-    v = w.reshape(d_B, d_E, d_A)
-    xy = np.concatenate([v.real, v.imag], axis=1).transpose(0, 2, 1).reshape(d_B * d_A, 2 * d_E)
-    turn = np.concatenate([-v.imag, v.real], axis=1).transpose(0, 2, 1).reshape(d_B * d_A, 2 * d_E)
+    p = w.reshape(d_B, d_E, d_A).transpose(0, 2, 1).reshape(d_B * d_A, d_E)
+    p_dagger = p.conj().T
     r = np.empty((d_B, d_B, d_A, d_A))  # [b, c, a, f]
-    rows = max(1, d_B >> 3)
+    rows = max(1, d_B >> 4) if d_A > 1 else d_B
     for lo in range(0, d_B, rows):
         hi = min(lo + rows, d_B)
-        block = xy[lo * d_A : hi * d_A]
-        direct = (block @ xy.T).reshape(hi - lo, d_A, d_B, d_A)  # [b, a, c, f]
-        swapped = (block @ turn.T).reshape(hi - lo, d_A, d_B, d_A)  # [b, f, c, a]
-        np.add(direct.transpose(0, 2, 1, 3), swapped.transpose(0, 2, 3, 1), out=r[lo:hi])
+        g = (p[lo * d_A : hi * d_A] @ p_dagger).reshape(hi - lo, d_A, d_B, d_A)  # [b, a, c, f]
+        np.add(g.real.transpose(0, 2, 1, 3), g.imag.transpose(0, 2, 3, 1), out=r[lo:hi])
     return r.reshape(d_B * d_B, d_A * d_A)
 
 
@@ -137,10 +141,10 @@ def singular_spectrum(spec: SuperOperatorSpec) -> SingularSpectrum:
     """Full descending singular spectrum of one sampled map, ``d_B^2`` values.
 
     The values are the square roots of the eigenvalues of the smaller Gram
-    of the real form ``R``, built in row blocks straight from the real and
-    imaginary parts of the isometry (module docstring), scaled by
-    ``sqrt(d_B/d_A)`` and zero-padded when ``d_A < d_B``.  Each is exact to
-    about ``n eps sigma_1^2 / sigma``.
+    of the real form ``R``, read off the Choi product ``P P^dagger`` a block
+    of rows at a time (module docstring), scaled by ``sqrt(d_B/d_A)`` and
+    zero-padded when ``d_A < d_B``.  Each is exact to about
+    ``n eps sigma_1^2 / sigma``.
     """
     d_A, d_B, d_E = spec.d_A, spec.d_B, spec.d_E
     r = _real_form(sample_isometry(d_A, d_B * d_E, spec.seed), d_A, d_B, d_E)

@@ -111,7 +111,7 @@ def _hermitian_basis(d):
         (1, 3, 5),  # d_A = 1
         (6, 6, 1),  # d_E = 1
         (5, 9, 3),  # tall, d_B = 9: blocks of one row
-        (5, 17, 2),  # d_B = 17: blocks of two rows and a last of one
+        (3, 33, 2),  # d_B = 33: blocks of two rows and a last of one
     ],
 )
 def test_the_hermitian_basis_makes_the_map_real(dims):
@@ -123,9 +123,21 @@ def test_the_hermitian_basis_makes_the_map_real(dims):
         assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) < 1e-15
     rotated = u_b.conj().T @ m @ u_a
     assert np.max(np.abs(rotated.imag)) <= 1e-14
-    # the real form `singular_spectrum` builds from the isometry, unscaled
+    # the real form `singular_spectrum` reads off the Choi product, unscaled
     r = _real_form(w, d_A, d_B, d_E)
     assert np.max(np.abs(rotated.real - math.sqrt(d_B / d_A) * r)) <= 1e-14
+
+
+@pytest.mark.parametrize("dims", [(1, 4, 4), (3, 5, 2), (6, 6, 1), (40, 20, 10), (30, 30, 30), (3, 33, 2)])
+def test_the_real_form_rounds_as_the_whole_choi_product(dims):
+    # a block's entries are the whole product's own sums, so the spectra do
+    # not depend on the block rule
+    d_A, d_B, d_E = dims
+    w = sample_isometry(d_A, d_B * d_E, 2)
+    p = w.reshape(d_B, d_E, d_A).transpose(0, 2, 1).reshape(d_B * d_A, d_E)
+    g = (p @ p.conj().T).reshape(d_B, d_A, d_B, d_A)
+    whole = (g.real.transpose(0, 2, 1, 3) + g.imag.transpose(0, 2, 3, 1)).reshape(d_B**2, d_A**2)
+    assert np.array_equal(_real_form(w, d_A, d_B, d_E), whole)
 
 
 @pytest.mark.parametrize(
