@@ -22,12 +22,13 @@ Conventions shared by every command:
   ``--out``, ``--svg`` and ``--emit-argmin``, or an output file that cannot
   be written (before the run if it is a directory or its directory is
   missing or read-only), 3 feasibility limit: a schedule over 128 levels,
-  or a dense state (never past 2**53 per site), a map or a
+  or a dense state or isometry (never past 2**53 per site), a map or a
   ``moments-check`` batch of isometries over the amplitude budget.
 
-The amplitude budget caps, before the first draw, each dense state, map
-and isometry batch a command forms; it can be overridden through the
-``RANDMERA_MAX_AMPLITUDES`` environment variable.
+The library holds every dense state, map, moment batch and drawn isometry
+to the amplitude budget (`errors.admit`) before its first draw; the CLI
+only orders its checks, the seed and the output paths first.  The budget
+can be overridden through the ``RANDMERA_MAX_AMPLITUDES`` environment variable.
 """
 
 from __future__ import annotations
@@ -352,18 +353,6 @@ def _cmd_cuts(args: dict) -> int:
     return 0
 
 
-def _check_map_sizes(specs: list[spectra.SuperOperatorSpec]) -> None:
-    """Refuse, before any draw, a map whose largest array is over the amplitude budget.
-
-    The largest arrays of one map are its real ``d_B^2 x d_A^2`` form and
-    the ``d_B d_E x d_A`` isometry it is built from; the larger is admitted.
-    """
-    for spec in specs:
-        arrays = (((spec.d_B, 2), (spec.d_A, 2)), ((spec.d_B, 1), (spec.d_E, 1), (spec.d_A, 1)))
-        need, factors = max((math.prod(d**m for d, m in f), f) for f in arrays)
-        simulator.admit(math.log(need), factors, f"map {spec.label} needs {need} amplitudes")
-
-
 def _cmd_spectra(args: dict) -> int:
     if args["seeds"] < 1:
         raise UsageError("--seeds must be positive")
@@ -373,7 +362,6 @@ def _cmd_spectra(args: dict) -> int:
         spectra.SuperOperatorSpec(d_A=args["dA"], d_B=args["dB"], d_E=args["dE"], seed=(args["seed"], i))
         for i in range(args["seeds"])
     ]
-    _check_map_sizes(specs)
     rows = []
     series = {}
     lam0, lam1, min_gap = [], [], math.inf
@@ -401,7 +389,6 @@ def _cmd_collapse(args: dict) -> int:
         spectra.SuperOperatorSpec(*dims, seed=(args["seed"], idx))
         for idx, dims in enumerate(args["specs"])
     ]
-    _check_map_sizes(specs)
     rows = spectra.collapse_experiment(specs)
     if args["out"]:
         _write_csv(
@@ -428,9 +415,6 @@ def _cmd_moments_check(args: dict) -> int:
     exacts = [fourth_moment_exact(d1, d2, contraction) for contraction in patterns.values()]
     if trials < 2:
         raise UsageError("moments-check needs --trials of at least 2: one sample has no standard error")
-    need = trials * d2 * d1  # each pattern draws its whole batch of isometries at once
-    batch = f"a batch of {trials} isometries {d2}x{d1} needs {need} amplitudes"
-    simulator.admit(math.log(need), ((trials, 1), (d2, 1), (d1, 1)), batch)
     for idx, ((name, contraction), exact) in enumerate(zip(patterns.items(), exacts)):
         est = fourth_moment_mc(d1, d2, contraction, trials, (args["seed"], idx))
         dev = abs(est.value - exact)

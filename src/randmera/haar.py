@@ -31,18 +31,17 @@ route to the coefficients, kept in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, admit
 
 __all__ = [
     "McEstimate",
     "CANONICAL_CONTRACTIONS",
-    "COL_PAIRINGS",
     "MIXED_CONTRACTION",
-    "ROW_PAIRINGS",
     "fourth_moment_exact",
     "fourth_moment_mc",
     "moment_constants",
@@ -73,6 +72,16 @@ def seed_key(seed) -> tuple[int, ...]:
     return key
 
 
+def _batch_key(d_in: int, d_out: int, trials: int, seed) -> tuple[int, ...]:
+    if d_in < 1 or d_out < 1:
+        raise UsageError(f"dimensions must be positive, got ({d_in}, {d_out})")
+    if d_in > d_out:
+        raise UsageError(f"no isometry into a smaller space: d_in={d_in} > d_out={d_out}")
+    if trials < 1:
+        raise UsageError("trials must be positive")
+    return seed_key(seed)
+
+
 def sample_isometry_batch(d_in: int, d_out: int, trials: int, seed) -> np.ndarray:
     """Draw ``trials`` independent isometries as an array ``(trials, d_out, d_in)``.
 
@@ -84,13 +93,7 @@ def sample_isometry_batch(d_in: int, d_out: int, trials: int, seed) -> np.ndarra
         A key ``(master, *path)`` (see `seed_key`).  The same key always
         yields the same matrices.
     """
-    if d_in < 1 or d_out < 1:
-        raise UsageError(f"dimensions must be positive, got ({d_in}, {d_out})")
-    if d_in > d_out:
-        raise UsageError(f"no isometry into a smaller space: d_in={d_in} > d_out={d_out}")
-    if trials < 1:
-        raise UsageError("trials must be positive")
-    master, *path = seed_key(seed)
+    master, *path = _batch_key(d_in, d_out, trials, seed)
     rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=path))
     shape = (trials, d_out, d_in)
     # real, then imaginary parts; both are freed once z is formed.  One draw of
@@ -145,8 +148,10 @@ def moment_constants(d: int) -> tuple[float, float]:
 # The eight indices of W_ij conj(W)_kl W_ab conj(W)_cd split into row indices
 # {i, k, a, c} (range d2) and column indices {j, l, b, d} (range d1).  A
 # delta pattern is a perfect matching of the rows plus one of the columns.
-ROW_PAIRINGS = ("ik|ac", "ic|ka", "ia|kc")
-COL_PAIRINGS = ("jl|bd", "jd|lb", "jb|ld")
+# Each pairing maps to the einsum letters of its four indices, in the order
+# i, k, a, c (rows) or j, l, b, d (columns): paired indices share a letter.
+_ROW_LETTERS = {"ik|ac": "ppqq", "ic|ka": "pqqp", "ia|kc": "pqpq"}
+_COL_LETTERS = {"jl|bd": "rrss", "jd|lb": "rssr", "jb|ld": "rsrs"}
 
 # The four patterns that appear in the moment identity itself, with weights
 # c, c, c', c' in this order.  Contracting the identity against the first
@@ -163,14 +168,13 @@ CANONICAL_CONTRACTIONS = {
 # sample (unlike the four above), so it exercises the Monte Carlo error bars.
 MIXED_CONTRACTION = ("ia|kc", "jb|ld")
 
-_ROW_LETTERS = "pq"
-_COL_LETTERS = "rs"
 
-
-def _parse_pairing(pairing: str, allowed: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    if pairing not in allowed:
-        raise UsageError(f"unknown pairing {pairing!r}; expected one of {allowed}")
-    return tuple((pair[0], pair[1]) for pair in pairing.split("|"))
+def _letters(contraction: tuple[str, str]) -> tuple[str, str]:
+    """The row and column letters of a delta pattern; an unknown pairing raises `UsageError`."""
+    for pairing, table in zip(contraction, (_ROW_LETTERS, _COL_LETTERS)):
+        if pairing not in table:
+            raise UsageError(f"unknown pairing {pairing!r}; expected one of {tuple(table)}")
+    return _ROW_LETTERS[contraction[0]], _COL_LETTERS[contraction[1]]
 
 
 def fourth_moment_exact(d1: int, d2: int, contraction: tuple[str, str]) -> float:
@@ -179,9 +183,9 @@ def fourth_moment_exact(d1: int, d2: int, contraction: tuple[str, str]) -> float
     Parameters
     ----------
     contraction : (row_pairing, col_pairing)
-        Strings drawn from `ROW_PAIRINGS` and `COL_PAIRINGS`, e.g. the
-        entries of `CANONICAL_CONTRACTIONS` or a mixed pattern such as
-        ``("ia|kc", "jb|ld")``.
+        A pairing of the rows ``i, k, a, c`` and one of the columns
+        ``j, l, b, d``, e.g. the entries of `CANONICAL_CONTRACTIONS` or a
+        mixed pattern such as ``("ia|kc", "jb|ld")``.
 
     Each term of the moment identity pairs with the pattern through one
     pairing of the rows and one of the columns.  Two perfect matchings of
@@ -189,9 +193,8 @@ def fourth_moment_exact(d1: int, d2: int, contraction: tuple[str, str]) -> float
     otherwise, so a pairing contributes its dimension squared or to the
     first power.
     """
+    _letters(contraction)
     rows, cols = contraction
-    _parse_pairing(rows, ROW_PAIRINGS)
-    _parse_pairing(cols, COL_PAIRINGS)
     if not 1 <= d1 <= d2:
         raise UsageError(f"invalid dimensions ({d1}, {d2})")
     c, c_prime = moment_constants(d2)
@@ -233,24 +236,16 @@ def fourth_moment_mc(
     the requested delta pattern, and returns mean and standard error.  Serves
     as the oracle for `fourth_moment_exact`: the two canonical trace patterns
     are sample-independent (standard error at floating-point noise), while
-    mixed patterns fluctuate and test the coefficients nontrivially.
+    mixed patterns fluctuate and test the coefficients nontrivially.  The
+    ``trials x d2 x d1`` batch is admitted (`errors.admit`) before its draw.
     """
-    row_q = _parse_pairing(contraction[0], ROW_PAIRINGS)
-    col_q = _parse_pairing(contraction[1], COL_PAIRINGS)
+    rows, cols = _letters(contraction)
+    _batch_key(d1, d2, trials, seed)
+    need = trials * d2 * d1
+    batch = f"a batch of {trials} isometries {d2}x{d1} needs {need} amplitudes"
+    admit(math.log(need), [(need, 1)], batch)
     w = sample_isometry_batch(d1, d2, trials, seed)
-
-    row_group = {}
-    for letter, pair in zip(_ROW_LETTERS, row_q):
-        for e in pair:
-            row_group[e] = letter
-    col_group = {}
-    for letter, pair in zip(_COL_LETTERS, col_q):
-        for e in pair:
-            col_group[e] = letter
-    sub = (
-        f"t{row_group['i']}{col_group['j']},t{row_group['k']}{col_group['l']},"
-        f"t{row_group['a']}{col_group['b']},t{row_group['c']}{col_group['d']}->t"
-    )
+    sub = ",".join(f"t{r}{c}" for r, c in zip(rows, cols)) + "->t"
     vals = np.einsum(sub, w, w.conj(), w, w.conj())
     if np.max(np.abs(vals.imag)) > 1e-8:
         raise RuntimeError("delta-pattern contraction should be real")

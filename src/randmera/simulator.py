@@ -4,8 +4,8 @@ States are kept as full complex amplitude tensors with one axis per ring
 site, so every entropy below is exact up to floating point.  The builder
 applies per-site splitting isometries and per-pair rotation isometries level
 by level, snapshotting the state after each stage; the wrap-around pair is
-handled by axis permutation.  Every dense array a call forms is held to
-the amplitude budget by `admit` before the call allocates any of them.
+handled by axis permutation.  A call admits every state and isometry it
+forms (`errors.admit`) before its first draw.
 
 Entropies are in nats.  The spectrum of a reduced state is taken from the
 Gram matrix ``A A^dagger`` of the smaller side of the cut, where ``A`` is the
@@ -42,70 +42,31 @@ and standard error comes from `haar.McEstimate.of`.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeasibilityError, UsageError
+from .errors import UsageError, admit
 from .haar import McEstimate, sample_isometry, seed_key
 from .network import Interval, MeraNetwork, Stage
 
 __all__ = [
-    "DEFAULT_MAX_AMPLITUDES",
-    "MAX_AMPLITUDES_ENV",
     "DenseState",
     "EntropySamples",
     "MiSamples",
     "StateTrajectory",
-    "admit",
     "build_state",
     "entropy_renyi2",
     "entropy_vn",
     "interval_spectrum",
-    "max_amplitudes_from_env",
     "mc_entropy_stats",
     "mc_entropy_sweep",
     "mc_mutual_information",
 ]
 
-DEFAULT_MAX_AMPLITUDES = 1 << 26
-MAX_AMPLITUDES_ENV = "RANDMERA_MAX_AMPLITUDES"
-
 _EIG_CLAMP = 1e-12
 # largest buffer, in amplitudes, that a reduced spectrum reads the state through
 _TILE_AMPLITUDES = 1 << 18
-
-
-def max_amplitudes_from_env() -> int:
-    """Amplitude budget, overridable through the environment."""
-    raw = os.environ.get(MAX_AMPLITUDES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_AMPLITUDES
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{MAX_AMPLITUDES_ENV} must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise UsageError(f"{MAX_AMPLITUDES_ENV} must be positive, got {val}")
-    return val
-
-
-def admit(log_count: float, factors, what: str) -> None:
-    """Raise FeasibilityError ``"{what}, budget is N"`` for an array over the budget.
-
-    The array holds ``prod(d ** m for d, m in factors)`` amplitudes, ``log_count``
-    in log.  The exact count is formed only once the log is within 1 of
-    ``log(budget)``, so a deep network is refused at once, and a ``None``
-    dimension (past 2**53, see `DimensionSchedule`) never fits.
-    """
-    cap = max_amplitudes_from_env()
-    if not (
-        log_count <= math.log(cap) + 1.0
-        and all(d is not None for d, _ in factors)
-        and math.prod(d**m for d, m in factors) <= cap
-    ):
-        raise FeasibilityError(f"{what}, budget is {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,29 +151,46 @@ def _rotated(psi: np.ndarray, rotations) -> np.ndarray:
     return psi
 
 
-def _admit_state(log_count: float, factors, where: str) -> None:
-    admit(log_count, factors, f"dense build needs exp({log_count:.4g}) amplitudes {where}")
+def _admit_build(network: MeraNetwork, stop, regions=()) -> tuple[int, Stage]:
+    """Admit every array a build up to ``stop`` and its reads of ``regions`` form; return the stop.
 
-
-def _admit_build(network: MeraNetwork, stop) -> tuple[int, Stage]:
-    """The ``(level, stage)`` a build ends at, its stages up to there admitted, largest first.
-
-    ``None`` is the leaf ``after_W``.  The stage ends are enough: within a
-    stage the working tensor only grows, since a split turns a site of
-    dimension ``dims[k-1] <= dims_v[k]**2`` into two of ``dims_v[k]``, and a
-    rotation turns a pair of ``dims_v[k]`` into a pair of ``dims[k] >= dims_v[k]``.
+    ``None`` is the leaf ``after_W``.  Admitted first, largest first (a stage
+    before an isometry of its size), are the stages up to ``stop``, the
+    split isometries (``dims_v[k]**2 x dims[k-1]``) of every level built,
+    and the rotation isometries (``dims[k]**2 x dims_v[k]**2``) of every
+    ``after_W`` stage built or read (`_pulled_back` draws a region's cut
+    pairs); on one level that isometry is the largest array.  Then come the
+    pulled-back states of the ``after_W`` regions that cut a pair, although
+    they are never formed.  The stage ends are enough: within a stage the
+    working tensor only grows, since a split turns a site of dimension
+    ``dims[k-1] <= dims_v[k]**2`` into two of ``dims_v[k]``, and a rotation
+    turns a pair of ``dims_v[k]`` into a pair of ``dims[k] >= dims_v[k]``.
     """
     level, stage = (network.levels, "after_W") if stop is None else stop
     level, stage = int(level), Stage(stage)
     if not 0 <= level <= network.levels or (level, stage) == (0, Stage.AFTER_V):
         raise UsageError(f"no stage to stop at: level={level}, stage={stage.value}")
-    sched, rows = network.schedule, []
+    reads = [(iv, network.w_slots_cut(iv)) for iv in regions if iv.stage == Stage.AFTER_W]
+    reads = [(iv, 2 * len(slots)) for iv, slots in reads if slots]  # the rest read a snapshot
+    sched, stages, isometries = network.schedule, [], []
     for k in range(1, level + 1):
-        rows.append(((1 << k) * sched.log_dims_v[k], sched.dims_v[k], k, Stage.AFTER_V))
+        d, dv, log_d, log_dv = sched.dims[k], sched.dims_v[k], sched.log_dims[k], sched.log_dims_v[k]
+        stages.append(((1 << k) * log_dv, [(dv, 1 << k)], f"at level {k} (after_V)"))
+        split = 2 * log_dv + sched.log_dims[k - 1], [(dv, 2), (sched.dims[k - 1], 1)]
+        isometries.append((*split, f"for a level {k} split isometry"))
         if (k, stage) != (level, Stage.AFTER_V):
-            rows.append(((1 << k) * sched.log_dims[k], sched.dims[k], k, Stage.AFTER_W))
-    for log_count, d, k, st in sorted(rows, key=lambda row: row[0], reverse=True):
-        _admit_state(log_count, [(d, 1 << k)], f"at level {k} ({st.value})")
+            stages.append(((1 << k) * log_d, [(d, 1 << k)], f"at level {k} (after_W)"))
+        if (k, stage) != (level, Stage.AFTER_V) or any(iv.level == k for iv, _ in reads):
+            rotation = 2 * (log_d + log_dv), [(d, 2), (dv, 2)]
+            isometries.append((*rotation, f"for a level {k} rotation isometry"))
+    rows = sorted(stages + isometries, key=lambda row: row[0], reverse=True)
+    for iv, cut in reads:  # sites at dims[k] where a cut pair lies, dims_v[k] elsewhere
+        k, rest = iv.level, iv.n_sites - cut
+        pulled_back = cut * sched.log_dims[k] + rest * sched.log_dims_v[k]
+        where = f"at level {k} (after_W) to read sites {iv.i}:{iv.j}"
+        rows.append((pulled_back, [(sched.dims[k], cut), (sched.dims_v[k], rest)], where))
+    for log_count, factors, where in rows:
+        admit(log_count, factors, f"dense build needs exp({log_count:.4g}) amplitudes {where}")
     return level, stage
 
 
@@ -241,8 +219,8 @@ def build_state(
     -------
     StateTrajectory with snapshots at every ``(level, stage)`` up to ``stop``.
 
-    Before any allocation, every stage up to ``stop``, and none past it, is
-    admitted (`_admit_build`), so a refusal names the largest.
+    Before any allocation, every stage and isometry up to ``stop``, and none
+    past it, is admitted (`_admit_build`), so a refusal names the largest.
     """
     stop_level, stop_stage = _admit_build(network, stop)
     sched = network.schedule
@@ -503,27 +481,16 @@ def mc_entropy_sweep(
     there); an ``after_W`` region is read off its pulled-back state (see
     `_pulled_back`), whose isometries are re-drawn from the slot keys the
     full build uses, so the draw is the same network.  Before the first
-    draw, the stages of that build and then each pulled-back state are
-    admitted (`admit`), the latter although it is never formed; no other
-    state is formed.
+    draw, the stages and isometries of that build and of the reads, then
+    each pulled-back state, are admitted (`_admit_build`), the latter
+    although it is never formed; no other state is formed.
     """
     if trials < 1:
         raise UsageError("trials must be positive")
     base = seed_key(seed)
     top = max((iv.level for iv in intervals), default=0)
     stop = (top, Stage.AFTER_V) if top else (0, Stage.AFTER_W)
-    _admit_build(network, stop)
-    sched = network.schedule
-    for iv in intervals:
-        slots = network.w_slots_cut(iv) if iv.stage == Stage.AFTER_W else []
-        if slots:  # with none, the region reads a snapshot `build_state` admits
-            k, cut = iv.level, 2 * len(slots)
-            rest = iv.n_sites - cut
-            _admit_state(
-                cut * sched.log_dims[k] + rest * sched.log_dims_v[k],
-                [(sched.dims[k], cut), (sched.dims_v[k], rest)],
-                f"at level {k} (after_W) to read sites {iv.i}:{iv.j}",
-            )
+    _admit_build(network, stop, intervals)
     acc_s = {iv: np.empty(trials) for iv in intervals}
     acc_s2 = {iv: np.empty(trials) for iv in intervals}
     for t in range(trials):

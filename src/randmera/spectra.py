@@ -65,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
-from .haar import moment_constants, sample_isometry
+from .errors import UsageError, admit
+from .haar import moment_constants, sample_isometry, seed_key
 
 __all__ = [
     "CollapseRow",
@@ -99,6 +99,7 @@ class SuperOperatorSpec:
             raise UsageError(
                 f"d_B*d_E = {self.d_B * self.d_E} must be at least d_A = {self.d_A}"
             )
+        seed_key(self.seed)
 
     @property
     def label(self) -> str:
@@ -137,6 +138,12 @@ def _real_form(w: np.ndarray, d_A: int, d_B: int, d_E: int) -> np.ndarray:
     return r.reshape(d_B * d_B, d_A * d_A)
 
 
+def _admit_map(spec: SuperOperatorSpec) -> None:
+    """Admit the larger of a map's real ``d_B^2 x d_A^2`` form and its ``d_B d_E x d_A`` isometry."""
+    need = max((spec.d_B * spec.d_A) ** 2, spec.d_B * spec.d_E * spec.d_A)
+    admit(math.log(need), [(need, 1)], f"map {spec.label} needs {need} amplitudes")
+
+
 def singular_spectrum(spec: SuperOperatorSpec) -> SingularSpectrum:
     """Full descending singular spectrum of one sampled map, ``d_B^2`` values.
 
@@ -144,8 +151,10 @@ def singular_spectrum(spec: SuperOperatorSpec) -> SingularSpectrum:
     of the real form ``R``, read off the Choi product ``P P^dagger`` a block
     of rows at a time (module docstring), scaled by ``sqrt(d_B/d_A)`` and
     zero-padded when ``d_A < d_B``.  Each is exact to about
-    ``n eps sigma_1^2 / sigma``.
+    ``n eps sigma_1^2 / sigma``.  The map is admitted (`_admit_map`) before
+    its isometry is drawn.
     """
+    _admit_map(spec)
     d_A, d_B, d_E = spec.d_A, spec.d_B, spec.d_E
     r = _real_form(sample_isometry(d_A, d_B * d_E, spec.seed), d_A, d_B, d_E)
     gram = r @ r.T if d_A > d_B else r.T @ r
@@ -207,10 +216,13 @@ def collapse_experiment(specs: list[SuperOperatorSpec]) -> list[CollapseRow]:
 
     Row ``i >= 1`` of a spectrum plots ``values[i] / mp_edge(d_A, d_B, d_E)``
     against ``i / d_B^2`` (the top value is dropped), so every bulk ends near
-    1 with no fitted parameter.  Every edge is computed before the first draw.
+    1 with no fitted parameter.  Every map is admitted (`_admit_map`), then
+    every edge computed, before the first draw.
     """
     if not specs:
         raise UsageError("need at least one spec")
+    for spec in specs:
+        _admit_map(spec)
     edges = [mp_edge(spec.d_A, spec.d_B, spec.d_E) for spec in specs]
     rows: list[CollapseRow] = []
     for spec, edge in zip(specs, edges):

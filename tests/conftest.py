@@ -20,6 +20,7 @@ import pytest
 
 from randmera import FeasibilityError, Interval, MeraNetwork, Stage, find_epsilon, simulator
 from randmera.cutbounds import _END, LOG_BRANCH, CutEngine, ReductionSequence, ReductionStep
+from randmera.errors import MAX_AMPLITUDES_ENV
 
 # hypothesis imports this module to report a failing example; its libcst
 # import warns, and under ``-W error`` that would end the whole run with an
@@ -199,7 +200,7 @@ def build_admitted(network: MeraNetwork, budget: int, stop=None) -> bool:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "sample_isometry", drawn)
-        mp.setenv(simulator.MAX_AMPLITUDES_ENV, str(budget))
+        mp.setenv(MAX_AMPLITUDES_ENV, str(budget))
         try:
             simulator.build_state(network, 0, stop=stop)
         except _Drawn:

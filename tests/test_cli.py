@@ -441,6 +441,22 @@ def test_a_moments_check_batch_over_the_budget_is_refused_before_any_draw(monkey
     assert capsys.readouterr().err.startswith("infeasible: a batch of 100 isometries")
 
 
+def test_a_one_level_rotation_isometry_over_the_budget_exits_3_before_any_draw(monkeypatch, capsys):
+    # leaf 5000, split bond 13: the largest state, 5000**2 amplitudes, is under
+    # the default budget, while the rotation isometry is 5000**2 x 13**2 (67 GB)
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an isometry was drawn before it was admitted")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES", raising=False)
+    argv = ["entropy", "--leaf-dim", "5000", "--epsilon", "6", "--interval", "0:0", "--trials", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "infeasible: dense build needs exp(22.16) amplitudes for a level 1 rotation isometry, "
+        "budget is 67108864\n"
+    )
+
+
 def test_a_schedule_deeper_than_128_levels_exits_with_the_resource_code(capsys):
     assert main(["schedule", "--epsilon", "0.003"]) == 3
     assert capsys.readouterr().err == "infeasible: no termination within 128 levels\n"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from randmera import (
     CANONICAL_CONTRACTIONS,
+    FeasibilityError,
     MIXED_CONTRACTION,
     SuperOperatorSpec,
     UsageError,
@@ -22,6 +23,7 @@ from randmera import (
     sample_isometry_batch,
     singular_spectrum,
 )
+from randmera import haar
 from randmera.haar import McEstimate, seed_key
 
 SHAPES = [(1, 1), (1, 4), (2, 2), (2, 4), (3, 9), (5, 7)]
@@ -274,6 +276,26 @@ def test_mixed_pattern_monte_carlo_matches_the_closed_form(d1, d2):
 def test_monte_carlo_reports_the_requested_trial_count():
     est = fourth_moment_mc(2, 4, MIXED_CONTRACTION, trials=128, seed=0)
     assert est.trials == 128
+
+
+def test_a_moment_batch_over_the_budget_is_refused_before_its_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a batch was drawn before it was admitted")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "799")  # 100 isometries of 4 x 2 are 800
+    with pytest.raises(FeasibilityError, match=r"^a batch of 100 isometries 4x2 needs 800 amplitudes"):
+        fourth_moment_mc(2, 4, MIXED_CONTRACTION, trials=100, seed=0)
+    # bad inputs are usage errors, checked before the batch is sized
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "1")
+    with pytest.raises(UsageError, match="trials must be positive"):
+        fourth_moment_mc(2, 4, MIXED_CONTRACTION, trials=0, seed=0)
+    with pytest.raises(UsageError, match="no isometry into a smaller space"):
+        fourth_moment_mc(4, 2, MIXED_CONTRACTION, trials=100, seed=0)
+    with pytest.raises(UsageError, match=r"^seed \(340282366920938463463374607431768211456,\)"):
+        fourth_moment_mc(2, 4, MIXED_CONTRACTION, trials=100, seed=2**128)
+    with pytest.raises(UsageError, match=r"^unknown pairing 'ik\|ca'"):
+        fourth_moment_mc(2, 4, ("ik|ca", "jb|ld"), trials=100, seed=0)
 
 
 def test_mc_estimate_is_the_mean_and_its_standard_error():

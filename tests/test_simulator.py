@@ -28,7 +28,8 @@ from randmera import (
     sample_isometry,
 )
 from randmera import simulator
-from randmera.simulator import DenseState, max_amplitudes_from_env
+from randmera.errors import max_amplitudes_from_env
+from randmera.simulator import DenseState
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,30 @@ def test_a_build_is_admitted_exactly_at_its_peak(net_l4):
 def test_the_one_level_network_is_admitted_at_four_amplitudes(net_tiny):
     assert net_tiny.levels == 1
     assert build_admitted(net_tiny, 4) and not build_admitted(net_tiny, 3)
+
+
+def test_a_one_level_rotation_isometry_is_held_to_the_budget(monkeypatch):
+    # leaf 5, split bond 2: no state has more than 5**2 amplitudes, but the
+    # rotation isometry that the build, and the read of one site, draw is
+    # 5**2 x 2**2 = 100
+    net = MeraNetwork.build(5, 1.39)
+    assert (net.levels, net.schedule.dims_v[1]) == (1, 2)
+    assert build_admitted(net, 100) and not build_admitted(net, 99)
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(simulator, "sample_isometry", drawn)
+    region = Interval.span(1, Stage.AFTER_W, 0, 0)
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "100")
+    with pytest.raises(Drawn):
+        mc_entropy_stats(net, region, 1, seed=0)
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "99")
+    with pytest.raises(FeasibilityError, match=r"for a level 1 rotation isometry, budget is 99$"):
+        mc_entropy_stats(net, region, 1, seed=0)
 
 
 def test_the_96_level_network_is_refused_at_once(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from randmera import (
+    FeasibilityError,
     McEstimate,
     SuperOperatorSpec,
     UsageError,
@@ -18,6 +19,7 @@ from randmera import (
     sample_isometry,
     singular_spectrum,
 )
+from randmera import spectra
 from randmera.spectra import SingularSpectrum, _real_form
 
 
@@ -317,6 +319,23 @@ def test_collapse_rows_drop_the_leading_value_and_rescale():
         assert [r.x for r in curve] == [i / spec.d_B**2 for i in range(1, spec.d_B**2)]
         edge = mp_edge(spec.d_A, spec.d_B, spec.d_E)
         assert [r.y for r in curve] == [values[i] / edge for i in range(1, spec.d_B**2)]
+
+
+def test_a_map_over_the_budget_is_refused_before_its_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a map was drawn before it was admitted")
+
+    monkeypatch.setattr(spectra, "sample_isometry", no_draw)
+    monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES", raising=False)
+    big = SuperOperatorSpec(100, 100, 2)  # a real form of 10**8 amplitudes
+    with pytest.raises(FeasibilityError, match="^map 100:100:2 needs 100000000 amplitudes"):
+        singular_spectrum(big)
+    with pytest.raises(UsageError, match=r"^seed \(-1,\)"):  # a bad seed before the budget
+        SuperOperatorSpec(100, 100, 2, seed=-1)
+    # every map is admitted before the first draw, and before any edge
+    for specs in ([SuperOperatorSpec(4, 4, 4), big], [SuperOperatorSpec(2, 1, 2), big]):
+        with pytest.raises(FeasibilityError, match="^map 100:100:2 needs"):
+            collapse_experiment(specs)
 
 
 def test_collapse_validation():
