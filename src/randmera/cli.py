@@ -22,13 +22,18 @@ Conventions shared by every command:
   ``--out``, ``--svg`` and ``--emit-argmin``, or an output file that cannot
   be written (before the run if it is a directory or its directory is
   missing or read-only), 3 feasibility limit: a schedule over 128 levels,
-  or a dense state or isometry (never past 2**53 per site), a map or a
-  ``moments-check`` batch of isometries over the amplitude budget.
+  or a dense state or isometry (never past 2**53 per site), a count of
+  trials, a map or a ``moments-check`` batch of isometries over the
+  amplitude budget.
 
-The library holds every dense state, map, moment batch and drawn isometry
-to the amplitude budget (`errors.admit`) before its first draw; the CLI
-only orders its checks, the seed and the output paths first.  The budget
-can be overridden through the ``RANDMERA_MAX_AMPLITUDES`` environment variable.
+The library holds every dense state, map, moment batch, drawn isometry and
+Monte Carlo accumulator to the amplitude budget (`errors.admit`) before its
+first draw; the CLI only orders its checks, the seed and the output paths
+first.  The budget can be overridden through the ``RANDMERA_MAX_AMPLITUDES``
+environment variable.  ``schedule`` prints as ``log_peak_amplitudes`` the
+largest array that the simulator admits for a full dense build
+(`simulator.build_rows`): the leaf stage, or on one level the rotation
+isometry.
 """
 
 from __future__ import annotations
@@ -251,8 +256,8 @@ def _ring_interval(level: int, stage: Stage, ij: tuple[int, int]) -> Interval:
 def _cmd_schedule(args: dict) -> int:
     sched = solve_schedule(args["leaf_dim"], args["epsilon"])
     rows = [list(row) for row in schedule_report(sched)]
-    # the largest stage of a dense build, after_V or after_W, in log amplitudes
-    log_peak = max((1 << k) * max(log_d, log_dv) for k, log_d, log_dv, *_ in rows)
+    _, build = simulator.build_rows(MeraNetwork(sched))
+    log_peak = max(log_count for log_count, *_ in build)
     if args["out"]:
         _write_csv(args["out"], ["k", "log_D_k", "log_Dprime_k", "scale", "ratio"], rows)
     if args["svg"]:

@@ -4,8 +4,8 @@ States are kept as full complex amplitude tensors with one axis per ring
 site, so every entropy below is exact up to floating point.  The builder
 applies per-site splitting isometries and per-pair rotation isometries level
 by level, snapshotting the state after each stage; the wrap-around pair is
-handled by axis permutation.  A call admits every state and isometry it
-forms (`errors.admit`) before its first draw.
+handled by axis permutation.  A call admits every state, isometry and
+per-trial accumulator it forms (`errors.admit`) before its first draw.
 
 Entropies are in nats.  The spectrum of a reduced state is taken from the
 Gram matrix ``A A^dagger`` of the smaller side of the cut, where ``A`` is the
@@ -24,9 +24,10 @@ without the ``after_W`` state.  An isometry lying wholly on one side of a
 cut leaves that side's nonzero spectrum unchanged, so a region at level
 ``k`` has the spectrum of the ``(k, after_V)`` snapshot with only the (at
 most two) rotation pairs that cross its boundary applied: the region's
-state pulled back through the rotation layer.  That state is not formed
-either.  Each crossing pair's isometry is drawn once per region, and the
-Gram applies it to every column panel it reads from the snapshot; the
+state pulled back through the rotation layer.  No such state is formed:
+the sweep passes `interval_spectrum` the snapshot and the crossing pairs'
+rotations (`_pulled_back`), each isometry drawn once per region, and the
+Gram applies them to every column panel it reads from the snapshot; the
 panels slice only the sites in no crossing pair, so both sites of a pair
 are whole in each.  The build stops at the deepest ``after_V`` stage a
 region needs, so the leaf ``after_W`` state, the largest of the trajectory,
@@ -55,6 +56,7 @@ __all__ = [
     "EntropySamples",
     "MiSamples",
     "StateTrajectory",
+    "build_rows",
     "build_state",
     "entropy_renyi2",
     "entropy_vn",
@@ -151,20 +153,21 @@ def _rotated(psi: np.ndarray, rotations) -> np.ndarray:
     return psi
 
 
-def _admit_build(network: MeraNetwork, stop, regions=()) -> tuple[int, Stage]:
-    """Admit every array a build up to ``stop`` and its reads of ``regions`` form; return the stop.
+def build_rows(network: MeraNetwork, stop=None, regions=()):
+    """The stop, and every array a build up to ``stop`` and its reads of ``regions`` form.
 
-    ``None`` is the leaf ``after_W``.  Admitted first, largest first (a stage
-    before an isometry of its size), are the stages up to ``stop``, the
-    split isometries (``dims_v[k]**2 x dims[k-1]``) of every level built,
-    and the rotation isometries (``dims[k]**2 x dims_v[k]**2``) of every
-    ``after_W`` stage built or read (`_pulled_back` draws a region's cut
-    pairs); on one level that isometry is the largest array.  Then come the
-    pulled-back states of the ``after_W`` regions that cut a pair, although
-    they are never formed.  The stage ends are enough: within a stage the
-    working tensor only grows, since a split turns a site of dimension
-    ``dims[k-1] <= dims_v[k]**2`` into two of ``dims_v[k]``, and a rotation
-    turns a pair of ``dims_v[k]`` into a pair of ``dims[k] >= dims_v[k]``.
+    ``None`` is the leaf ``after_W``.  A row is `errors.admit`'s ``(log_count,
+    factors, what)``.  First, largest first (a stage before an isometry of
+    its size), come the stages up to ``stop``, the split isometries
+    (``dims_v[k]**2 x dims[k-1]``) of every level built, and the rotation
+    isometries (``dims[k]**2 x dims_v[k]**2``) of every ``after_W`` stage
+    built or read (`_pulled_back` draws a region's cut pairs); on one level
+    that isometry is the largest array.  Then come the pulled-back states
+    of the ``after_W`` regions that cut a pair, although they are never
+    formed.  The stage ends are enough: within a stage the working tensor
+    only grows, since a split turns a site of dimension ``dims[k-1] <=
+    dims_v[k]**2`` into two of ``dims_v[k]``, and a rotation turns a pair of
+    ``dims_v[k]`` into a pair of ``dims[k] >= dims_v[k]``.
     """
     level, stage = (network.levels, "after_W") if stop is None else stop
     level, stage = int(level), Stage(stage)
@@ -189,9 +192,15 @@ def _admit_build(network: MeraNetwork, stop, regions=()) -> tuple[int, Stage]:
         pulled_back = cut * sched.log_dims[k] + rest * sched.log_dims_v[k]
         where = f"at level {k} (after_W) to read sites {iv.i}:{iv.j}"
         rows.append((pulled_back, [(sched.dims[k], cut), (sched.dims_v[k], rest)], where))
+    return (level, stage), rows
+
+
+def _admit_build(network: MeraNetwork, stop, regions=()) -> tuple[int, Stage]:
+    """Admit every row of `build_rows` in its order, so a refusal names the largest; return the stop."""
+    stop, rows = build_rows(network, stop, regions)
     for log_count, factors, where in rows:
         admit(log_count, factors, f"dense build needs exp({log_count:.4g}) amplitudes {where}")
-    return level, stage
+    return stop
 
 
 def build_state(
@@ -246,54 +255,23 @@ def build_state(
     return StateTrajectory(network=network, snapshots=snaps, key=base)
 
 
-@dataclass(frozen=True)
-class _PulledBack:
-    """A ``(k, after_V)`` snapshot with the rotations a region's walls cut, not yet applied.
+def _pulled_back(traj: StateTrajectory, region: Interval) -> tuple[DenseState, tuple]:
+    """A snapshot and the rotations that give it the nonzero spectrum of ``region``.
 
-    It has the ``level``, ``site_dims`` and ``n_sites`` of the `DenseState`
-    that applying them (`_rotated`) would form: sites of dimension
-    ``dims[k]`` where a rotated pair lies and ``dims_v[k]`` elsewhere.
-    `interval_spectrum` reads it without forming that state.
-    """
-
-    snapshot: DenseState
-    rotations: tuple  # ((site, site), isometry) per cut pair
-    site_dims: tuple[int, ...]
-
-    @property
-    def level(self) -> int:
-        return self.snapshot.level
-
-    @property
-    def n_sites(self) -> int:
-        return self.snapshot.n_sites
-
-
-def _pulled_back(traj: StateTrajectory, region: Interval):
-    """A state with the nonzero spectrum of ``region``, as small as the draw allows.
-
-    An ``after_V`` region, and the level-0 ring, read their snapshot.  An
-    ``after_W`` region at level ``k`` reads the ``(k, after_V)`` snapshot
-    with only the rotation pairs its walls cut applied, each drawn once
-    here from its slot key under ``traj.key``, the key the trajectory was
-    built from.  A pair with both sites on one side of the cut is an
-    isometry on that side alone: it leaves the nonzero spectrum of either
-    side unchanged.  With no pair cut, the result is the snapshot itself;
-    otherwise it is a `_PulledBack`, whose pairs `_gram` applies panel by
-    panel, so the rotated state is never formed.
+    An ``after_V`` region, and the level-0 ring, read their snapshot with no
+    rotation.  An ``after_W`` region at level ``k`` reads the ``(k,
+    after_V)`` snapshot with the rotation pairs its walls cut, each
+    ``((site, site), isometry)`` drawn here from its slot key under
+    ``traj.key``, the key the trajectory was built from.  A pair with both
+    sites on one side of the cut is an isometry on that side alone: it
+    leaves the nonzero spectrum of either side unchanged.  The sweep passes
+    both to `interval_spectrum`, so no rotated state is formed.
     """
     k = region.level
     if region.stage == Stage.AFTER_V or k == 0:
-        return traj.state_at(k, region.stage)
-    split = traj.state_at(k, Stage.AFTER_V)
+        return traj.state_at(k, region.stage), ()
     slots = traj.network.w_slots_cut(region)
-    if not slots:
-        return split
-    rotations = _rotations(traj.network, k, slots, traj.key)
-    rotated = {s for pair, _ in rotations for s in pair}
-    dk = traj.network.schedule.dims[k]
-    dims = tuple(dk if s in rotated else d for s, d in enumerate(split.site_dims))
-    return _PulledBack(split, rotations, dims)
+    return traj.state_at(k, Stage.AFTER_V), _rotations(traj.network, k, slots, traj.key)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +315,16 @@ def _boxes(shape: tuple[int, ...], cap: int):
             yield head + (slice(lo, lo + step),)
 
 
-def _gram(state, rows: list[int], cols: list[int]) -> np.ndarray:
-    """``A A^dagger`` for ``A`` the amplitudes of ``state`` split into ``rows`` against ``cols``.
+def _gram(snap: DenseState, rotations, dims, rows: list[int], cols: list[int]) -> np.ndarray:
+    """``A A^dagger``, for ``A`` the ``snap`` rotated by ``rotations``, ``rows`` against ``cols``.
 
-    ``state`` is a `DenseState`, or a `_PulledBack` snapshot with rotation
-    pairs still to apply; a `DenseState` is the case with none.  ``A`` is
-    read in column panels.  A panel slices the column sites that lie in no
-    rotated pair (the free sites) and holds every other site whole, so it
-    is copied from a strided view of the snapshot into one reused buffer
-    and each pair is rotated there (`_rotated`); the rotated state is never
-    formed.  Each block of the result is accumulated from one reused tile,
-    and only the lower triangle is filled.
+    ``dims`` are the rotated state's site dimensions.  ``A`` is read in
+    column panels.  A panel slices the column sites that lie in no rotated
+    pair (the free sites) and holds every other site whole, so it is copied
+    from a strided view of the snapshot into one reused buffer and each pair
+    is rotated there (`_rotated`); the rotated state is never formed.  Each
+    block of the result is accumulated from one reused tile, and only the
+    lower triangle is filled.
 
     Buffer rule: every array a panel forms (the copy, its rotated and
     conjugated forms, the tile) holds at most the larger of a sixteenth of
@@ -355,20 +332,16 @@ def _gram(state, rows: list[int], cols: list[int]) -> np.ndarray:
     the columns of one free index are more.  The eigensolve that follows
     holds the Gram and LAPACK's copy of it, so buffers of an eighth of the
     Gram add nothing to the peak of a balanced cut; on a lopsided cut, where
-    the Gram is small, a sixteenth of ``A`` bounds them.  All are freed on
-    return.
+    the Gram is small, a sixteenth of ``A`` bounds them.  All are freed on return.
     """
-    snap, rotations = (
-        (state.snapshot, state.rotations) if isinstance(state, _PulledBack) else (state, ())
-    )
     paired = {s for pair, _ in rotations for s in pair}
     whole = rows + [s for s in cols if s in paired]
     free = [s for s in cols if s not in paired]
     t = snap.as_tensor().transpose(whole + free)
     axis = {s: a for a, s in enumerate(whole)}
     moves = [((axis[a], axis[b]), iso) for (a, b), iso in rotations]
-    d = math.prod(state.site_dims[s] for s in rows)
-    width = math.prod(state.site_dims[s] for s in whole)  # amplitudes of A per free index
+    d = math.prod(dims[s] for s in rows)
+    width = math.prod(dims[s] for s in whole)  # amplitudes of A per free index
     n_free = math.prod(t.shape[len(whole) :])
     cap = max(width, min(_TILE_AMPLITUDES, max(width * n_free >> 4, d * d >> 3)))
     cells = min(cap // width, n_free)  # free indices per panel
@@ -392,22 +365,24 @@ def _gram(state, rows: list[int], cols: list[int]) -> np.ndarray:
     return g
 
 
-def interval_spectrum(state: DenseState, region) -> np.ndarray:
+def interval_spectrum(state: DenseState, region, rotations=()) -> np.ndarray:
     """Eigenvalues of the reduced state of ``region``, descending.
 
-    ``state`` is a `DenseState`, or the `_PulledBack` state of a sweep's
-    ``after_W`` region (`_pulled_back`), which is read without being formed.
-    Computed by ``eigvalsh`` from the Gram matrix of whichever side of the
-    cut, ``region`` or its complement, has the smaller dimension (``region``
-    on a tie): both sides share their nonzero spectrum.  There are
-    ``min(dim region, dim rest)`` values, clipped at zero.
+    ``rotations``, ``((site, site), isometry)`` pairs, act on ``state``
+    first, and the rotated state is not formed: a sweep passes an
+    ``after_W`` region's ``(k, after_V)`` snapshot and the pairs its walls
+    cut (`_pulled_back`).  An isometry takes its sites to dimension
+    ``isqrt(len(isometry))``.  Computed by ``eigvalsh`` from the Gram matrix
+    of whichever side of the cut, ``region`` or its complement, has the
+    smaller dimension (``region`` on a tie): both sides share their nonzero
+    spectrum.  There are ``min(dim region, dim rest)`` values, clipped at zero.
     """
     sites, rest = _cut(state, region)
-    if math.prod(state.site_dims[s] for s in sites) > math.prod(
-        state.site_dims[s] for s in rest
-    ):
+    rotated = {s: math.isqrt(len(iso)) for pair, iso in rotations for s in pair}
+    dims = [rotated.get(s, d) for s, d in enumerate(state.site_dims)]
+    if math.prod(dims[s] for s in sites) > math.prod(dims[s] for s in rest):
         sites, rest = rest, sites
-    p = np.linalg.eigvalsh(_gram(state, sites, rest), UPLO="L")
+    p = np.linalg.eigvalsh(_gram(state, rotations, dims, sites, rest), UPLO="L")
     return np.clip(p, 0.0, None)[::-1]
 
 
@@ -478,12 +453,13 @@ def mc_entropy_sweep(
     reproducible independently of sweep composition.  A region listed more
     than once is computed once.  Each draw is built up to the ``after_V``
     stage of the deepest region's level (level 0 alone if every region is
-    there); an ``after_W`` region is read off its pulled-back state (see
-    `_pulled_back`), whose isometries are re-drawn from the slot keys the
-    full build uses, so the draw is the same network.  Before the first
-    draw, the stages and isometries of that build and of the reads, then
-    each pulled-back state, are admitted (`_admit_build`), the latter
-    although it is never formed; no other state is formed.
+    there); an ``after_W`` region is read off that snapshot and the
+    rotations its walls cut (see `_pulled_back`), re-drawn from the slot
+    keys the full build uses, so the draw is the same network.  Before the
+    first draw, the stages and isometries of that build and of the reads,
+    then each pulled-back state, are admitted (`_admit_build`), the latter
+    although it is never formed, and each region's two arrays of ``trials``
+    entropies; no other state is formed.
     """
     if trials < 1:
         raise UsageError("trials must be positive")
@@ -491,12 +467,15 @@ def mc_entropy_sweep(
     top = max((iv.level for iv in intervals), default=0)
     stop = (top, Stage.AFTER_V) if top else (0, Stage.AFTER_W)
     _admit_build(network, stop, intervals)
+    admit(math.log(trials), [(trials, 1)], f"a sweep keeps two arrays of {trials} entropies per region")
     acc_s = {iv: np.empty(trials) for iv in intervals}
     acc_s2 = {iv: np.empty(trials) for iv in intervals}
     for t in range(trials):
         traj = build_state(network, (*base, t), stop=stop)
         for iv in acc_s:
-            spec = interval_spectrum(_pulled_back(traj, iv), iv)
+            snap, rotations = _pulled_back(traj, iv)
+            spec = interval_spectrum(snap, iv, rotations)
+            del snap, rotations  # hold no part of this draw into the next
             acc_s[iv][t] = entropy_vn(spec)
             acc_s2[iv][t] = entropy_renyi2(spec)
         del traj  # free this draw before the next one is built

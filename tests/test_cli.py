@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import build_admitted
 
 from randmera import Interval, MeraNetwork, Stage, cut_dp, haar, simulator, spectra
 from randmera.cli import main
@@ -42,6 +43,22 @@ def test_schedule_writes_the_expected_table(tmp_path, capsys):
     # the peak stage holds 2**16 amplitudes
     assert f"log_peak_amplitudes={16 * math.log(2)!r}" in stdout
     assert svg.read_text(encoding="utf-8").startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "leaf,eps,budget",
+    [("5", "1.39", 5**2 * 2**2), ("6", "0.5777", 6**8), ("2", L4_EPS, 2**16)],
+    ids=["one-level", "three-level", "four-level"],
+)
+def test_the_schedule_peak_is_the_smallest_budget_a_full_build_admits(leaf, eps, budget, capsys):
+    # on one level the rotation isometry, dims[1]**2 x dims_v[1]**2, outgrows
+    # every stage; deeper, the leaf stage is the largest array
+    assert main(["schedule", "--leaf-dim", leaf, "--epsilon", eps]) == 0
+    log_peak = float(capsys.readouterr().out.split("log_peak_amplitudes=")[1])
+    assert round(math.exp(log_peak)) == budget
+    assert math.isclose(log_peak, math.log(budget), rel_tol=1e-14)
+    net = MeraNetwork.build(int(leaf), float(eps))
+    assert build_admitted(net, budget) and not build_admitted(net, budget - 1)
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -455,6 +472,26 @@ def test_a_one_level_rotation_isometry_over_the_budget_exits_3_before_any_draw(m
         "infeasible: dense build needs exp(22.16) amplitudes for a level 1 rotation isometry, "
         "budget is 67108864\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["entropy", "--epsilon", L3_EPS, "--interval", "0:1"], ["mutual-info", "--epsilon", L3_EPS]],
+    ids=["entropy", "mutual-info"],
+)
+def test_a_trial_count_over_the_budget_exits_3_before_any_draw(argv, tmp_path, monkeypatch, capsys):
+    # 10**20 trials: numpy cannot even form a region's two arrays of entropies
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an isometry was drawn before the trial count was admitted")
+
+    monkeypatch.setattr(simulator, "sample_isometry", no_draw)
+    monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES", raising=False)
+    out, trials = tmp_path / "x.csv", "99999999999999999999"
+    assert main([*argv, "--trials", trials, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"infeasible: a sweep keeps two arrays of {trials} entropies per region, budget is 67108864\n"
+    )
+    assert not out.exists()
 
 
 def test_a_schedule_deeper_than_128_levels_exits_with_the_resource_code(capsys):

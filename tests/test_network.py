@@ -128,9 +128,9 @@ def test_the_empty_interval_starts_at_zero(net_l3, monkeypatch):
         Interval(3, Stage.AFTER_W, 5, 0)
     read = []
 
-    def spectrum(state, region):
+    def spectrum(state, region, rotations=()):
         read.append(region)
-        return interval_spectrum(state, region)
+        return interval_spectrum(state, region, rotations)
 
     monkeypatch.setattr(simulator, "interval_spectrum", spectrum)
     empties = [Interval.of_length(3, Stage.AFTER_W, i, 0) for i in (0, 5, 7)]

@@ -121,6 +121,25 @@ def test_a_one_level_rotation_isometry_is_held_to_the_budget(monkeypatch):
         mc_entropy_stats(net, region, 1, seed=0)
 
 
+def test_a_sweep_admits_its_per_trial_entropies_before_any_draw(net_l3, monkeypatch):
+    # the build needs 2**8 amplitudes; each region keeps two arrays of `trials` floats
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(simulator, "sample_isometry", drawn)
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "1000")
+    region = Interval.of_length(3, Stage.AFTER_W, 1, 2)
+    with pytest.raises(Drawn):
+        mc_entropy_stats(net_l3, region, 1000, seed=0)
+    with pytest.raises(
+        FeasibilityError, match=r"^a sweep keeps two arrays of 1001 entropies per region, budget is 1000$"
+    ):
+        mc_entropy_stats(net_l3, region, 1001, seed=0)
+
+
 def test_the_96_level_network_is_refused_at_once(monkeypatch):
     net = MeraNetwork.build(2, 0.005)
     assert net.levels == 96
@@ -221,13 +240,14 @@ def _assert_the_sweep_matches_the_full_snapshots(net, seed, regions):
     """Trial 0 of the sweep against the SVD of the full build's snapshots.
 
     The sweep stops its build at an ``after_V`` stage and reads ``after_W``
-    regions off the pulled-back state; the oracle builds every stage and
-    splits the snapshot the region lives on.
+    regions off that snapshot and the rotations their walls cut; the oracle
+    builds every stage and splits the snapshot the region lives on.
     """
     res = mc_entropy_sweep(net, regions, trials=1, seed=seed)
     traj = build_state(net, (*seed, 0))
     for iv in regions:
-        pulled = interval_spectrum(simulator._pulled_back(traj, iv), iv)
+        snap, rotations = simulator._pulled_back(traj, iv)
+        pulled = interval_spectrum(snap, iv, rotations)
         oracle = _svd_spectrum(traj.state_at(iv.level, iv.stage), iv.sites())
         a, b = _padded(pulled, oracle)
         assert np.max(np.abs(a - b)) <= 1e-14, iv
@@ -394,7 +414,7 @@ def test_tiles_of_uneven_size_give_the_dense_results():
         a = np.moveaxis(state.as_tensor(), region, range(len(region)))
         a = a.reshape(math.prod(dims[s] for s in region), -1)
         # the Gram fills the lower triangle, and its diagonal tiles whole
-        gram = simulator._gram(state, *simulator._cut(state, region))
+        gram = simulator._gram(state, (), dims, *simulator._cut(state, region))
         assert np.max(np.abs(np.tril(gram) - np.tril(a @ a.conj().T))) < 1e-14
 
 
@@ -628,15 +648,17 @@ def _cli_pairs(level, offset, lengths):
 
 
 def test_monte_carlo_mutual_information_matches_a_manual_loop(net_l3):
-    # the sweep reads every region off its pulled-back state, and so does
-    # this loop; `test_pulled_back_spectra_match_the_leaf_snapshot` compares
-    # that route with the leaf state at a stated tolerance
+    # the sweep reads every region off a snapshot and the rotations its
+    # walls cut, and so does this loop;
+    # `test_pulled_back_spectra_match_the_leaf_snapshot` compares that route
+    # with the leaf state at a stated tolerance
     pairs = _cli_pairs(3, 5, (1, 2, 4))
     res = mc_mutual_information(net_l3, pairs, trials=4, seed=14)
     assert [(r.left, r.right) for r in res] == pairs
 
     def s_vn(traj, region):
-        return entropy_vn(interval_spectrum(simulator._pulled_back(traj, region), region))
+        snap, rotations = simulator._pulled_back(traj, region)
+        return entropy_vn(interval_spectrum(snap, region, rotations))
 
     for t in range(4):
         traj = build_state(net_l3, (14, t))
@@ -653,9 +675,9 @@ def test_monte_carlo_mutual_information_matches_a_manual_loop(net_l3):
 def test_shared_regions_are_read_once_per_trial(net_l3, monkeypatch):
     regions = []
 
-    def spectrum(state, region):
+    def spectrum(state, region, rotations=()):
         regions.append(region)
-        return interval_spectrum(state, region)
+        return interval_spectrum(state, region, rotations)
 
     monkeypatch.setattr(simulator, "interval_spectrum", spectrum)
     mc_mutual_information(net_l3, _cli_pairs(3, 0, (1, 2, 4)), trials=2, seed=3)
