@@ -8,6 +8,11 @@ singular spectra, their collapse, and the isometry-moment self check.
 divides each spectrum by its Marchenko-Pastur edge (`spectra.mp_edge`),
 with no fitted parameter.
 
+A command is one `_COMMANDS` entry: its help, its options and a run
+function that returns a `_Report` (summary line, CSV header and rows, plot
+series, argmin, exit code) and opens no file.  `main` is the only writer:
+it parses, checks, runs the command, writes its outputs and exits.
+
 Conventions shared by every command:
 
 * all randomness flows from ``--seed`` (an integer in [0, 2**128); runs are
@@ -16,6 +21,7 @@ Conventions shared by every command:
   outside those bounds exits 2 before any amplitude-budget check,
 * ``--out`` writes a UTF-8 CSV with a header row and RFC-4180 quoting, and
   a one-line summary always goes to stdout,
+* a list option (``--lengths``, ``--specs``) refuses an empty entry,
 * entropic quantities (entropies, cut costs, mutual-information brackets)
   are printed and written in nats,
 * exit codes: 0 success, 2 usage problem, one path named by two of
@@ -23,13 +29,14 @@ Conventions shared by every command:
   be written (before the run if it is a directory or its directory is
   missing or read-only), 3 feasibility limit: a schedule over 128 levels,
   or a dense state or isometry (never past 2**53 per site), a count of
-  trials, a map or a ``moments-check`` batch of isometries over the
-  amplitude budget.
+  trials, a map, the values ``spectra`` keeps or a ``moments-check`` batch
+  of isometries over the amplitude budget.
 
 The library holds every dense state, map, moment batch, drawn isometry and
 Monte Carlo accumulator to the amplitude budget (`errors.admit`) before its
-first draw; the CLI only orders its checks, the seed and the output paths
-first.  The budget can be overridden through the ``RANDMERA_MAX_AMPLITUDES``
+first draw; the CLI admits only the singular values ``spectra`` keeps over
+its draws, and orders its checks, the seed and the output paths first.  The
+budget can be overridden through the ``RANDMERA_MAX_AMPLITUDES``
 environment variable.  ``schedule`` prints as ``log_peak_amplitudes`` the
 largest array that the simulator admits for a full dense build
 (`simulator.build_rows`): the leaf stage, or on one level the rotation
@@ -46,16 +53,8 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from . import cutbounds, simulator, spectra, svgplot
-from .errors import FeasibilityError, UsageError
-from .haar import (
-    CANONICAL_CONTRACTIONS,
-    MIXED_CONTRACTION,
-    fourth_moment_exact,
-    fourth_moment_mc,
-    moment_constants,
-    seed_key,
-)
+from . import cutbounds, haar, simulator, spectra, svgplot
+from .errors import FeasibilityError, UsageError, admit
 from .network import Interval, MeraNetwork, Stage
 from .schedule import schedule_report, solve_schedule
 
@@ -63,11 +62,13 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# option table
+# options
 # ---------------------------------------------------------------------------
 
 
 class _Opt(NamedTuple):
+    """One option: its flag, then its `add_argument` keywords."""
+
     flag: str
     type: Callable
     default: object
@@ -76,40 +77,40 @@ class _Opt(NamedTuple):
     choices: tuple | None = None
 
 
-def _interval_arg(text: str) -> tuple[int, int]:
+def _ints(text: str, shape: str) -> tuple[int, ...]:
+    """The integers of ``text`` laid out as ``shape``, e.g. ``"i:j"``."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected i:j, got {text!r}")
+    if len(parts) != shape.count(":") + 1:
+        raise argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return tuple(int(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected integers in {text!r}") from exc
 
 
+def _interval_arg(text: str) -> tuple[int, int]:
+    return _ints(text, "i:j")
+
+
+def _split(text: str) -> list[str]:
+    """The comma-separated entries of a list option; an empty entry is refused."""
+    tokens = text.split(",")
+    if "" in tokens:
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return tokens
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    return tuple(_ints(tok, "an integer")[0] for tok in _split(text))
 
 
 def _spec_list(text: str) -> tuple[tuple[int, int, int], ...]:
     out = []
-    for tok in text.split(","):
-        if not tok:
-            continue
-        parts = tok.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"expected dA:dB:dE, got {tok!r}")
-        try:
-            dims = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"expected integers in {tok!r}") from exc
+    for tok in _split(text):
+        dims = _ints(tok, "dA:dB:dE")
         if dims in out:  # curves are keyed by their label
             raise argparse.ArgumentTypeError(f"map {tok!r} is repeated")
         out.append(dims)
-    if not out:
-        raise argparse.ArgumentTypeError("empty spec list")
     return tuple(out)
 
 
@@ -121,120 +122,20 @@ _TRIALS = _Opt("--trials", int, 200, "number of Monte Carlo trials")
 _SVG = _Opt("--svg", str, None, "also write a line plot to this SVG file")
 
 
-_COMMANDS: dict[str, dict] = {
-    "schedule": {
-        "help": "solve the level-dimension recursion and report the schedule",
-        "opts": [_LEAF, _EPS, _OUT, _SVG],
-    },
-    "entropy": {
-        "help": "Monte Carlo interval entropies with their DP bracket",
-        "opts": [
-            _LEAF,
-            _EPS,
-            _Opt("--interval", _interval_arg, None, "leaf interval i:j (inclusive, modular)", required=True),
-            _TRIALS,
-            _SEED,
-            _OUT,
-        ],
-    },
-    "mutual-info": {
-        "help": "mutual information of adjacent leaf intervals vs DP brackets",
-        "opts": [
-            _LEAF,
-            _EPS,
-            _Opt("--lengths", _int_list, (1, 2, 4), "comma-separated interval lengths"),
-            _Opt("--offset", int, 0, "left interval start site"),
-            _TRIALS,
-            _SEED,
-            _OUT,
-        ],
-    },
-    "cuts": {
-        "help": "reduction-sequence bounds for one interval",
-        "opts": [
-            _LEAF,
-            _EPS,
-            _Opt("--interval", _interval_arg, None, "interval i:j on the chosen ring", required=True),
-            _Opt("--level", int, None, "ring level (default: leaf level)"),
-            _Opt("--stage", str, "after_W", "ring stage", choices=("after_W", "after_V")),
-            _Opt("--emit-argmin", str, None, "write the argmin sequence to this JSON file"),
-            _OUT,
-        ],
-    },
-    "spectra": {
-        "help": "singular spectra of the random coarse-graining channel",
-        "opts": [
-            _Opt("--dA", int, None, "input dimension", required=True),
-            _Opt("--dB", int, None, "kept output dimension", required=True),
-            _Opt("--dE", int, None, "traced output dimension", required=True),
-            _Opt("--seeds", int, 10, "number of independent draws"),
-            _SEED,
-            _OUT,
-            _SVG,
-        ],
-    },
-    "collapse": {
-        "help": "overlay of spectra across sizes, each divided by its Marchenko-Pastur edge",
-        "opts": [
-            _Opt("--specs", _spec_list, None, "distinct dA:dB:dE maps, dA and dB >= 2", required=True),
-            _SEED,
-            _OUT,
-            _SVG,
-        ],
-    },
-    "moments-check": {
-        "help": "Monte Carlo check of the isometry fourth-moment closed forms",
-        "opts": [
-            _Opt("--d1", int, None, "input dimension", required=True),
-            _Opt("--d2", int, None, "output dimension", required=True),
-            _Opt("--trials", int, 100_000, "number of sampled isometries"),
-            _SEED,
-            _OUT,
-        ],
-    },
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="randmera",
-        description="Workbench for random multiscale isometry networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, info in _COMMANDS.items():
-        p = sub.add_parser(name, help=info["help"])
-        for opt in info["opts"]:
-            p.add_argument(
-                opt.flag,
-                type=opt.type,
-                default=opt.default,
-                help=opt.help,
-                required=opt.required,
-                choices=opt.choices,
-            )
-    return parser
-
-
 # ---------------------------------------------------------------------------
-# output helpers
+# commands: each returns a report and opens no file
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+class _Report(NamedTuple):
+    """What a command hands `main`, the only writer."""
 
-
-def _write_svg(path: str, series, title, x_label, y_label) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svgplot.line_plot(series, title=title, x_label=x_label, y_label=y_label))
-
-
-def _network(args: dict) -> MeraNetwork:
-    return MeraNetwork.build(args["leaf_dim"], args["epsilon"])
+    summary: str
+    header: list[str]  # of the --out CSV
+    rows: list[list]
+    plot: tuple = ()  # `svgplot.line_plot`'s series, title, x_label and y_label, for --svg
+    argmin: dict | None = None  # for --emit-argmin
+    code: int = 0
 
 
 def _ring_interval(level: int, stage: Stage, ij: tuple[int, int]) -> Interval:
@@ -248,53 +149,38 @@ def _ring_interval(level: int, stage: Stage, ij: tuple[int, int]) -> Interval:
     return interval
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_schedule(args: dict) -> int:
+def _cmd_schedule(args: dict) -> _Report:
     sched = solve_schedule(args["leaf_dim"], args["epsilon"])
     rows = [list(row) for row in schedule_report(sched)]
     _, build = simulator.build_rows(MeraNetwork(sched))
     log_peak = max(log_count for log_count, *_ in build)
-    if args["out"]:
-        _write_csv(args["out"], ["k", "log_D_k", "log_Dprime_k", "scale", "ratio"], rows)
-    if args["svg"]:
-        series = {"log D_k": [(k, log_d) for k, log_d, *_ in rows]}
-        _write_svg(args["svg"], series, "dimension schedule", "level", "log dim")
-    print(
+    return _Report(
         f"schedule: levels={sched.levels} sites={1 << sched.levels} "
         f"leaf_dim={sched.leaf_dim} epsilon={sched.epsilon!r} "
-        f"log_peak_amplitudes={log_peak!r}"
+        f"log_peak_amplitudes={log_peak!r}",
+        ["k", "log_D_k", "log_Dprime_k", "scale", "ratio"],
+        rows,
+        ({"log D_k": [(k, log_d) for k, log_d, *_ in rows]}, "dimension schedule", "level", "log dim"),
     )
-    return 0
 
 
-def _cmd_entropy(args: dict) -> int:
-    network = _network(args)
+def _cmd_entropy(args: dict) -> _Report:
+    network = MeraNetwork.build(args["leaf_dim"], args["epsilon"])
     interval = _ring_interval(network.levels, Stage.AFTER_W, args["interval"])
     stats = simulator.mc_entropy_stats(network, interval, args["trials"], args["seed"])
     bounds = cutbounds.cut_dp(network, interval)
-    if args["out"]:
-        rows = [
-            [t, float(s), float(s2)]
-            for t, (s, s2) in enumerate(zip(stats.samples_s, stats.samples_s2))
-        ]
-        _write_csv(args["out"], ["trial", "entropy_vn", "entropy_renyi2"], rows)
-    print(
+    return _Report(
         f"entropy[{args['interval'][0]}:{args['interval'][1]}] (nats): "
         f"mean_S={stats.mean_s:.6f} mean_S2={stats.mean_s2:.6f} "
         f"dp_upper={bounds.min_cost:.6f} dp_lse={bounds.lse:.6f} "
-        f"dp_lower={max(0.0, bounds.lower_bound):.6f} trials={args['trials']}"
+        f"dp_lower={max(0.0, bounds.lower_bound):.6f} trials={args['trials']}",
+        ["trial", "entropy_vn", "entropy_renyi2"],
+        [[t, float(s), float(s2)] for t, (s, s2) in enumerate(zip(stats.samples_s, stats.samples_s2))],
     )
-    return 0
 
 
-def _cmd_mutual_info(args: dict) -> int:
-    if not args["lengths"]:
-        raise UsageError("--lengths needs at least one length")
-    network = _network(args)
+def _cmd_mutual_info(args: dict) -> _Report:
+    network = MeraNetwork.build(args["leaf_dim"], args["epsilon"])
     n = network.n_leaves
     level, stage = network.levels, Stage.AFTER_W
     pairs = []
@@ -311,153 +197,220 @@ def _cmd_mutual_info(args: dict) -> int:
         [length, pred.i_lower, pred.i_upper, samples.mean, samples.stderr]
         for length, pred, samples in zip(args["lengths"], predictions, mc)
     ]
-    if args["out"]:
-        _write_csv(args["out"], ["length", "i_lower", "i_upper", "mc_mean", "mc_stderr"], rows)
     last = rows[-1]
-    print(
+    return _Report(
         f"mutual-info (nats): lengths={list(args['lengths'])} trials={args['trials']} "
-        f"last: l={last[0]} bracket=[{last[1]:.6f}, {last[2]:.6f}] mc={last[3]:.6f}±{last[4]:.6f}"
+        f"last: l={last[0]} bracket=[{last[1]:.6f}, {last[2]:.6f}] mc={last[3]:.6f}±{last[4]:.6f}",
+        ["length", "i_lower", "i_upper", "mc_mean", "mc_stderr"],
+        rows,
     )
-    return 0
 
 
-def _cmd_cuts(args: dict) -> int:
-    network = _network(args)
+def _cmd_cuts(args: dict) -> _Report:
+    network = MeraNetwork.build(args["leaf_dim"], args["epsilon"])
     level = args["level"] if args["level"] is not None else network.levels
     if not 1 <= level <= network.levels:
         raise UsageError(f"level {level} not in [1, {network.levels}]")
     stage = Stage(args["stage"])
     interval = _ring_interval(level, stage, args["interval"])
     bounds = cutbounds.cut_dp(network, interval)
-    if args["emit_argmin"]:
-        with open(args["emit_argmin"], "w", encoding="utf-8") as fh:
-            json.dump(bounds.argmin.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args["out"]:
-        _write_csv(
-            args["out"],
-            ["i", "j", "level", "stage", "min_cost", "lse", "lower_bound", "height_of_argmin"],
-            [
-                [
-                    interval.i,
-                    interval.j,
-                    level,
-                    stage.value,
-                    bounds.min_cost,
-                    bounds.lse,
-                    bounds.lower_bound,
-                    bounds.height_of_argmin,
-                ]
-            ],
-        )
-    print(
+    header = ["i", "j", "level", "stage", "min_cost", "lse", "lower_bound", "height_of_argmin"]
+    return _Report(
         f"cuts[{interval.i}:{interval.j}]@level {level} {stage.value} (nats): "
         f"min_cost={bounds.min_cost:.6f} lse={bounds.lse:.6f} "
-        f"lower={max(0.0, bounds.lower_bound):.6f} height={bounds.height_of_argmin}"
+        f"lower={max(0.0, bounds.lower_bound):.6f} height={bounds.height_of_argmin}",
+        header,
+        [[interval.i, interval.j, level, stage.value, *(getattr(bounds, name) for name in header[4:])]],
+        argmin=bounds.argmin.to_json_dict(),
     )
-    return 0
 
 
-def _cmd_spectra(args: dict) -> int:
-    if args["seeds"] < 1:
+def _cmd_spectra(args: dict) -> _Report:
+    d_a, d_b, d_e, seeds = args["dA"], args["dB"], args["dE"], args["seeds"]
+    if seeds < 1:
         raise UsageError("--seeds must be positive")
-    if args["dB"] < 2:
+    if d_b < 2:
         raise UsageError("--dB must be at least 2: the summary reads the second singular value")
-    specs = [
-        spectra.SuperOperatorSpec(d_A=args["dA"], d_B=args["dB"], d_E=args["dE"], seed=(args["seed"], i))
-        for i in range(args["seeds"])
-    ]
+    # before the first draw: the dimensions, the values every draw keeps, the last draw's key
+    spectra.SuperOperatorSpec(d_a, d_b, d_e)
+    kept = seeds * d_b * d_b
+    admit(math.log(kept), [(kept, 1)], f"{seeds} spectra keep {kept} singular values")
+    haar.seed_key((args["seed"], seeds - 1))
     rows = []
     series = {}
-    lam0, lam1, min_gap = [], [], math.inf
-    for draw, spec in enumerate(specs):
+    tops = []
+    for draw in range(seeds):
+        spec = spectra.SuperOperatorSpec(d_a, d_b, d_e, seed=(args["seed"], draw))
         values = spectra.singular_spectrum(spec).values
-        lam0.append(float(values[0]))
-        lam1.append(float(values[1]))
-        min_gap = min(min_gap, float(values[0] - values[1]))
+        tops.append((float(values[0]), float(values[1])))
         rows.extend([spec.label, draw, i, float(v)] for i, v in enumerate(values))
         series[f"draw {draw}"] = [(i, float(v)) for i, v in enumerate(values)]
-    if args["out"]:
-        _write_csv(args["out"], ["spec", "draw", "i", "lambda"], rows)
-    if args["svg"]:
-        _write_svg(args["svg"], series, "singular spectra", "i", "lambda(i)")
-    print(
-        f"spectra {args['dA']}:{args['dB']}:{args['dE']} over {args['seeds']} seeds: "
-        f"mean_lambda0={sum(lam0) / len(lam0):.6f} mean_lambda1={sum(lam1) / len(lam1):.6f} "
-        f"min_gap={min_gap:.6f}"
+    lam0, lam1 = zip(*tops)
+    return _Report(
+        f"spectra {d_a}:{d_b}:{d_e} over {seeds} seeds: "
+        f"mean_lambda0={sum(lam0) / seeds:.6f} mean_lambda1={sum(lam1) / seeds:.6f} "
+        f"min_gap={min(a - b for a, b in tops):.6f}",
+        ["spec", "draw", "i", "lambda"],
+        rows,
+        (series, "singular spectra", "i", "lambda(i)"),
     )
-    return 0
 
 
-def _cmd_collapse(args: dict) -> int:
+def _cmd_collapse(args: dict) -> _Report:
     specs = [
         spectra.SuperOperatorSpec(*dims, seed=(args["seed"], idx))
         for idx, dims in enumerate(args["specs"])
     ]
     rows = spectra.collapse_experiment(specs)
-    if args["out"]:
-        _write_csv(
-            args["out"],
-            ["spec", "i", "x", "y"],
-            [[r.label, r.index, r.x, r.y] for r in rows],
-        )
-    if args["svg"]:
-        series: dict[str, list[tuple[float, float]]] = {}
-        for r in rows:
-            series.setdefault(r.label, []).append((r.x, r.y))
-        _write_svg(args["svg"], series, "collapse", "i / d_B^2", "lambda / MP edge")
+    series: dict[str, list[tuple[float, float]]] = {}
+    for r in rows:
+        series.setdefault(r.label, []).append((r.x, r.y))
     first = {r.label: r.y for r in rows if r.index == 1}  # labels are distinct
     summary = " ".join(f"{label}:y(1)={y:.4f}" for label, y in first.items())
-    print(f"collapse curves={len(first)} {summary}")
-    return 0
+    return _Report(
+        f"collapse curves={len(first)} {summary}",
+        ["spec", "i", "x", "y"],
+        [[r.label, r.index, r.x, r.y] for r in rows],
+        (series, "collapse", "i / d_B^2", "lambda / MP edge"),
+    )
 
 
-def _cmd_moments_check(args: dict) -> int:
+def _cmd_moments_check(args: dict) -> _Report:
     d1, d2, trials = args["d1"], args["d2"], args["trials"]
-    rows = []
-    worst = 0.0
-    patterns = {**CANONICAL_CONTRACTIONS, "mixed": MIXED_CONTRACTION}
-    exacts = [fourth_moment_exact(d1, d2, contraction) for contraction in patterns.values()]
     if trials < 2:
         raise UsageError("moments-check needs --trials of at least 2: one sample has no standard error")
-    for idx, ((name, contraction), exact) in enumerate(zip(patterns.items(), exacts)):
-        est = fourth_moment_mc(d1, d2, contraction, trials, (args["seed"], idx))
+    c, c_prime = haar.moment_constants(d2)
+    rows = []
+    worst = 0.0
+    patterns = {**haar.CANONICAL_CONTRACTIONS, "mixed": haar.MIXED_CONTRACTION}
+    for idx, (name, contraction) in enumerate(patterns.items()):
+        # the Monte Carlo admits its batch before it draws, so a d2 past a float's range is
+        # refused before the closed form reads it
+        est = haar.fourth_moment_mc(d1, d2, contraction, trials, (args["seed"], idx))
+        exact = haar.fourth_moment_exact(d1, d2, contraction)
         dev = abs(est.value - exact)
         ok = dev <= 4.0 * est.stderr + 1e-9
         if est.stderr > 1e-12:
             worst = max(worst, dev / est.stderr)
         rows.append([name, exact, est.value, est.stderr, dev, ok])
-    if args["out"]:
-        _write_csv(
-            args["out"],
-            ["contraction", "closed_form", "mc_mean", "mc_stderr", "abs_dev", "within_4se"],
-            rows,
-        )
     all_ok = all(r[5] for r in rows)
-    c, c_prime = moment_constants(d2)
-    print(
+    return _Report(
         f"moments-check d1={d1} d2={d2} trials={trials}: c={c!r} "
-        f"c_prime={c_prime!r} max_sigma={worst:.3f} all_within_4se={all_ok}"
+        f"c_prime={c_prime!r} max_sigma={worst:.3f} all_within_4se={all_ok}",
+        ["contraction", "closed_form", "mc_mean", "mc_stderr", "abs_dev", "within_4se"],
+        rows,
+        code=0 if all_ok else 1,
     )
-    return 0 if all_ok else 1
 
 
-_DISPATCH = {
-    "schedule": _cmd_schedule,
-    "entropy": _cmd_entropy,
-    "mutual-info": _cmd_mutual_info,
-    "cuts": _cmd_cuts,
-    "spectra": _cmd_spectra,
-    "collapse": _cmd_collapse,
-    "moments-check": _cmd_moments_check,
+class _Command(NamedTuple):
+    """The one statement of a command: its help, its options and its run function."""
+
+    help: str
+    opts: list[_Opt]
+    run: Callable[[dict], _Report]
+
+
+_COMMANDS: dict[str, _Command] = {
+    "schedule": _Command(
+        "solve the level-dimension recursion and report the schedule",
+        [_LEAF, _EPS, _OUT, _SVG],
+        _cmd_schedule,
+    ),
+    "entropy": _Command(
+        "Monte Carlo interval entropies with their DP bracket",
+        [
+            _LEAF,
+            _EPS,
+            _Opt("--interval", _interval_arg, None, "leaf interval i:j (inclusive, modular)", required=True),
+            _TRIALS,
+            _SEED,
+            _OUT,
+        ],
+        _cmd_entropy,
+    ),
+    "mutual-info": _Command(
+        "mutual information of adjacent leaf intervals vs DP brackets",
+        [
+            _LEAF,
+            _EPS,
+            _Opt("--lengths", _int_list, (1, 2, 4), "comma-separated interval lengths"),
+            _Opt("--offset", int, 0, "left interval start site"),
+            _TRIALS,
+            _SEED,
+            _OUT,
+        ],
+        _cmd_mutual_info,
+    ),
+    "cuts": _Command(
+        "reduction-sequence bounds for one interval",
+        [
+            _LEAF,
+            _EPS,
+            _Opt("--interval", _interval_arg, None, "interval i:j on the chosen ring", required=True),
+            _Opt("--level", int, None, "ring level (default: leaf level)"),
+            _Opt("--stage", str, "after_W", "ring stage", choices=("after_W", "after_V")),
+            _Opt("--emit-argmin", str, None, "write the argmin sequence to this JSON file"),
+            _OUT,
+        ],
+        _cmd_cuts,
+    ),
+    "spectra": _Command(
+        "singular spectra of the random coarse-graining channel",
+        [
+            _Opt("--dA", int, None, "input dimension", required=True),
+            _Opt("--dB", int, None, "kept output dimension", required=True),
+            _Opt("--dE", int, None, "traced output dimension", required=True),
+            _Opt("--seeds", int, 10, "number of independent draws"),
+            _SEED,
+            _OUT,
+            _SVG,
+        ],
+        _cmd_spectra,
+    ),
+    "collapse": _Command(
+        "overlay of spectra across sizes, each divided by its Marchenko-Pastur edge",
+        [
+            _Opt("--specs", _spec_list, None, "distinct dA:dB:dE maps, dA and dB >= 2", required=True),
+            _SEED,
+            _OUT,
+            _SVG,
+        ],
+        _cmd_collapse,
+    ),
+    "moments-check": _Command(
+        "Monte Carlo check of the isometry fourth-moment closed forms",
+        [
+            _Opt("--d1", int, None, "input dimension", required=True),
+            _Opt("--d2", int, None, "output dimension", required=True),
+            _Opt("--trials", int, 100_000, "number of sampled isometries"),
+            _SEED,
+            _OUT,
+        ],
+        _cmd_moments_check,
+    ),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="randmera",
+        description="Workbench for random multiscale isometry networks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.opts:
+            keywords = opt._asdict()
+            p.add_argument(keywords.pop("flag"), **keywords)
+    return parser
 
 
 def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     try:
         if "seed" in args:  # a bad seed is a usage error, before any budget check
-            seed_key(args["seed"])
+            haar.seed_key(args["seed"])
         flags: dict[str, str] = {}  # real path -> the flag that named it
         for name in ("out", "svg", "emit_argmin"):  # all outputs or none
             path = args.get(name)
@@ -470,7 +423,22 @@ def main(argv=None) -> int:
             parent = os.path.dirname(path) or "."
             if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
                 raise UsageError(f"cannot write {path}: not a file in a writable directory")
-        return _DISPATCH[args["command"]](args)
+        report = _COMMANDS[args["command"]].run(args)
+        for name in ("emit_argmin", "out", "svg"):
+            if not args.get(name):
+                continue
+            with open(args[name], "w", encoding="utf-8", newline="") as fh:
+                if name == "emit_argmin":
+                    json.dump(report.argmin, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                elif name == "out":
+                    writer = csv.writer(fh)
+                    writer.writerow(report.header)
+                    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in report.rows)
+                else:
+                    fh.write(svgplot.line_plot(*report.plot))
+        print(report.summary)
+        return report.code
     except (UsageError, OSError) as exc:  # an OSError is an output write
         print(f"error: {exc}", file=sys.stderr)
         return 2

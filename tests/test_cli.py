@@ -11,9 +11,11 @@ import sys
 import numpy as np
 import pytest
 from conftest import build_admitted
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randmera import Interval, MeraNetwork, Stage, cut_dp, haar, simulator, spectra
-from randmera.cli import main
+from randmera.cli import _COMMANDS, _int_list, _interval_arg, _spec_list, main
 
 L3_EPS = "0.35"
 L4_EPS = "0.24652950741995638"
@@ -149,9 +151,34 @@ def test_an_empty_length_list_is_a_usage_error_before_any_draw(
 
     monkeypatch.setattr(simulator, "build_state", no_draw)
     out = tmp_path / "mi.csv"
-    assert main(["mutual-info", "--epsilon", L3_EPS, "--lengths", lengths, "--out", str(out)]) == 2
+    # an empty entry is refused by the option's parser
+    with pytest.raises(SystemExit) as exc:
+        main(["mutual-info", "--epsilon", L3_EPS, "--lengths", lengths, "--out", str(out)])
+    assert exc.value.code == 2
     assert "--lengths" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mutual-info", "--epsilon", L3_EPS, "--lengths", "1,,2"],
+        ["mutual-info", "--epsilon", L3_EPS, "--lengths", "1,"],
+        ["collapse", "--specs", "3:3:3,"],
+        ["collapse", "--specs", ",3:3:3"],
+        ["collapse", "--specs", ""],
+    ],
+    ids=["lengths-inner", "lengths-trailing", "specs-trailing", "specs-leading", "specs-empty"],
+)
+def test_a_list_option_with_an_empty_entry_exits_2_before_any_draw(argv, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an isometry was drawn for a list with an empty entry")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: empty entry in {argv[-1]!r}" in capsys.readouterr().err
 
 
 def test_cuts_level_out_of_range_is_a_usage_error(capsys):
@@ -519,6 +546,47 @@ def test_a_deep_dense_build_exits_with_the_resource_code_under_any_budget(monkey
     assert "Traceback" not in proc.stderr
 
 
+def test_moments_check_admits_its_batch_before_it_forms_a_closed_form(monkeypatch, capsys):
+    # a closed form turns d2 into a float; 10**200 does not fit one
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a batch was drawn before its size was checked")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES", raising=False)
+    d2 = 10**200
+    assert main(["moments-check", "--d1", "1", "--d2", str(d2), "--trials", "100"]) == 3
+    assert capsys.readouterr().err == (
+        f"infeasible: a batch of 100 isometries {d2}x1 needs {100 * d2} amplitudes, budget is 67108864\n"
+    )
+    for dims, message in (("1", "1"), "no Weingarten values"), (("5", "3"), "no isometry into a smaller space"):
+        assert main(["moments-check", "--d1", dims[0], "--d2", dims[1], "--trials", "100"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_spectra_admits_the_values_it_keeps_before_any_draw(tmp_path, monkeypatch, capsys):
+    # each 3:3:3 map, 81 amplitudes, is under the budget; 11 spectra keep 99 values, 12 keep 108
+    argv = ["spectra", "--dA", "3", "--dB", "3", "--dE", "3"]
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", "99")
+    assert main([*argv, "--seeds", "11"]) == 0
+    capsys.readouterr()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a map was drawn before the kept values were admitted")
+
+    monkeypatch.setattr(haar, "sample_isometry_batch", no_draw)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--seeds", "12", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "infeasible: 12 spectra keep 108 singular values, budget is 99\n"
+    # no map is formed ahead of its draw, so a huge count is refused at once
+    monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES")
+    seeds = 99999999999999999999
+    assert main([*argv, "--seeds", str(seeds), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"infeasible: {seeds} spectra keep {9 * seeds} singular values, budget is 67108864\n"
+    )
+    assert not out.exists()
+
+
 def test_moments_check_refuses_a_single_trial_before_any_draw(monkeypatch, capsys):
     def no_draw(*args, **kwargs):
         raise AssertionError("a batch was drawn for a check that has no standard error")
@@ -575,3 +643,71 @@ def test_a_master_seed_of_2_to_the_128_exits_2(monkeypatch, capsys):
     argv = ["entropy", "--epsilon", L3_EPS, "--interval", "1:2", "--trials", "1", "--seed", str(2**128)]
     assert main(argv) == 2
     assert "seed (340282366920938463463374607431768211456,)" in capsys.readouterr().err
+
+
+class _Drawn(Exception):
+    """Raised by the patched sampler: the run reached its first draw."""
+
+
+_SCALARS = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-300", "", "1.5", str(2**64), str(10**20 - 1), str(10**200)]
+# for each parser, values that parse and values that should not
+_POOLS = {
+    int: (["1", "2", "3", "4"], _SCALARS),
+    float: ([L3_EPS, L4_EPS, "1.39"], _SCALARS),
+    str: (["after_W", "after_V"], [*_SCALARS, "sideways"]),
+    _interval_arg: (["0:1", "1:2", "3:2", "0:-1", f"0:{10**200}"], [*_SCALARS, "1:", ":", "a:b", "1:2:3"]),
+    _int_list: (["1", "1,2", "2,1,4", str(10**200)], [*_SCALARS, ",", "1,,2", "2,", ",1", "1;2", "1:2"]),
+    _spec_list: (
+        ["4:4:4", "4:4:4,8:4:4", "1:1:1", "8:4:0", "2:2:1"],
+        [*_SCALARS, "3:3:3,", "8:4", "4:4:4,4:4:4", "a:b:c"],
+    ),
+}
+_OUTPUTS = ("--out", "--svg", "--emit-argmin")
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_any_argv_drawn_from_the_command_table_exits_cleanly(data, tmp_path_factory):
+    # one option of a command is unset or set from its parser's whole pool, the others
+    # from its valid pool; each output is unset, a new file, a file in a missing
+    # directory or one path that other outputs may name too
+    name = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+    opts = _COMMANDS[name].opts
+    hostile = data.draw(st.sampled_from([o.flag for o in opts if o.flag not in _OUTPUTS]), label="hostile")
+    run_dir = tmp_path_factory.mktemp("run")
+    paths = {"file": None, "missing": run_dir / "missing" / "x", "shared": run_dir / "shared"}
+    argv = [name]
+    for opt in opts:
+        if opt.flag in _OUTPUTS:
+            where = data.draw(st.sampled_from(["unset", *paths]), label=opt.flag)
+            value = run_dir / opt.flag.strip("-") if where == "file" else paths.get(where)
+        else:
+            valid, invalid = _POOLS[opt.type]
+            if opt.flag == hostile:
+                values = st.sampled_from([None, *valid, *invalid])
+            else:
+                values = st.sampled_from(valid) if opt.required else st.none() | st.sampled_from(valid)
+            value = data.draw(values, label=opt.flag)
+        if value is not None:
+            argv.append(f"{opt.flag}={value}")
+    draws = []
+
+    def sampler(*args):
+        draws.append(args)
+        raise _Drawn
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(haar, "sample_isometry_batch", sampler)
+        mp.setenv("RANDMERA_MAX_AMPLITUDES", "4096")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # refused by the parser
+            code = exc.code
+            assert code == 2, argv
+        except _Drawn:
+            code = None
+    assert code in (None, 0, 1, 2, 3), argv
+    if code in (None, 2, 3):
+        assert list(run_dir.rglob("*")) == [], argv
+    if code in (2, 3):
+        assert draws == [], argv
