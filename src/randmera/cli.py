@@ -9,9 +9,10 @@ divides each spectrum by its Marchenko-Pastur edge (`spectra.mp_edge`),
 with no fitted parameter.
 
 A command is one `_COMMANDS` entry: its help, its options and a run
-function that returns a `_Report` (summary line, CSV header and rows, plot
-series, argmin, exit code) and opens no file.  `main` is the only writer:
-it parses, checks, runs the command, writes its outputs and exits.
+function that returns a `_Report` and opens no file.  `main` is the only
+writer: it parses, checks, runs the command, streams its rows once into
+``--out``, forms its plot only for ``--svg``, and exits.  ``spectra`` holds
+each value it keeps as one float64, ``collapse`` one array per map.
 
 Conventions shared by every command:
 
@@ -21,7 +22,8 @@ Conventions shared by every command:
   outside those bounds exits 2 before any amplitude-budget check,
 * ``--out`` writes a UTF-8 CSV with a header row and RFC-4180 quoting, and
   a one-line summary always goes to stdout,
-* a list option (``--lengths``, ``--specs``) refuses an empty entry,
+* a list option (``--lengths``, ``--specs``) refuses an empty entry, and
+  ring positions are modular (``--interval``, ``--offset``),
 * entropic quantities (entropies, cut costs, mutual-information brackets)
   are printed and written in nats,
 * exit codes: 0 success, 2 usage problem, one path named by two of
@@ -51,7 +53,9 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from . import cutbounds, haar, simulator, spectra, svgplot
 from .errors import FeasibilityError, UsageError, admit
@@ -132,8 +136,8 @@ class _Report(NamedTuple):
 
     summary: str
     header: list[str]  # of the --out CSV
-    rows: list[list]
-    plot: tuple = ()  # `svgplot.line_plot`'s series, title, x_label and y_label, for --svg
+    rows: Iterable  # streamed once into --out
+    plot: Callable[[], tuple] | None = None  # `svgplot.line_plot`'s arguments, called for --svg only
     argmin: dict | None = None  # for --emit-argmin
     code: int = 0
 
@@ -151,7 +155,7 @@ def _ring_interval(level: int, stage: Stage, ij: tuple[int, int]) -> Interval:
 
 def _cmd_schedule(args: dict) -> _Report:
     sched = solve_schedule(args["leaf_dim"], args["epsilon"])
-    rows = [list(row) for row in schedule_report(sched)]
+    rows = schedule_report(sched)
     _, build = simulator.build_rows(MeraNetwork(sched))
     log_peak = max(log_count for log_count, *_ in build)
     return _Report(
@@ -160,7 +164,7 @@ def _cmd_schedule(args: dict) -> _Report:
         f"log_peak_amplitudes={log_peak!r}",
         ["k", "log_D_k", "log_Dprime_k", "scale", "ratio"],
         rows,
-        ({"log D_k": [(k, log_d) for k, log_d, *_ in rows]}, "dimension schedule", "level", "log dim"),
+        lambda: ({"log D_k": [(k, log_d) for k, log_d, *_ in rows]}, "dimension schedule", "level", "log dim"),
     )
 
 
@@ -175,7 +179,7 @@ def _cmd_entropy(args: dict) -> _Report:
         f"dp_upper={bounds.min_cost:.6f} dp_lse={bounds.lse:.6f} "
         f"dp_lower={max(0.0, bounds.lower_bound):.6f} trials={args['trials']}",
         ["trial", "entropy_vn", "entropy_renyi2"],
-        [[t, float(s), float(s2)] for t, (s, s2) in enumerate(zip(stats.samples_s, stats.samples_s2))],
+        ([t, float(s), float(s2)] for t, (s, s2) in enumerate(zip(stats.samples_s, stats.samples_s2))),
     )
 
 
@@ -232,27 +236,24 @@ def _cmd_spectra(args: dict) -> _Report:
     if d_b < 2:
         raise UsageError("--dB must be at least 2: the summary reads the second singular value")
     # before the first draw: the dimensions, the values every draw keeps, the last draw's key
-    spectra.SuperOperatorSpec(d_a, d_b, d_e)
-    kept = seeds * d_b * d_b
-    admit(math.log(kept), [(kept, 1)], f"{seeds} spectra keep {kept} singular values")
+    label = spectra.SuperOperatorSpec(d_a, d_b, d_e).label
+    n_kept = seeds * d_b * d_b
+    admit(math.log(n_kept), [(n_kept, 1)], f"{seeds} spectra keep {n_kept} singular values")
     haar.seed_key((args["seed"], seeds - 1))
-    rows = []
-    series = {}
-    tops = []
+    kept = np.empty((seeds, d_b * d_b))  # one float64 per kept value, a row per draw
     for draw in range(seeds):
         spec = spectra.SuperOperatorSpec(d_a, d_b, d_e, seed=(args["seed"], draw))
-        values = spectra.singular_spectrum(spec).values
-        tops.append((float(values[0]), float(values[1])))
-        rows.extend([spec.label, draw, i, float(v)] for i, v in enumerate(values))
-        series[f"draw {draw}"] = [(i, float(v)) for i, v in enumerate(values)]
-    lam0, lam1 = zip(*tops)
+        kept[draw] = spectra.singular_spectrum(spec).values
+    mean0, mean1 = (sum(kept[:, i].tolist()) / seeds for i in (0, 1))  # Python sums, in draw order
     return _Report(
-        f"spectra {d_a}:{d_b}:{d_e} over {seeds} seeds: "
-        f"mean_lambda0={sum(lam0) / seeds:.6f} mean_lambda1={sum(lam1) / seeds:.6f} "
-        f"min_gap={min(a - b for a, b in tops):.6f}",
+        f"spectra {label} over {seeds} seeds: mean_lambda0={mean0:.6f} mean_lambda1={mean1:.6f} "
+        f"min_gap={(kept[:, 0] - kept[:, 1]).min():.6f}",
         ["spec", "draw", "i", "lambda"],
-        rows,
-        (series, "singular spectra", "i", "lambda(i)"),
+        ([label, draw, i, v] for draw, values in enumerate(kept) for i, v in enumerate(values.tolist())),
+        lambda: (
+            {f"draw {draw}": list(enumerate(values.tolist())) for draw, values in enumerate(kept)},
+            "singular spectra", "i", "lambda(i)",
+        ),
     )
 
 
@@ -261,17 +262,15 @@ def _cmd_collapse(args: dict) -> _Report:
         spectra.SuperOperatorSpec(*dims, seed=(args["seed"], idx))
         for idx, dims in enumerate(args["specs"])
     ]
-    rows = spectra.collapse_experiment(specs)
-    series: dict[str, list[tuple[float, float]]] = {}
-    for r in rows:
-        series.setdefault(r.label, []).append((r.x, r.y))
-    first = {r.label: r.y for r in rows if r.index == 1}  # labels are distinct
-    summary = " ".join(f"{label}:y(1)={y:.4f}" for label, y in first.items())
+    curves = [(spec.label, spec.d_B**2, ys) for spec, ys in zip(specs, spectra.collapse_experiment(specs))]
     return _Report(
-        f"collapse curves={len(first)} {summary}",
+        f"collapse curves={len(curves)} " + " ".join(f"{label}:y(1)={ys[0]:.4f}" for label, _, ys in curves),
         ["spec", "i", "x", "y"],
-        [[r.label, r.index, r.x, r.y] for r in rows],
-        (series, "collapse", "i / d_B^2", "lambda / MP edge"),
+        ([label, i, i / d_sq, y] for label, d_sq, ys in curves for i, y in enumerate(ys.tolist(), 1)),
+        lambda: (
+            {label: [(i / d_sq, y) for i, y in enumerate(ys.tolist(), 1)] for label, d_sq, ys in curves},
+            "collapse", "i / d_B^2", "lambda / MP edge",
+        ),
     )
 
 
@@ -335,7 +334,7 @@ _COMMANDS: dict[str, _Command] = {
             _LEAF,
             _EPS,
             _Opt("--lengths", _int_list, (1, 2, 4), "comma-separated interval lengths"),
-            _Opt("--offset", int, 0, "left interval start site"),
+            _Opt("--offset", int, 0, "left interval start site (modular)"),
             _TRIALS,
             _SEED,
             _OUT,
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
                     writer.writerow(report.header)
                     writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in report.rows)
                 else:
-                    fh.write(svgplot.line_plot(*report.plot))
+                    fh.write(svgplot.line_plot(*report.plot()))
         print(report.summary)
         return report.code
     except (UsageError, OSError) as exc:  # an OSError is an output write

@@ -287,6 +287,11 @@ def _sites_of(region) -> list[int]:
 
 def _cut(state: DenseState, region) -> tuple[list[int], list[int]]:
     """The sites of ``region``, in its order, and the rest of the ring, ascending."""
+    if isinstance(region, Interval) and not (
+        region.level == state.level and region.stage in (state.stage, Stage.AFTER_W)
+    ):  # an after_W region may be read off the after_V snapshot it is pulled back to
+        where = f"level {state.level} {Stage(state.stage).value}"
+        raise UsageError(f"a level {region.level} {region.stage.value} region is not read off a {where} state")
     sites = _sites_of(region)
     if len(set(sites)) != len(sites):
         raise UsageError(f"repeated sites in {sites}")
@@ -371,7 +376,9 @@ def interval_spectrum(state: DenseState, region, rotations=()) -> np.ndarray:
     ``rotations``, ``((site, site), isometry)`` pairs, act on ``state``
     first, and the rotated state is not formed: a sweep passes an
     ``after_W`` region's ``(k, after_V)`` snapshot and the pairs its walls
-    cut (`_pulled_back`).  An isometry takes its sites to dimension
+    cut (`_pulled_back`); such a read must pass those rotations.  An
+    `Interval` of another level, or an ``after_V`` one on an ``after_W``
+    state, raises `UsageError`.  An isometry takes its sites to dimension
     ``isqrt(len(isometry))``.  Computed by ``eigvalsh`` from the Gram matrix
     of whichever side of the cut, ``region`` or its complement, has the
     smaller dimension (``region`` on a tie): both sides share their nonzero

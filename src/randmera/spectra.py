@@ -69,7 +69,6 @@ from .errors import UsageError, admit
 from .haar import moment_constants, sample_isometry, seed_key
 
 __all__ = [
-    "CollapseRow",
     "SingularSpectrum",
     "SuperOperatorSpec",
     "collapse_experiment",
@@ -173,10 +172,10 @@ def frobenius_exact(d_A: int, d_B: int, d_E: int) -> float:
 
     with ``c`` and ``c'`` the Weingarten values of U(d_B d_E) (see
     `moment_constants`), which approaches ``d_A`` when ``d_A`` is well
-    below ``d_B * d_E``.
+    below ``d_B * d_E``.  A shape that no map has (a dimension below 1, or
+    ``d_B * d_E < d_A``) raises `UsageError`, as `SuperOperatorSpec` does.
     """
-    if d_B * d_E < d_A:
-        raise UsageError("d_B*d_E must be at least d_A")
+    SuperOperatorSpec(d_A, d_B, d_E)
     c, c_prime = moment_constants(d_B * d_E)
     t_direct = d_B * d_E**2 * d_A + d_B**2 * d_E * d_A**2
     t_swapped = d_B * d_E**2 * d_A**2 + d_B**2 * d_E * d_A
@@ -201,33 +200,17 @@ def mp_edge(d_A: int, d_B: int, d_E: int) -> float:
     return math.sqrt(v) * (math.sqrt(n) + math.sqrt(p))
 
 
-@dataclass(frozen=True)
-class CollapseRow:
-    """One rescaled point of one spectrum: (curve label, index, x, y)."""
+def collapse_experiment(specs: list[SuperOperatorSpec]) -> list[np.ndarray]:
+    """Spectra to overlay, each below its top value and divided by its Marchenko-Pastur edge.
 
-    label: str
-    index: int
-    x: float
-    y: float
-
-
-def collapse_experiment(specs: list[SuperOperatorSpec]) -> list[CollapseRow]:
-    """Overlay spectra, each divided by its Marchenko-Pastur edge.
-
-    Row ``i >= 1`` of a spectrum plots ``values[i] / mp_edge(d_A, d_B, d_E)``
-    against ``i / d_B^2`` (the top value is dropped), so every bulk ends near
-    1 with no fitted parameter.  Every map is admitted (`_admit_map`), then
-    every edge computed, before the first draw.
+    Map ``i`` gives the ``d_B^2 - 1`` values ``values[1:] / mp_edge(d_A, d_B,
+    d_E)`` of its spectrum, so every bulk ends near 1 with no fitted
+    parameter; value ``i >= 1`` plots against ``i / d_B^2``.  Every map is
+    admitted (`_admit_map`), then every edge computed, before the first draw.
     """
     if not specs:
         raise UsageError("need at least one spec")
     for spec in specs:
         _admit_map(spec)
     edges = [mp_edge(spec.d_A, spec.d_B, spec.d_E) for spec in specs]
-    rows: list[CollapseRow] = []
-    for spec, edge in zip(specs, edges):
-        values = singular_spectrum(spec).values
-        d_sq = spec.d_B**2
-        for i in range(1, len(values)):
-            rows.append(CollapseRow(spec.label, i, i / d_sq, float(values[i]) / edge))
-    return rows
+    return [singular_spectrum(spec).values[1:] / edge for spec, edge in zip(specs, edges)]

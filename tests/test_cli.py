@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from conftest import build_admitted
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randmera import Interval, MeraNetwork, Stage, cut_dp, haar, simulator, spectra
-from randmera.cli import _COMMANDS, _int_list, _interval_arg, _spec_list, main
+from randmera import Interval, MeraNetwork, Stage, cut_dp, haar, simulator, spectra, svgplot
+from randmera.cli import _COMMANDS, _cmd_spectra, _int_list, _interval_arg, _spec_list, main
 
 L3_EPS = "0.35"
 L4_EPS = "0.24652950741995638"
@@ -105,6 +107,18 @@ def test_mutual_info_brackets_each_length(tmp_path, capsys):
     for r in rows[1:]:
         assert float(r[1]) <= float(r[2])
     assert "bracket=" in capsys.readouterr().out
+
+
+def test_an_offset_is_read_modulo_the_ring(tmp_path):
+    (offset,) = [opt for opt in _COMMANDS["mutual-info"].opts if opt.flag == "--offset"]
+    assert "(modular)" in offset.help
+    written = set()
+    for value in ("-1", "7", "15", "99999999999999999999"):  # all 7 on the ring of 8
+        out = tmp_path / f"mi{value}.csv"
+        argv = ["mutual-info", "--epsilon", L3_EPS, "--trials", "2", "--lengths", "1,4"]
+        assert main([*argv, f"--offset={value}", "--out", str(out)]) == 0
+        written.add(out.read_bytes())
+    assert len(written) == 1
 
 
 def test_cuts_match_the_library_and_emit_a_replayable_sequence(tmp_path):
@@ -214,6 +228,44 @@ def test_spectra_of_a_narrow_input_end_in_zeros(dims, tmp_path, capsys):
     assert len(rows) == int(d_b) ** 2
     assert all(float(r[3]) == 0.0 for r in rows[int(d_a) ** 2 :])
     assert "min_gap=" in capsys.readouterr().out
+
+
+def _csv_bytes(header, rows):
+    """An RFC-4180 CSV, floats written by `repr`."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]).encode("utf-8")
+
+
+def test_spectra_and_collapse_write_the_rows_and_plot_of_each_draw(tmp_path, capsys):
+    out, svg = tmp_path / "p.csv", tmp_path / "p.svg"
+    argv = ["spectra", "--dA", "6", "--dB", "4", "--dE", "3", "--seeds", "3", "--seed", "5"]
+    assert main([*argv, "--out", str(out), "--svg", str(svg)]) == 0
+    draws = [
+        spectra.singular_spectrum(spectra.SuperOperatorSpec(6, 4, 3, seed=(5, draw))).values.tolist()
+        for draw in range(3)
+    ]
+    rows = [["6:4:3", draw, i, v] for draw, values in enumerate(draws) for i, v in enumerate(values)]
+    assert out.read_bytes() == _csv_bytes(["spec", "draw", "i", "lambda"], rows)
+    series = {f"draw {draw}": list(enumerate(values)) for draw, values in enumerate(draws)}
+    assert svg.read_text(encoding="utf-8") == svgplot.line_plot(series, "singular spectra", "i", "lambda(i)")
+    mean0, mean1 = (sum(values[i] for values in draws) / 3 for i in (0, 1))
+    gap = min(values[0] - values[1] for values in draws)
+    assert capsys.readouterr().out == (
+        f"spectra 6:4:3 over 3 seeds: mean_lambda0={mean0:.6f} mean_lambda1={mean1:.6f} min_gap={gap:.6f}\n"
+    )
+
+    out, svg = tmp_path / "k.csv", tmp_path / "k.svg"
+    assert main(["collapse", "--specs", "4:4:4,8:4:4", "--seed", "5", "--out", str(out), "--svg", str(svg)]) == 0
+    rows, series = [], {}
+    for idx, dims in enumerate([(4, 4, 4), (8, 4, 4)]):
+        values = spectra.singular_spectrum(spectra.SuperOperatorSpec(*dims, seed=(5, idx))).values
+        label, edge = ":".join(map(str, dims)), spectra.mp_edge(*dims)
+        points = [(i, i / 16, float(values[i]) / edge) for i in range(1, 16)]  # x = i / d_B^2
+        rows += [[label, i, x, y] for i, x, y in points]
+        series[label] = [(x, y) for _, x, y in points]
+    assert out.read_bytes() == _csv_bytes(["spec", "i", "x", "y"], rows)
+    assert svg.read_text(encoding="utf-8") == svgplot.line_plot(series, "collapse", "i / d_B^2", "lambda / MP edge")
+    first = " ".join(f"{label}:y(1)={points[0][1]:.4f}" for label, points in series.items())
+    assert capsys.readouterr().out == f"collapse curves=2 {first}\n"
 
 
 def test_spectra_with_one_output_dimension_is_a_usage_error(capsys):
@@ -585,6 +637,27 @@ def test_spectra_admits_the_values_it_keeps_before_any_draw(tmp_path, monkeypatc
         f"infeasible: {seeds} spectra keep {9 * seeds} singular values, budget is 67108864\n"
     )
     assert not out.exists()
+
+
+def test_spectra_holds_each_kept_value_as_one_float(monkeypatch):
+    # the values are admitted as amplitudes, so the report may hold at most 16
+    # bytes for each; rows and plot series are formed only as they are written
+    monkeypatch.delenv("RANDMERA_MAX_AMPLITUDES", raising=False)
+
+    def held(seeds):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = _cmd_spectra({"dA": 2, "dB": 2, "dE": 2, "seeds": seeds, "seed": 0})
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], report
+        finally:
+            tracemalloc.stop()
+
+    held(500)  # numpy and the seed tree warm up
+    (small, _), (large, report) = held(500), held(2500)
+    assert (large - small) / (2000 * 4) <= 16  # measured 8.0; 304 with lists of rows and series
+    assert callable(report.plot) and not isinstance(report.rows, (list, tuple))
 
 
 def test_moments_check_refuses_a_single_trial_before_any_draw(monkeypatch, capsys):

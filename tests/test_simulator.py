@@ -163,6 +163,22 @@ def test_amplitude_budget_env_override(monkeypatch):
         max_amplitudes_from_env()
 
 
+def test_a_region_is_read_only_off_a_state_of_its_level_and_stage():
+    traj = build_state(MeraNetwork.build(2, 0.2), 1)  # L = 4
+    region = Interval.of_length(3, Stage.AFTER_W, 0, 2)
+    own = entropy_vn(interval_spectrum(traj.state_at(3, Stage.AFTER_W), region))
+    assert own == pytest.approx(2.714, abs=1e-3)
+    # read off the leaf, the region was leaf sites 0-1, S = 1.376: a plausible wrong answer
+    with pytest.raises(UsageError, match="^a level 3 after_W region is not read off a level 4 after_W state$"):
+        interval_spectrum(traj.leaf, region)
+    with pytest.raises(UsageError, match="^a level 3 after_V region is not read off a level 3 after_W state$"):
+        interval_spectrum(traj.state_at(3, Stage.AFTER_W), Interval.of_length(3, Stage.AFTER_V, 0, 2))
+    # an after_W region read off its after_V snapshot, with the rotations its walls cut
+    snap, rotations = simulator._pulled_back(traj, region)
+    assert snap.stage == Stage.AFTER_V and rotations
+    assert entropy_vn(interval_spectrum(snap, region, rotations)) == pytest.approx(own, abs=1e-12)
+
+
 def test_entropies_of_a_hand_computed_spectrum():
     spec = np.array([0.75, 0.25])
     assert entropy_vn(spec) == pytest.approx(0.5623351446188083, abs=1e-14)

@@ -245,6 +245,22 @@ def test_frobenius_closed_form_values():
     assert frobenius_exact(1, 2, 2) == pytest.approx(2 * (2 + 2) / (2 * 2 + 1), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "dims,message",
+    [
+        ((-3, 2, 2), "d_A must be a positive integer"),  # was -1.6
+        ((2, -1, -3), "d_B must be a positive integer"),  # was 1.0
+        ((0, 2, 2), "d_A must be a positive integer"),  # was a ZeroDivisionError
+        ((5, 2, 2), "d_B\\*d_E = 4 must be at least d_A = 5"),
+    ],
+)
+def test_the_closed_form_refuses_a_shape_that_no_map_has(dims, message):
+    with pytest.raises(UsageError, match=message):
+        frobenius_exact(*dims)
+    with pytest.raises(UsageError, match="d_E must be a positive integer"):
+        mp_edge(3, 3, 0)  # the edge reads the closed form's shape rule
+
+
 @pytest.mark.parametrize("dims", [(50, 10, 10), (12, 4, 5), (9, 3, 3), (1, 3, 5)])
 def test_frobenius_monte_carlo_agrees_with_the_closed_form(dims):
     d_A, d_B, d_E = dims
@@ -310,15 +326,12 @@ def test_the_edge_needs_d_A_and_d_B_of_at_least_two(dims):
 
 def test_collapse_rows_drop_the_leading_value_and_rescale():
     specs = [SuperOperatorSpec(3, 3, 3, seed=1), SuperOperatorSpec(8, 4, 4, seed=2)]
-    rows = collapse_experiment(specs)
-    assert len(rows) == (9 - 1) + (16 - 1)
-    for spec in specs:
+    curves = collapse_experiment(specs)
+    assert [len(curve) for curve in curves] == [9 - 1, 16 - 1]
+    for spec, curve in zip(specs, curves):
         values = singular_spectrum(spec).values
-        curve = [r for r in rows if r.label == spec.label]
-        assert [r.index for r in curve] == list(range(1, spec.d_B**2))
-        assert [r.x for r in curve] == [i / spec.d_B**2 for i in range(1, spec.d_B**2)]
         edge = mp_edge(spec.d_A, spec.d_B, spec.d_E)
-        assert [r.y for r in curve] == [values[i] / edge for i in range(1, spec.d_B**2)]
+        assert curve.tolist() == [values[i] / edge for i in range(1, spec.d_B**2)]
 
 
 def test_a_map_over_the_budget_is_refused_before_its_draw(monkeypatch):
