@@ -126,7 +126,8 @@ class MeraNetwork:
         n = 1 << level
         return [((2 * j + 1) % n, (2 * j + 2) % n) for j in range(n // 2)]
 
-    def w_slots_cut(self, region: Interval) -> list[int]:
+    @staticmethod
+    def w_slots_cut(region: Interval) -> list[int]:
         """Ascending slots of the `w_pairs` whose gap ``2j + 2`` holds a wall; meeting walls cut none."""
         a, b = region.walls
         half = region.n_sites // 2

@@ -19,6 +19,7 @@ from randmera import (
     Stage,
     UsageError,
     build_state,
+    cut_dp,
     entropy_renyi2,
     entropy_vn,
     interval_spectrum,
@@ -179,6 +180,26 @@ def test_a_region_is_read_only_off_a_state_of_its_level_and_stage():
     assert entropy_vn(interval_spectrum(snap, region, rotations)) == pytest.approx(own, abs=1e-12)
 
 
+def test_a_read_below_a_region_passes_exactly_the_isometries_its_walls_cut():
+    traj = build_state(MeraNetwork.build(2, 0.2), 1)  # L = 4
+    # walls at gaps 1 and 3 cut no (3, after_W) pair but the (3, after_V)
+    # splits of level 2 sites 0 and 1: the read is off (2, after_W)
+    region = Interval.of_length(3, Stage.AFTER_W, 1, 2)
+    own = interval_spectrum(traj.state_at(3, Stage.AFTER_W), region)
+    snap, moves = simulator._pulled_back(traj, region)
+    assert (snap.level, snap.stage) == (2, Stage.AFTER_W)
+    assert [sites for sites, _ in moves] == [(0,), (1,)]
+    # the stage the region reaches for free reads it with no isometry
+    free = interval_spectrum(traj.state_at(3, Stage.AFTER_V), region)
+    for spec in (interval_spectrum(snap, region, moves), free):
+        a, b = _padded(spec, own)
+        assert np.max(np.abs(a - b)) <= 1e-14
+    message = r"^a level 3 after_W region is read off a level 2 after_W state with the isometries on sites"
+    for fewer in ((), moves[:1]):
+        with pytest.raises(UsageError, match=message):
+            interval_spectrum(snap, region, fewer)
+
+
 def test_entropies_of_a_hand_computed_spectrum():
     spec = np.array([0.75, 0.25])
     assert entropy_vn(spec) == pytest.approx(0.5623351446188083, abs=1e-14)
@@ -255,9 +276,9 @@ def _padded(a, b):
 def _assert_the_sweep_matches_the_full_snapshots(net, seed, regions):
     """Trial 0 of the sweep against the SVD of the full build's snapshots.
 
-    The sweep stops its build at an ``after_V`` stage and reads ``after_W``
-    regions off that snapshot and the rotations their walls cut; the oracle
-    builds every stage and splits the snapshot the region lives on.
+    The sweep reads each region off the deepest snapshot its walls reach,
+    through the isometries they cut there; the oracle builds every stage
+    and splits the snapshot the region lives on.
     """
     res = mc_entropy_sweep(net, regions, trials=1, seed=seed)
     traj = build_state(net, (*seed, 0))
@@ -328,7 +349,7 @@ def test_a_stopped_build_keeps_the_full_builds_stages_bit_for_bit(net_l4):
             assert not build_admitted(net_l4, largest - 1, stop), stop
 
 
-def test_the_sweep_builds_no_stage_past_the_after_v_ring_it_reads(net_l3, monkeypatch):
+def test_the_sweep_builds_no_stage_past_the_snapshot_its_reads_need(net_l3, monkeypatch):
     built = []
 
     def spy(*args, **kwargs):
@@ -340,23 +361,89 @@ def test_the_sweep_builds_no_stage_past_the_after_v_ring_it_reads(net_l3, monkey
     up_to = [(0, Stage.AFTER_W)]
     for k in (1, 2, 3):
         up_to += [(k, Stage.AFTER_V), (k, Stage.AFTER_W)]
+    # gap 2 cuts a (3, after_W) pair: the read is off (3, after_V)
     mc_entropy_sweep(net_l3, [Interval.of_length(3, Stage.AFTER_W, 2, 3)], 2, seed=4)
     assert built == [set(up_to[:-1])] * 2
+    # walls at gaps 1 and 3 cut no (2, after_W) pair but two (2, after_V)
+    # splits: both regions are read off (1, after_W)
     mc_entropy_sweep(net_l3, [Interval.of_length(2, Stage.AFTER_V, 1, 2)], 1, seed=4)
     mc_entropy_sweep(net_l3, [Interval.of_length(2, Stage.AFTER_W, 1, 2)], 1, seed=4)
     mc_entropy_sweep(net_l3, [Interval.of_length(0, Stage.AFTER_W, 0, 1)], 1, seed=4)
-    assert built[2:] == [set(up_to[:4]), set(up_to[:4]), set(up_to[:1])]
+    assert built[2:] == [set(up_to[:3]), set(up_to[:3]), set(up_to[:1])]
 
 
 def test_the_d6_sweep_matches_the_svd_of_its_leaf_state():
     # the streamed read of 16 -> 36 pair isometries at the size the bench
-    # runs, with 0, 1, 2 and 2 rotation pairs cut; the hypothesis test above
+    # runs, with 0, 1, 2 and 2 rotation pairs cut (the first, at odd walls,
+    # is read through two 9 -> 16 splits instead); the hypothesis test above
     # skips this network, whose peak is over 2**16
     net = MeraNetwork.build(6, 0.5777)
     placements = ((1, 4), (0, 3), (2, 2), (2, 4))
     regions = [Interval.of_length(3, Stage.AFTER_W, i, m) for i, m in placements]
     assert [len(net.w_slots_cut(iv)) for iv in regions] == [0, 1, 2, 2]
-    _assert_the_sweep_matches_the_full_snapshots(net, (64, 0), regions)
+    # aligned after_V regions read below their own ring: start 0 off (2,
+    # after_V) through two (2, after_W) pairs, start 2 off (1, after_W)
+    # through two (2, after_V) splits
+    aligned = [Interval.of_length(3, Stage.AFTER_V, i, 4) for i in (0, 2)]
+    assert [_read_order(net, iv) for iv in aligned] == [81, 9]
+    _assert_the_sweep_matches_the_full_snapshots(net, (64, 0), regions + aligned)
+
+
+def _read_order(net, region):
+    """The Gram order of the sweep's read of ``region``, from the schedule alone.
+
+    The snapshot holds no amplitudes and each isometry no columns: only
+    their shapes reach `simulator._cut` and `simulator._read_layout`.
+    """
+    (level, stage), x, cut = simulator._read_of(region)
+    sched = net.schedule
+    d = (sched.dims_v if stage is Stage.AFTER_V else sched.dims)[level]
+    snap = DenseState(level, stage, (d,) * (1 << level), np.empty(0))
+    out = (sched.dims if x.stage is Stage.AFTER_W else sched.dims_v)[x.level]
+    moves = [(sites, np.empty((out * out, 0))) for _, sites in cut]
+    rows, rest = simulator._cut(snap, region, moves)
+    dims, _ = simulator._read_layout(snap, moves)
+    return min(math.prod(dims[s] for s in rows), math.prod(dims[s] for s in rest))
+
+
+def _own_ring_order(net, region):
+    """The Gram order of ``region`` read off its own ring, an after_W one through its cut pairs."""
+    k, sched = region.level, net.schedule
+    dims = [sched.dims_v[k]] * region.n_sites
+    if region.stage is Stage.AFTER_W:
+        for j in net.w_slots_cut(region):
+            for s in net.w_pairs(k)[j]:
+                dims[s] = sched.dims[k]
+    inside = math.prod(dims[s] for s in region.sites())
+    return min(inside, math.prod(dims) // inside)
+
+
+@pytest.mark.parametrize(
+    "leaf,eps,at_cut",
+    [(6, 0.5777, 140), (2, 0.2, 520), (4, 0.29, 452)],
+    ids=["d6", "2-0.2", "4-0.29"],
+)
+def test_every_read_lies_between_the_cheapest_cut_and_its_own_ring(leaf, eps, at_cut):
+    # A second route to the read's size: the reduction DP's cheapest
+    # sequence is a cut through the network, and the reduced state's rank is
+    # at most exp(min_cost), so no read can be smaller.  The read drops only
+    # isometries on one side of the cut, so it is never larger than the read
+    # off the region's own ring; on the d6 network it reaches the cheapest cut.
+    net = MeraNetwork.build(leaf, eps)
+    regions = [
+        Interval.of_length(k, stage, i, m)
+        for k in range(1, net.levels + 1)
+        for stage in (Stage.AFTER_V, Stage.AFTER_W)
+        for i in range(1 << k)
+        for m in range(1, 1 << k)
+    ]
+    reached = 0
+    for iv in regions:
+        order = _read_order(net, iv)
+        floor = math.exp(cut_dp(net, iv).min_cost)
+        assert floor <= order * (1 + 1e-12) and order <= _own_ring_order(net, iv), iv
+        reached += math.isclose(order, floor, rel_tol=1e-12)
+    assert (reached, len(regions)) == (at_cut, 140 if net.levels == 3 else 620)
 
 
 def test_a_sweep_of_the_d6_network_never_holds_its_leaf_state():
@@ -664,7 +751,7 @@ def _cli_pairs(level, offset, lengths):
 
 
 def test_monte_carlo_mutual_information_matches_a_manual_loop(net_l3):
-    # the sweep reads every region off a snapshot and the rotations its
+    # the sweep reads every region off a snapshot and the isometries its
     # walls cut, and so does this loop;
     # `test_pulled_back_spectra_match_the_leaf_snapshot` compares that route
     # with the leaf state at a stated tolerance
