@@ -25,11 +25,13 @@ can reach, all of:
 
 A state is the tuple of ints ``(level, w, a, b)``: ``w`` is 1 after the
 rotation layer (after_W) and 0 after the splitting layer (after_V), and
-``a``, ``b`` are the walls.  After_W wants both walls in odd gaps and
-after_V both in even ones: an aligned wall stays for free, and a misaligned
-one moves one gap either way at the layer's price.  The layer below a stage
-is ``(level - 1 + w, 1 - w)``, whose walls are the moved ones shifted right
-by ``1 - w``.
+``a``, ``b`` are the walls.  The wall rule is `network`'s: an aligned wall
+stays for free, and a misaligned one moves one gap either way at the
+layer's price.  The layer below a stage is ``(level - 1 + w, 1 - w)``,
+whose walls are the moved ones shifted right by ``1 - w``.  The fold and
+the walk below test the walls' parities inline, for speed;
+``tests/test_cutbounds.py::test_the_unrolled_fold_is_the_wall_rule`` walks
+every state they reach and checks it against the rule.
 
 The fold of a state has three cases, by its number of misaligned walls: 0,
 1 or 2 of them give 1, 2 or 4 branches.  Every branch of a state pays the
@@ -87,7 +89,6 @@ from math import exp, fsum, log
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
-from .errors import UsageError
 from .network import Interval, MeraNetwork, Stage
 
 __all__ = [
@@ -206,10 +207,7 @@ class CutEngine:
         self._min: dict[_State, _Entry] = {}
 
     def state_of(self, interval: Interval) -> _State:
-        if interval.level > self._levels:
-            raise UsageError(
-                f"interval level {interval.level} exceeds network depth {self._levels}"
-            )
+        interval.within(self._levels)
         return (interval.level, int(interval.stage is Stage.AFTER_W), *interval.walls)
 
     def _read(self, state: _State) -> _Entry:

@@ -1,4 +1,4 @@
-"""Ring geometry of the coarse-graining network: sites, pairings, intervals.
+"""Ring geometry of the coarse-graining network: sites, pairings, intervals, and the wall rule.
 
 Level ``k`` is a periodic ring of ``2**k`` sites.  Each level is produced in
 two stages:
@@ -14,6 +14,17 @@ whole ring are told apart by their lengths.  The empty interval starts at 0.
 Its boundary is its two *walls*, the gaps ``i`` and ``i + length`` (modulo
 the ring size), where gap ``g`` lies just before site ``g``; the walls of
 the empty set and of the whole ring meet.
+
+The wall rule, stated here once, is which isometries a cut crosses.
+After_W wants both walls in odd gaps and after_V both in even ones
+(`Interval.misaligned`); a misaligned wall cuts the rotated pair or the
+split whose sites it parts (`Interval.cut`).  An isometry wholly on one side
+of a cut leaves the nonzero spectrum of either side unchanged, so a region
+whose walls cut nothing drops its stage for free (`Interval.below`): ``(k,
+after_W)`` to ``(k, after_V)`` on the same sites, ``(k, after_V)`` to ``(k -
+1, after_W)`` with its gaps halved.  Walls that meet cut nothing.  The
+reduction DP (`cutbounds`) prices the cuts; the dense read (`simulator`)
+applies the cut isometries to the snapshot below.
 """
 
 from __future__ import annotations
@@ -34,6 +45,13 @@ class Stage(str, enum.Enum):
     AFTER_W = "after_W"
 
 
+def _ring(level: int) -> int:
+    """Sites on the ring of ``level``; `UsageError` for a negative level."""
+    if level < 0:
+        raise UsageError(f"negative level {level}")
+    return 1 << level
+
+
 @dataclass(frozen=True)
 class Interval:
     """The ``length`` sites from ``i`` on, modulo the ring of a given level and stage.
@@ -50,7 +68,7 @@ class Interval:
     def __post_init__(self):
         if self.level == 0 and self.stage == Stage.AFTER_V:
             raise UsageError("level 0 has no after_V stage")
-        n = self.n_sites
+        n = _ring(self.level)
         if not 0 <= self.length <= n:
             raise UsageError(f"length {self.length} outside 0..{n}")
         if not 0 <= self.i < n or (self.length == 0 and self.i != 0):
@@ -58,12 +76,12 @@ class Interval:
 
     @classmethod
     def of_length(cls, level: int, stage: Stage, i: int, length: int) -> "Interval":
-        return cls(level, stage, i % (1 << level) if length else 0, length)
+        return cls(level, stage, i % _ring(level) if length else 0, length)
 
     @classmethod
     def span(cls, level: int, stage: Stage, i: int, j: int) -> "Interval":
         """Interval ``i..j``, inclusive; ``i == j+1 (mod n)`` means empty (not whole)."""
-        return cls.of_length(level, stage, i, (j - i + 1) % (1 << level))
+        return cls.of_length(level, stage, i, (j - i + 1) % _ring(level))
 
     @property
     def n_sites(self) -> int:
@@ -81,6 +99,39 @@ class Interval:
     def walls(self) -> tuple[int, int]:
         """Gaps ``i`` and ``i + length``, in the order the sites run; equal if empty or whole."""
         return self.i, (self.i + self.length) % self.n_sites
+
+    @property
+    def misaligned(self) -> tuple[int, ...]:
+        """The walls at the wrong parity for the stage, ascending; none if they meet."""
+        a, b = self.walls
+        w = self.stage is Stage.AFTER_W
+        return () if a == b else tuple(g for g in sorted((a, b)) if g & 1 != w)
+
+    def cut(self) -> list[tuple[int, tuple[int, ...]]]:
+        """``(slot, sites)`` of each isometry of the stage that a misaligned wall cuts, by slot.
+
+        After_W, a wall at gap ``g`` cuts the pair ``(g - 1, g)``, slot ``g/2
+        - 1`` of `MeraNetwork.w_pairs` (the wrap pair for ``g = 0``); after_V,
+        it cuts the split of level ``k - 1`` site ``g >> 1``, also its slot.
+        """
+        if self.stage is Stage.AFTER_V:
+            return [(g >> 1, (g >> 1,)) for g in self.misaligned]
+        n = self.n_sites
+        return sorted((((g >> 1) - 1) % (n >> 1), ((g - 1) % n, g)) for g in self.misaligned)
+
+    def below(self) -> "Interval | None":
+        """The free move: this region one stage down, or ``None`` if a wall cuts the stage or at the root."""
+        if not self.level or self.misaligned:
+            return None
+        if self.stage is Stage.AFTER_W:
+            return Interval(self.level, Stage.AFTER_V, self.i, self.length)
+        return Interval.of_length(self.level - 1, Stage.AFTER_W, self.i >> 1, self.length >> 1)
+
+    def within(self, levels: int) -> "Interval":
+        """This interval, or `UsageError` if its ring is deeper than a network of ``levels`` levels."""
+        if self.level > levels:
+            raise UsageError(f"interval level {self.level} exceeds network depth {levels}")
+        return self
 
     def sites(self) -> list[int]:
         n = self.n_sites
@@ -125,10 +176,3 @@ class MeraNetwork:
         """Rotated pairs of ``level`` in slot order, wrap pair last."""
         n = 1 << level
         return [((2 * j + 1) % n, (2 * j + 2) % n) for j in range(n // 2)]
-
-    @staticmethod
-    def w_slots_cut(region: Interval) -> list[int]:
-        """Ascending slots of the `w_pairs` whose gap ``2j + 2`` holds a wall; meeting walls cut none."""
-        a, b = region.walls
-        half = region.n_sites // 2
-        return sorted({(g // 2 - 1) % half for g in (a, b) if g % 2 == 0 and a != b})

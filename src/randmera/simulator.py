@@ -4,8 +4,10 @@ States are kept as full complex amplitude tensors with one axis per ring
 site, so every entropy below is exact up to floating point.  The builder
 applies per-site splitting isometries and per-pair rotation isometries level
 by level, snapshotting the state after each stage; the wrap-around pair is
-handled by axis permutation.  A call admits every state, isometry and
-per-trial accumulator it forms (`errors.admit`) before its first draw.
+handled by axis permutation.  `_shape` states each stage's isometry once,
+for the build, its draws and its admission rows.  A call admits every
+state, isometry and per-trial accumulator it forms (`errors.admit`) before
+its first draw.
 
 Entropies are in nats.  The spectrum of a reduced state is taken from the
 Gram matrix ``A A^dagger`` of the smaller side of the cut, where ``A`` is the
@@ -19,28 +21,22 @@ Hermitian eigenvalues are clipped at zero, and eigenvalues at or below
 `mc_entropy_sweep` is the one Monte Carlo trial loop: trial ``t`` builds the
 network from the `haar.seed_key` key ``(*seed, t)`` (a seed is a key
 ``(master, *path)``), reads the entropies of every requested region off that
-draw and frees it before the next one.  It reads a region off the deepest
-snapshot its walls reach.  An isometry lying wholly on one side of a cut
-leaves that side's nonzero spectrum unchanged, so a region descends stage by
-stage while its walls cut no isometry: the reduction DP's free move
-(`cutbounds`).  At the first stage whose isometries its walls cut (at most
-one per wall), it is read off the snapshot just below, with only those
-splits or rotations applied: the region's state pulled back through the
-stages it does not need.  No such state is formed: the sweep passes
-`interval_spectrum` the snapshot and the cut isometries (`_pulled_back`),
-each drawn once per region, and the Gram applies them to every column panel
-it reads from the snapshot; the panels slice only the sites no isometry
-touches, so an isometry's sites are whole in each.  The build stops at the
-deepest snapshot a read needs, so the leaf ``after_W`` state, the largest of
-the trajectory, is never formed (nor admitted).  On 8 leaves of dimension
-6, the balanced cut then reads a 576 x 576 Gram (even start) off the
-4**8-amplitude ``(3, after_V)`` snapshot through two rotated pairs, or a 144
-x 144 one (odd start) off the 9**4-amplitude ``(2, after_W)`` snapshot
+draw and frees it before the next one.  By the wall rule of `network`, a
+region is read off the snapshot just below the first stage whose isometries
+its walls cut, through those alone (`_pulled_back`), each drawn once per
+region.  That state is never formed: the Gram applies them to every column
+panel it reads from the snapshot, and the panels slice only the sites no
+isometry touches, so an isometry's sites are whole in each.  The build stops
+at the deepest snapshot a read needs, so the leaf ``after_W`` state, the
+largest of the trajectory, is never formed (nor admitted).  On 8 leaves of
+dimension 6, the balanced cut then reads a 576 x 576 Gram (even start) off
+the 4**8-amplitude ``(3, after_V)`` snapshot through two rotated pairs, or a
+144 x 144 one (odd start) off the 9**4-amplitude ``(2, after_W)`` snapshot
 through two splits, instead of a 1296 x 1296 one off the 6**8-amplitude
 leaf.  Either is ``exp(min_cost)``, the size of the cheapest cut.
-`mc_entropy_stats` (one region) and `mc_mutual_information` (left, right
-and union regions of adjacent pairs) are read off the sweep, and every mean
-and standard error comes from `haar.McEstimate.of`.
+`mc_entropy_stats` (one region) and `mc_mutual_information` (left, right and
+union regions of adjacent pairs) are read off the sweep, and every mean and
+standard error comes from `haar.McEstimate.of`.
 """
 
 from __future__ import annotations
@@ -129,24 +125,30 @@ def _frozen(psi: np.ndarray) -> np.ndarray:
     return flat
 
 
+def _shape(sched, k: int, stage: Stage) -> tuple:
+    """``(kind, d_in, log d_in, legs, d_out, log d_out)`` of the level-``k`` isometry of ``stage``.
+
+    It takes ``legs`` sites at ``d_in`` to two at ``d_out``, the site
+    dimension of the ``(k, stage)`` snapshot: a split one level ``k - 1``
+    site at ``dims[k-1]`` to two at ``dims_v[k]``, a rotation two sites at
+    ``dims_v[k]`` to two at ``dims[k]``.
+    """
+    if stage is Stage.AFTER_V:
+        return "split", sched.dims[k - 1], sched.log_dims[k - 1], 1, sched.dims_v[k], sched.log_dims_v[k]
+    return "rotation", sched.dims_v[k], sched.log_dims_v[k], 2, sched.dims[k], sched.log_dims[k]
+
+
 def _isometries(network: MeraNetwork, k: int, stage: Stage, cut, base):
     """The level-``k`` isometries of ``stage`` in the ``(slot, sites)`` of ``cut``, one at a time.
 
-    Each comes with the sites it acts on.  A split (``after_V``) slot ``s``
-    takes level ``k - 1`` site ``s`` from dimension ``dims[k-1]`` to its two
-    children at ``dims_v[k]``, drawn from key ``(*base, k, 0, s)``; a rotation
-    (``after_W``) slot ``j`` takes the pair ``w_pairs(k)[j]`` from
-    ``dims_v[k]`` to ``dims[k]`` each, drawn from key ``(*base, k, 1, j)``.
-    An isometry has shape ``(out, in)``.
+    Each comes with the sites it acts on, has shape ``(out, in)`` (`_shape`)
+    and is drawn from key ``(*base, k, 0, slot)`` for a split, ``(*base, k,
+    1, slot)`` for a rotation (slots as in `Interval.cut`).
     """
-    sched = network.schedule
-    dv = sched.dims_v[k]
-    if stage is Stage.AFTER_V:
-        d_in, d_out = sched.dims[k - 1], dv * dv
-    else:
-        d_in, d_out = dv * dv, sched.dims[k] ** 2
+    _, d_in, _, legs, d_out, _ = _shape(network.schedule, k, stage)
+    w = int(stage is Stage.AFTER_W)
     for slot, sites in cut:
-        yield sites, sample_isometry(d_in, d_out, (*base, k, int(stage is Stage.AFTER_W), slot))
+        yield sites, sample_isometry(d_in**legs, d_out * d_out, (*base, k, w, slot))
 
 
 def _applied(iso: np.ndarray, psi: np.ndarray, lead: int) -> np.ndarray:
@@ -181,112 +183,67 @@ def _stage_rank(key) -> int:
     return 2 * level - (stage is Stage.AFTER_V)
 
 
-def _cut_slots(iv: Interval) -> list[tuple[int, tuple[int, ...]]]:
-    """``(slot, sites)`` of each isometry of ``iv``'s stage that its walls cut, by slot.
-
-    After_W, the rotated pairs of `MeraNetwork.w_slots_cut`, each cut by a
-    wall at the even gap between its sites; after_V, the split of level
-    ``k - 1`` site ``s``, cut by a wall at the odd gap ``2s + 1`` between
-    its children.  Walls that meet cut nothing.
-    """
-    if iv.stage is Stage.AFTER_W:  # slot j of `MeraNetwork.w_pairs`, with no list of every pair
-        n = iv.n_sites
-        return [(j, ((2 * j + 1) % n, (2 * j + 2) % n)) for j in MeraNetwork.w_slots_cut(iv)]
-    a, b = iv.walls
-    return [(g >> 1, (g >> 1,)) for g in sorted({a, b}) if g & 1 and a != b]
-
-
 def _descent(region: Interval):
-    """``region`` at each stage it reaches for free, down to the first whose isometries its walls cut.
-
-    This is the reduction DP's free move (`cutbounds`): walls that cut no
-    isometry of a stage leave it.  From ``(k, after_W)`` the region goes to
-    ``(k, after_V)`` on the same sites when both walls sit at odd gaps, and
-    from ``(k, after_V)`` to ``(k - 1, after_W)``, its gaps halved, when
-    both sit at even ones.  Walls that meet (an empty or whole region) cut
-    nothing, and go down to the root ring.
-    """
+    """``region`` at each stage its free move (`Interval.below`) reaches, down to the last."""
     iv = region
-    yield iv
-    while iv.level and not _cut_slots(iv):
-        if iv.stage is Stage.AFTER_W:
-            iv = Interval(iv.level, Stage.AFTER_V, iv.i, iv.length)
-        else:
-            iv = Interval.of_length(iv.level - 1, Stage.AFTER_W, iv.i >> 1, iv.length >> 1)
+    while iv is not None:
         yield iv
+        iv = iv.below()
 
 
 def _read_of(region: Interval):
     """``(snapshot, x, cut)``: the ``(level, stage)`` that ``region`` is read off, and how.
 
     ``x`` is the region at the last stage of its `_descent`, and ``cut`` the
-    ``(slot, sites)`` of the isometries (at most one per wall) that its walls
-    cut there (`_cut_slots`).  The read applies those to the snapshot just
-    below ``x``: ``(k, after_V)`` below ``(k, after_W)``, and ``(k - 1,
-    after_W)`` below ``(k, after_V)``.  A region whose walls meet reaches the
-    root ring, cuts nothing, and is read off it.
+    isometries its walls cut there (`Interval.cut`), applied to the snapshot
+    just below ``x``.  A region whose walls meet is read off the root ring.
     """
     *_, x = _descent(region)
-    cut = _cut_slots(x)
-    if not cut:
-        return (0, Stage.AFTER_W), x, cut
-    if x.stage is Stage.AFTER_W:
-        return (x.level, Stage.AFTER_V), x, cut
-    return (x.level - 1, Stage.AFTER_W), x, cut
+    cut = x.cut()
+    below = (x.level, Stage.AFTER_V) if x.stage is Stage.AFTER_W else (x.level - 1, Stage.AFTER_W)
+    return below if cut else (0, Stage.AFTER_W), x, cut
 
 
 def build_rows(network: MeraNetwork, stop=None, regions=()):
     """The stop, and every array a build up to ``stop`` and its reads of ``regions`` form.
 
-    ``None`` is the leaf ``after_W``.  A row is `errors.admit`'s ``(log_count,
-    factors, what)``.  First, largest first (a stage before an isometry of
-    its size), come the stages up to ``stop``, and an isometry of each stage
-    built or read: a split isometry (``dims_v[k]**2 x dims[k-1]``) of an
-    ``after_V`` stage, a rotation isometry (``dims[k]**2 x dims_v[k]**2``)
-    of an ``after_W`` one.  A read draws the isometries its walls cut at the
-    stage above its snapshot (`_read_of`); on one level the rotation
-    isometry is the largest array.  Then come the read states of the regions
-    that cut an isometry, although they are never formed: the snapshot with
-    those isometries applied.  The stage ends are enough: within a stage the
-    working tensor only grows, since a split turns a site of dimension
-    ``dims[k-1] <= dims_v[k]**2`` into two of ``dims_v[k]``, and a rotation
-    turns a pair of ``dims_v[k]`` into a pair of ``dims[k] >= dims_v[k]``.
+    ``None`` is the leaf ``after_W``; a region deeper than the network is
+    refused first (`Interval.within`).  A row is `errors.admit`'s
+    ``(log_count, factors, what)``; every shape is `_shape`'s.  First,
+    largest first (a stage before an isometry of its size), come the stages
+    up to ``stop``, and an isometry of each stage built or read
+    (`_read_of`); on one level the rotation isometry is the largest array.
+    Then come the read states of the regions that cut an isometry, although
+    they are never formed: the snapshot with the ``c`` cut isometries
+    applied, ``2c`` sites at ``d_out`` and the snapshot's other
+    ``2**level - legs * c`` at ``d_in``.  The stage ends are enough: within
+    a stage the working tensor only grows, since a split turns a site of
+    dimension ``dims[k-1] <= dims_v[k]**2`` into two of ``dims_v[k]``, and a
+    rotation a pair of ``dims_v[k]`` into a pair of ``dims[k] >= dims_v[k]``.
     """
+    reads = [(iv, *_read_of(iv.within(network.levels))) for iv in regions]
+    reads = [read for read in reads if read[3]]  # the rest read the root ring
     level, stage = (network.levels, "after_W") if stop is None else stop
     level, stage = int(level), Stage(stage)
     if not 0 <= level <= network.levels or (level, stage) == (0, Stage.AFTER_V):
         raise UsageError(f"no stage to stop at: level={level}, stage={stage.value}")
-    reads = [(iv, *_read_of(iv)) for iv in regions]
-    reads = [read for read in reads if read[3]]  # the rest read the root ring
     built = [(k, s) for k in range(1, level + 1) for s in (Stage.AFTER_V, Stage.AFTER_W)]
     built = built[: _stage_rank((level, stage))]  # the stages after (0, after_W), in build order
     drawn = sorted(set(built) | {(x.level, x.stage) for _, _, x, _ in reads}, key=_stage_rank)
-    sched, stages, isometries = network.schedule, [], []
+    sched, rows = network.schedule, []
     for k, s in built:
-        v = s is Stage.AFTER_V
-        d, log_d = (sched.dims_v[k], sched.log_dims_v[k]) if v else (sched.dims[k], sched.log_dims[k])
-        stages.append(((1 << k) * log_d, [(d, 1 << k)], f"at level {k} ({s.value})"))
+        *_, d, log_d = _shape(sched, k, s)
+        rows.append(((1 << k) * log_d, [(d, 1 << k)], f"at level {k} ({s.value})"))
     for k, s in drawn:
-        d, dv, log_d, log_dv = sched.dims[k], sched.dims_v[k], sched.log_dims[k], sched.log_dims_v[k]
-        if s is Stage.AFTER_V:
-            split = 2 * log_dv + sched.log_dims[k - 1], [(dv, 2), (sched.dims[k - 1], 1)]
-            isometries.append((*split, f"for a level {k} split isometry"))
-        else:
-            rotation = 2 * (log_d + log_dv), [(d, 2), (dv, 2)]
-            isometries.append((*rotation, f"for a level {k} rotation isometry"))
-    rows = sorted(stages + isometries, key=lambda row: row[0], reverse=True)
+        kind, d_in, log_in, legs, d_out, log_out = _shape(sched, k, s)
+        where = f"for a level {k} {kind} isometry"
+        rows.append((2 * log_out + legs * log_in, [(d_out, 2), (d_in, legs)], where))
+    rows.sort(key=lambda row: row[0], reverse=True)
     for iv, (sk, ss), x, cut in reads:
-        k, c = x.level, len(cut)
-        if x.stage is Stage.AFTER_W:  # sites at dims[k] where a cut pair lies, dims_v[k] elsewhere
-            rest = (1 << k) - 2 * c
-            log_count = 2 * c * sched.log_dims[k] + rest * sched.log_dims_v[k]
-            factors = [(sched.dims[k], 2 * c), (sched.dims_v[k], rest)]
-        else:  # a cut split's site is two at dims_v[k], the rest stay at dims[k-1]
-            rest = (1 << (k - 1)) - c
-            log_count = 2 * c * sched.log_dims_v[k] + rest * sched.log_dims[k - 1]
-            factors = [(sched.dims_v[k], 2 * c), (sched.dims[k - 1], rest)]
+        _, d_in, log_in, legs, d_out, log_out = _shape(sched, x.level, x.stage)
+        c, rest = len(cut), (1 << sk) - legs * len(cut)
         where = f"to read level {iv.level} ({iv.stage.value}) sites {iv.i}:{iv.j} off level {sk} ({ss.value})"
-        rows.append((log_count, factors, where))
+        rows.append((2 * c * log_out + rest * log_in, [(d_out, 2 * c), (d_in, rest)], where))
     return (level, stage), rows
 
 
@@ -316,7 +273,7 @@ def build_state(
         The last stage to build; the default is the leaf ``after_W`` stage.
         The stages up to ``stop`` are the full build's, bit for bit, and
         the later ones are neither drawn nor kept.  `mc_entropy_sweep`
-        stops at the deepest snapshot its reads need (see `_pulled_back`).
+        stops at the deepest snapshot its reads need (`_read_of`).
 
     Returns
     -------
@@ -357,15 +314,10 @@ def build_state(
 def _pulled_back(traj: StateTrajectory, region: Interval) -> tuple[DenseState, tuple]:
     """A snapshot and the isometries that give it the nonzero spectrum of ``region``.
 
-    The one rule is the reduction DP's free move (`_descent`): an isometry
-    with all its sites on one side of the cut acts on that side alone and
-    leaves the nonzero spectrum of either side unchanged, so a stage whose
-    isometries the walls do not cut can be dropped.  The region is read off
-    the snapshot just below the first stage whose isometries its walls cut
-    (`_read_of`), with only those isometries, each ``(sites, isometry)``
-    drawn here from its slot key under ``traj.key``, the key the trajectory
-    was built from.  A region whose walls meet is read off the root ring.
-    The sweep passes both to `interval_spectrum`, so no read state is formed.
+    Both are `_read_of`'s, by the wall rule of `network`; each isometry,
+    ``(sites, isometry)``, is drawn here from its slot key under
+    ``traj.key``, the key the trajectory was built from.  The sweep passes
+    both to `interval_spectrum`, so no read state is formed.
     """
     snap, x, cut = _read_of(region)
     return traj.state_at(*snap), tuple(_isometries(traj.network, x.level, x.stage, cut, traj.key))
@@ -397,11 +349,9 @@ def _read_layout(state: DenseState, moves) -> tuple[list[int], list[int]]:
 def _region_sites(state: DenseState, region: Interval, moves, first: list[int]) -> list[int]:
     """The read sites of ``region`` on ``state`` with ``moves`` applied; `UsageError` if it is not read there.
 
-    A region is read off a stage of its `_descent` with no moves, or off the
-    snapshot below the last one with exactly the isometries its walls cut
-    there (`_read_of`).  Below an ``after_V`` stage, the children of a cut
-    split are two read sites, and those of any other level ``k - 1`` site
-    lie on one side of the cut and are its one read site.
+    A region is read off a stage of its `_descent` with no moves, or as
+    `_read_of` says.  Below an ``after_V`` stage, the children of a cut split
+    are two read sites, and those of any other site are its one read site.
     """
     on = (state.level, Stage(state.stage))
     for iv in _descent(region):
@@ -532,14 +482,13 @@ def interval_spectrum(state: DenseState, region, moves=()) -> np.ndarray:
     isometry)`` takes two sites to two, a split ``((s,), isometry)`` one to
     two, each to dimension ``isqrt(len(isometry))`` (`_read_layout`).  A
     list ``region`` names sites of the read state.  An `Interval` is read
-    off a stage it reaches for free (its own ring, say) with no moves, or
-    off the snapshot below the first stage whose isometries its walls cut,
-    with exactly those isometries: what `_pulled_back` gives a sweep.  Off
-    any other state, it raises `UsageError`.  Computed by ``eigvalsh`` from
-    the Gram matrix of whichever side of the cut, ``region`` or its
-    complement, has the smaller dimension (``region`` on a tie): both sides
-    share their nonzero spectrum.  There are ``min(dim region, dim rest)``
-    values, clipped at zero.
+    off a stage its free move reaches (its own ring, say) with no moves, or
+    with exactly the isometries `_pulled_back` gives a sweep (the wall rule
+    of `network`); off any other state it raises `UsageError`.  Computed by
+    ``eigvalsh`` from the Gram matrix of whichever side of the cut,
+    ``region`` or its complement, has the smaller dimension (``region`` on a
+    tie): both sides share their nonzero spectrum.  There are ``min(dim
+    region, dim rest)`` values, clipped at zero.
     """
     sites, rest = _cut(state, region, moves)
     dims, _ = _read_layout(state, moves)
@@ -614,15 +563,14 @@ def mc_entropy_sweep(
 
     Trial ``t`` draws from key ``(*seed, t)``, so any subset of trials is
     reproducible independently of sweep composition.  A region listed more
-    than once is computed once.  Each draw is built up to the deepest
-    snapshot a region is read off (level 0 alone if every region's walls
-    meet); a region is read off its snapshot and the isometries its walls
-    cut just above it (see `_pulled_back`), re-drawn from the slot keys the
-    full build uses, so the draw is the same network.  Before the first
-    draw, the stages and isometries of that build and of the reads, then
-    each read state, are admitted (`_admit_build`), the latter although it
-    is never formed, and each region's two arrays of ``trials`` entropies;
-    no other state is formed.
+    than once is computed once, and one deeper than the network is refused
+    (`build_rows`).  Each draw is built up to the deepest snapshot a
+    region is read off (`_read_of`), and `_pulled_back` re-draws a read's
+    isometries from the slot keys the full build uses, so the draw is the
+    same network.  Before the first draw, the stages and isometries of that
+    build and of the reads, then each read state, are admitted
+    (`_admit_build`), the latter although it is never formed, and each
+    region's two arrays of ``trials`` entropies; no other state is formed.
     """
     if trials < 1:
         raise UsageError("trials must be positive")

@@ -5,9 +5,9 @@ that lists every legal sequence outright.  It shares no code with the
 memoized dynamic program in ``randmera.cutbounds``, so agreement between the
 two is a real cross-check rather than a tautology.  The reference fold is
 the dynamic program's generic form, one loop over the branches of `_moves`.
-`_moves` states the wall rule once, as a function of the price, the stage
-and the walls' parities; it lives here, apart from the package, whose fold
-and argmin walk are unrolled into their three cases and must give the
+`_moves` reads which walls move from the wall rule of ``randmera.network``
+(`Interval.misaligned`), the rule the dense read follows too; the package's
+fold and argmin walk are unrolled into their three cases and must give the
 reference's bits.
 """
 
@@ -102,16 +102,19 @@ def brute_cut_stats(network: MeraNetwork, interval: Interval) -> tuple[float, fl
     return min_cost, lse, lower
 
 
-def _moves(price: float, w: int, pa: int, pb: int):
-    """``(da, price)`` moves of the first wall and of the second, of parities ``pa`` and ``pb``.
+def _moves(engine: CutEngine, state):
+    """``(da, price)`` moves of the first wall and of the second of a ``state`` whose walls have not met.
 
-    After_W (``w`` 1) wants both walls in odd gaps, after_V (``w`` 0) both
-    in even ones; a misaligned wall moves one gap either way at ``price``.
-    A branch is one move of each wall, first wall outer, at the sum of
-    their prices.
+    A wall that the network's rule calls misaligned (`Interval.misaligned`)
+    moves one gap either way at the layer's price; an aligned one stays.  A
+    branch is one move of each wall, first wall outer, at the sum of their
+    prices.
     """
-    step = ((-1, price), (1, price))
-    return ((0, 0.0),) if pa == w else step, ((0, 0.0),) if pb == w else step
+    level, w, a, b = state
+    region = Interval.of_length(level, Stage.AFTER_W if w else Stage.AFTER_V, a, (b - a) % (1 << level))
+    price = (engine._log_d if w else engine._log_dv)[level]
+    step, misaligned = ((-1, price), (1, price)), region.misaligned
+    return tuple(step if g in misaligned else ((0, 0.0),) for g in (a, b))
 
 
 class ReferenceEngine(CutEngine):
@@ -133,7 +136,7 @@ class ReferenceEngine(CutEngine):
         below, w2 = level - 1 + w, 1 - w
         min_cost = min_mod = math.inf
         terms = []
-        left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
+        left, right = _moves(self, state)
         for da, cost_a in left:
             a2 = ((a + da) & mask) >> w2
             for db, cost_b in right:
@@ -169,7 +172,7 @@ class ReferenceEngine(CutEngine):
         while a != b:
             mask = (1 << level) - 1
             below, w2 = level - 1 + w, 1 - w
-            left, right = _moves((self._log_d if w else self._log_dv)[level], w, a & 1, b & 1)
+            left, right = _moves(self, (level, w, a, b))
             branches = []
             for da, cost_a in left:
                 a2 = (a + da) & mask

@@ -30,8 +30,8 @@ from randmera.cutbounds import LOG_BRANCH, CutEngine, engine_for
 SMALL_SCHEDULES = [(2, math.log(2.0)), (2, 0.35), (2, 0.22), (3, 0.4), (4, 0.9), (5, 1.2)]
 
 
-def _all_intervals(network):
-    for level in range(1, network.levels + 1):
+def _all_intervals(network, top=None):
+    for level in range(1, (network.levels if top is None else top) + 1):
         n = 1 << level
         for stage in (Stage.AFTER_W, Stage.AFTER_V):
             for length in range(0, n + 1):
@@ -225,6 +225,42 @@ def test_the_fold_matches_the_reference_at_depth():
     _assert_the_fold_matches_the_reference(net, queries)
 
 
+def _states_against_the_wall_rule(engine) -> int:
+    # The fold's and the walk's inline parity tests against the network's
+    # rule, on every state in the memo: a state is free exactly when the rule
+    # cuts nothing, its misaligned walls are the gaps of the isometries the
+    # rule cuts, and a free state's successor is the rule's free move.
+    for state in engine._min:
+        level, w, a, b = state
+        region = Interval.of_length(level, W if w else V, a, (b - a) % (1 << level))
+        cut = region.cut()
+        assert (a & 1 == w and b & 1 == w) == (not cut), state
+        gaps = {sites[1] if w else 2 * sites[0] + 1 for _, sites in cut}
+        assert gaps == {g for g in (a, b) if g & 1 != w}, state
+        if not cut:
+            assert engine.state_of(region.below()) == (level - 1 + w, 1 - w, a >> (1 - w), b >> (1 - w))
+    return len(engine._min)
+
+
+def test_the_unrolled_fold_is_the_wall_rule():
+    counts = []
+    for leaf, eps in ((6, 0.5777), (2, 0.2)):
+        net = MeraNetwork.build(leaf, eps)
+        engine = CutEngine(net)
+        for iv in _all_intervals(net):
+            engine.aggregates(iv)
+        counts.append(_states_against_the_wall_rule(engine))
+    # every region up to level 5 of a 4096-site network, then 200 at its leaves
+    net = MeraNetwork.build(2, 0.05)
+    engine, rng = CutEngine(net), random.Random(12)
+    for iv in _all_intervals(net, top=5):
+        engine.aggregates(iv)
+    for _ in range(200):
+        engine.aggregates(Interval.of_length(12, W, rng.randrange(4096), rng.randint(1, 4095)))
+    counts.append(_states_against_the_wall_rule(engine))
+    assert counts == [140, 620, 24821]
+
+
 def test_the_argmin_walk_reads_only_solved_states(net_l4):
     # The fold solves every state the walk can reach, so a missing one is a
     # broken memo, reported rather than solved again.
@@ -242,7 +278,7 @@ def _branches(engine, state):
     """``(price, successor, (m, n))`` of each branch of ``state``, in `_moves`' order."""
     level, w, a, b = state
     mask, w2 = (1 << level) - 1, 1 - w
-    left, right = _moves((engine._log_d if w else engine._log_dv)[level], w, a & 1, b & 1)
+    left, right = _moves(engine, state)
     return [
         (
             pa + pb,

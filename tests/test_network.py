@@ -91,19 +91,28 @@ def test_walls_are_ordered_and_meet_for_the_empty_set_and_the_whole_ring():
     assert Interval.of_length(3, Stage.AFTER_W, 5, 8).walls == (5, 5)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
-def test_a_rotated_pair_is_cut_exactly_when_a_wall_sits_between_its_sites(net_l3, level):
+@pytest.mark.parametrize(
+    "stage,level",
+    [pytest.param(Stage.AFTER_W, k, id=str(k)) for k in (1, 2, 3)]
+    + [pytest.param(Stage.AFTER_V, k, id=f"after_V-{k}") for k in (1, 2, 3)],
+)
+def test_a_rotated_pair_is_cut_exactly_when_a_wall_sits_between_its_sites(net_l3, stage, level):
+    # after_V, the pair is the children (2s, 2s + 1) of the split of site s
     n = 1 << level
+    if stage is Stage.AFTER_W:
+        pairs = net_l3.w_pairs(level)
+    else:
+        pairs = [(2 * s, 2 * s + 1) for s in range(n // 2)]
     for length in range(n + 1):
         for i in range(n):
-            iv = Interval.of_length(level, Stage.AFTER_W, i, length)
+            iv = Interval.of_length(level, stage, i, length)
             inside = set(iv.sites())
             crossing = [
-                slot
-                for slot, (p, q) in enumerate(net_l3.w_pairs(level))
+                (slot, (p, q) if stage is Stage.AFTER_W else (slot,))
+                for slot, (p, q) in enumerate(pairs)
                 if (p in inside) != (q in inside)
             ]
-            assert net_l3.w_slots_cut(iv) == crossing, iv
+            assert iv.cut() == crossing, iv
 
 
 def test_span_treats_closing_endpoints_as_empty():
@@ -119,6 +128,9 @@ def test_interval_validation_rejects_inconsistent_data():
         Interval.of_length(2, Stage.AFTER_W, 0, 5)  # longer than the ring
     with pytest.raises(UsageError, match="level 0 has no after_V stage"):
         Interval.of_length(0, Stage.AFTER_V, 0, 1)  # the root ring is never split
+    for make in (Interval, Interval.of_length, Interval.span):
+        with pytest.raises(UsageError, match="^negative level -1$"):
+            make(-1, Stage.AFTER_W, 0, 1)
 
 
 def test_the_empty_interval_starts_at_zero(net_l3, monkeypatch):

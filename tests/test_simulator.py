@@ -380,7 +380,7 @@ def test_the_d6_sweep_matches_the_svd_of_its_leaf_state():
     net = MeraNetwork.build(6, 0.5777)
     placements = ((1, 4), (0, 3), (2, 2), (2, 4))
     regions = [Interval.of_length(3, Stage.AFTER_W, i, m) for i, m in placements]
-    assert [len(net.w_slots_cut(iv)) for iv in regions] == [0, 1, 2, 2]
+    assert [len(iv.cut()) for iv in regions] == [0, 1, 2, 2]
     # aligned after_V regions read below their own ring: start 0 off (2,
     # after_V) through two (2, after_W) pairs, start 2 off (1, after_W)
     # through two (2, after_V) splits
@@ -411,7 +411,7 @@ def _own_ring_order(net, region):
     k, sched = region.level, net.schedule
     dims = [sched.dims_v[k]] * region.n_sites
     if region.stage is Stage.AFTER_W:
-        for j in net.w_slots_cut(region):
+        for j, _ in region.cut():
             for s in net.w_pairs(k)[j]:
                 dims[s] = sched.dims[k]
     inside = math.prod(dims[s] for s in region.sites())
@@ -486,7 +486,9 @@ def test_a_sweep_under_a_budget_below_its_unformed_leaf_stage_runs(monkeypatch):
 
 @pytest.mark.parametrize(
     "ij,need",
-    [((0, 0), 6**2 * 4**6), ((0, 1), 6**4 * 4**4)],  # one and two cut pairs
+    # one and two cut pairs, off (3, after_V); two cut splits, off (2,
+    # after_W): their four children at dims_v[3] = 4, two sites at dims[2] = 9
+    [((0, 0), 6**2 * 4**6), ((0, 1), 6**4 * 4**4), ((1, 4), 4**4 * 9**2)],
 )
 def test_a_pulled_back_state_over_the_budget_is_refused_before_any_draw(ij, need, monkeypatch):
     def no_draw(*args, **kwargs):
@@ -494,13 +496,63 @@ def test_a_pulled_back_state_over_the_budget_is_refused_before_any_draw(ij, need
 
     net = MeraNetwork.build(6, 0.5777)
     region = Interval.span(3, Stage.AFTER_W, *ij)
-    cut = 2 * len(net.w_slots_cut(region))  # sites at dims[3] = 6, the rest at dims_v[3] = 4
-    assert 6**cut * 4 ** (8 - cut) == need > D6_BUDGET
+    cut = 2 * len(region.cut())  # sites at dims[3] = 6, the rest at dims_v[3] = 4
+    assert 6**cut * 4 ** (8 - cut) == need > D6_BUDGET or not cut
+    budget = min(D6_BUDGET, need - 1)  # the split read is smaller than the (3, after_V) stage
     monkeypatch.setattr(simulator, "sample_isometry", no_draw)
-    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(D6_BUDGET))
+    monkeypatch.setenv("RANDMERA_MAX_AMPLITUDES", str(budget))
     # refused for the state it would form, not for the leaf stage it never forms
     with pytest.raises(FeasibilityError, match=rf"^dense build needs exp\({math.log(need):.4g}\)"):
         mc_entropy_stats(net, region, 2, seed=5)
+
+
+def test_every_read_is_admitted_at_the_size_it_reads():
+    # the read-state row that `build_rows` admits, from the schedule alone,
+    # against the read layout of the snapshot and isometries the sweep passes
+    net = MeraNetwork.build(6, 0.5777)
+    traj = build_state(net, 3)
+    regions = [
+        Interval.of_length(k, stage, i, m)
+        for k in range(net.levels + 1)
+        for stage in ([Stage.AFTER_W] if k == 0 else [Stage.AFTER_V, Stage.AFTER_W])
+        for i in range(1 << k)
+        for m in range((1 << k) + 1)
+        if m or not i
+    ]
+    for iv in regions:
+        snap, moves = simulator._pulled_back(traj, iv)
+        _, rows = simulator.build_rows(net, None, [iv])
+        admitted = [math.prod(d**e for d, e in factors) for _, factors, what in rows if "to read" in what]
+        dims, _ = simulator._read_layout(snap, moves)
+        assert admitted == ([math.prod(dims)] if moves else []), iv
+    assert len(regions) == 176
+
+
+@pytest.mark.parametrize(
+    "level,stage,i,length",
+    [(4, Stage.AFTER_V, 2, 4), (5, Stage.AFTER_V, 2, 4), (4, Stage.AFTER_W, 1, 2)],
+)
+def test_a_region_deeper_than_the_network_is_refused_before_any_admission(
+    net_l3, monkeypatch, level, stage, i, length
+):
+    # (4, after_V) sites 2:5 used to take the free move down to a level 3
+    # region and read a plausible entropy off it; the others raised IndexError
+    def no_call(*args, **kwargs):
+        raise AssertionError("admitted or drawn before the region's level was checked")
+
+    monkeypatch.setattr(simulator, "admit", no_call)
+    monkeypatch.setattr(simulator, "sample_isometry", no_call)
+    left = Interval.of_length(level, stage, i, length)
+    right = Interval.of_length(level, stage, i + length, 2)
+    message = f"^interval level {level} exceeds network depth 3$"
+    with pytest.raises(UsageError, match=message):
+        mc_entropy_sweep(net_l3, [Interval.of_length(3, Stage.AFTER_W, 0, 2), left], 2, seed=1)
+    with pytest.raises(UsageError, match=message):
+        mc_mutual_information(net_l3, [(left, right)], 2, seed=1)
+    with pytest.raises(UsageError, match=message):
+        simulator.build_rows(net_l3, None, [left])
+    with pytest.raises(UsageError, match=message):
+        cut_dp(net_l3, left)
 
 
 def test_tiles_of_uneven_size_give_the_dense_results():
