@@ -57,18 +57,22 @@ are +0.0 or more.
 The memo holds the three numbers of each state and nothing else; the
 states of a network are shared across queries, and no table of unreachable
 states or of moves is ever built.  The argmin sequence is walked from the
-interval's state afterwards, through the fold's three cases: each step
-takes the branch whose price plus the memoised ``min_cost`` of its
-successor is smallest, and among totals that agree to 12 decimals the one
-with the smallest ``(m, n, branch index)``.  Each case lists its branches
-in that key's order, so an exact tie takes the first of them with no
-rounding, and `round` is called only for a total within 2e-12 of the
-smallest.  That picks the branch that rounding every total would, bit for
-bit.  Rounding is monotone, so the smallest rounded total is the smallest
-total's, rounded.  Two totals that round alike are equal or at most 1e-12
-apart (above 8192, where floats are more than 1e-12 apart,
-``round(x, 12) == x``), so a total more than 2e-12 above the smallest never
-ties with it.
+interval's state afterwards, one loop per step over the walls' moves.  An
+aligned wall's one move is to stay; a misaligned wall's two moves come in
+the order the rule prefers at a tie, the first wall's by ``m``, the moved
+wall, and the second wall's by ``n``, the site before it.  Taken first wall
+outer, the branches come in ``(m, n, branch index)`` order, and all pay the
+step's one price (0.0, ``p`` or ``p + p``) plus the memoised ``min_cost``
+of their successor.  The walk keeps the earlier branch unless a later total
+is smaller and, when the two lie within 2e-12, also smaller after both are
+rounded to 12 decimals.  That is the choice rounding every total makes,
+bit for bit: the earliest branch whose total, rounded, is smallest.  A
+later total that rounds smaller is smaller, since rounding is monotone.  A
+later total more than 2e-12 smaller rounds smaller too, for two totals
+that round alike are equal or at most 1e-12 apart (above 8192, where floats
+are more than 1e-12 apart, ``round(x, 12) == x``).  So `round` is called
+only at such near-ties, and an exact tie keeps the earlier branch with no
+rounding at all.
 
 The rules treat both walls alike, so an interval and its complement, which
 has the same walls in the other order, have the same aggregates.  That
@@ -85,7 +89,7 @@ All costs are in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, log
+from math import exp, fsum, inf, log
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -193,11 +197,12 @@ class CutEngine:
     for after_V.  `_solve` folds a new state into its three aggregates and
     stores them in the single memo ``_min`` (one entry per state reached
     whose walls have not met); `argmin_sequence` walks the cheapest branches
-    back out of it through the same three cases; `aggregates` reads one
-    entry, for `bounds` and `mi_prediction` alike.  Why both give the bits
-    of the generic fold is argued once, in the module docstring.  The
-    engine keeps the level count and log dimensions, not the network, so
-    that `engine_for` can drop it together with its network.
+    back out of it in one loop over the walls' moves; `aggregates` reads one
+    entry, for `bounds` and `mi_prediction` alike.  Why the fold gives the
+    generic fold's bits, and the walk its steps, is argued once, in the
+    module docstring.  The engine keeps the level count and log dimensions,
+    not the network, so that `engine_for` can drop it together with its
+    network.
     """
 
     def __init__(self, network: MeraNetwork):
@@ -323,9 +328,9 @@ class CutEngine:
         Each step takes the branch with the smallest price plus successor
         ``min_cost``, read straight from the memo that the fold filled;
         among totals that agree to 12 decimals the smallest ``(m, n, branch
-        index)`` wins, so walks are deterministic for golden tests.  The walk
-        mirrors the fold's three cases and rounds only at near-ties (module
-        docstring).
+        index)`` wins, so walks are deterministic for golden tests.  The loop
+        over the walls' moves, and why it rounds only at near-ties, are
+        stated once in the module docstring's walk paragraph.
         """
         state = self.state_of(interval)
         cost = self._read(state)[0]
@@ -335,55 +340,27 @@ class CutEngine:
         while a != b:
             mask = (1 << level) - 1
             below, w2 = level - 1 + w, 1 - w
-            a_stays, b_stays = a & 1 == w, b & 1 == w
-            if a_stays and b_stays:
-                price = 0.0
-            else:
-                p = (self._log_d if w else self._log_dv)[level]
-                # a misaligned wall's two moves, the one the rule prefers at
-                # a tie first: the first wall's by m, the moved wall, and the
-                # second wall's by n, the site before it; an aligned wall's
-                # one move is to stay
-                a1, b1 = a, b
-                if not a_stays:
-                    a, a1 = (a - 1) & mask, (a + 1) & mask
-                    if a > a1:
-                        a, a1 = a1, a
-                if not b_stays:
-                    b, b1 = (b - 1) & mask, (b + 1) & mask
-                    if (b - 1) & mask > (b1 - 1) & mask:
-                        b, b1 = b1, b
-                # the fold solved every successor: one missing raises KeyError
-                if a_stays or b_stays:
-                    # two branches at the misaligned wall's price, (a, b)
-                    # then (a1, b1)
-                    price = p
-                    x0, y0, x1, y1 = a >> w2, b >> w2, a1 >> w2, b1 >> w2
-                    t0 = p + (0.0 if x0 == y0 else memo[(below, w2, x0, y0)][0])
-                    t1 = p + (0.0 if x1 == y1 else memo[(below, w2, x1, y1)][0])
-                    if t1 < t0 and (t0 - t1 > 2e-12 or round(t1, 12) < round(t0, 12)):
-                        a, b = a1, b1
-                else:
-                    # four branches at twice the price, in the rule's order
-                    # (a, b), (a, b1), (a1, b), (a1, b1)
-                    price = p + p
-                    x0, x1, y0, y1 = a >> w2, a1 >> w2, b >> w2, b1 >> w2
-                    t0 = price + (0.0 if x0 == y0 else memo[(below, w2, x0, y0)][0])
-                    t1 = price + (0.0 if x0 == y1 else memo[(below, w2, x0, y1)][0])
-                    t2 = price + (0.0 if x1 == y0 else memo[(below, w2, x1, y0)][0])
-                    t3 = price + (0.0 if x1 == y1 else memo[(below, w2, x1, y1)][0])
-                    t01, t23 = t0 if t0 <= t1 else t1, t2 if t2 <= t3 else t3
-                    lo = t01 if t01 <= t23 else t23
-                    if t0 == lo or t0 - lo <= 2e-12 and round(t0, 12) == round(lo, 12):
-                        pass
-                    elif t1 == lo or t1 - lo <= 2e-12 and round(t1, 12) == round(lo, 12):
-                        b = b1
-                    elif t2 == lo or t2 - lo <= 2e-12 and round(t2, 12) == round(lo, 12):
-                        a = a1
-                    else:
-                        a, b = a1, b1
-            steps.append(ReductionStep("W" if w else "V", level, a, (b - 1) & mask, price))
-            level, w, a, b = below, w2, a >> w2, b >> w2
+            p = (self._log_d if w else self._log_dv)[level]
+            # each wall's moves in the order the rule prefers at a tie: the
+            # first wall's by m, the second's by n, the site before it (b
+            # itself for the move up)
+            price, a_moves, b_moves = 0.0, (a,), (b,)
+            if a & 1 != w:
+                down, up = (a - 1) & mask, (a + 1) & mask
+                price, a_moves = p, (down, up) if down < up else (up, down)
+            if b & 1 != w:
+                down, up = (b - 1) & mask, (b + 1) & mask
+                price += p
+                b_moves = (down, up) if (down - 1) & mask < b else (up, down)
+            best = inf
+            for x in a_moves:
+                for y in b_moves:
+                    # the fold solved every successor: one missing raises KeyError
+                    t = price + (0.0 if x >> w2 == y >> w2 else memo[(below, w2, x >> w2, y >> w2)][0])
+                    if t < best and (best - t > 2e-12 or round(t, 12) < round(best, 12)):
+                        best, a1, b1 = t, x, y
+            steps.append(ReductionStep("W" if w else "V", level, a1, (b1 - 1) & mask, price))
+            level, w, a, b = below, w2, a1 >> w2, b1 >> w2
         return ReductionSequence(start=interval, steps=tuple(steps), cost=cost)
 
     def bounds(self, interval: Interval) -> CutBounds:

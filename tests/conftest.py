@@ -6,9 +6,10 @@ memoized dynamic program in ``randmera.cutbounds``, so agreement between the
 two is a real cross-check rather than a tautology.  The reference fold is
 the dynamic program's generic form, one loop over the branches of `_moves`.
 `_moves` reads which walls move from the wall rule of ``randmera.network``
-(`Interval.misaligned`), the rule the dense read follows too; the package's
-fold and argmin walk are unrolled into their three cases and must give the
-reference's bits.
+(`Interval.misaligned`), the rule the dense read follows too.  Only the
+package's fold is unrolled, into its three cases; its argmin walk is one
+loop over the walls' moves that rounds only at near-ties.  Both must give
+the reference's bits.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ class ReferenceEngine(CutEngine):
     minimum by ``if total < best``; ``log_z`` sums the list of branch terms
     with `math.fsum`.  The argmin walk reads each successor through `_read`,
     rounds every branch's total to 12 decimals and takes the `min` of the
-    ``(total, m, n, branch index)`` tuples.  The engine's three unrolled
-    cases, with the shared price added after the minima and `round` called
-    only at near-ties, must give the same bits and the same steps.
+    ``(total, m, n, branch index)`` tuples.  The engine's fold, the only
+    unrolled one, with its three cases and the shared price added after the
+    minima, must give the same bits; its walk, one loop over the walls'
+    moves that calls `round` only at near-ties, must take the same steps.
     """
 
     def _solve(self, state):

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from conftest import ReferenceEngine, _moves, brute_cut_stats, enumerate_reduction_costs
 from randmera import (
     Interval,
+    McEstimate,
     MeraNetwork,
     Stage,
     UsageError,
     cut_dp,
     find_epsilon,
+    mc_entropy_sweep,
     mi_prediction,
 )
 from randmera import cutbounds
@@ -728,6 +730,32 @@ def test_bracket_lower_edge_grows_on_a_deep_network(net_big):
     assert lows[0] <= lows[1] <= lows[2]
     assert lows[1] > 5.0  # strictly positive from length 512 on
     assert lows[2] > lows[1] + 50.0
+
+
+def test_sampled_entropies_keep_to_the_dp_numbers_on_every_d6_leaf_region():
+    # One sweep of the (6, 0.5777) network over every after_W leaf region,
+    # 8 trials at seed 11, fixed in advance.  Per sample S <= min_cost; the
+    # mean purity tr rho^2 = e^-S2 stays below e^-lse (by Jensen, then
+    # E[S2] >= lse); and each adjacent pair's mean I = S_l + S_r - S_u, from
+    # the same trials, lies in its mi_prediction bracket; each within 4
+    # stderr.
+    net = MeraNetwork.build(6, 0.5777)
+    regions = [Interval.of_length(3, Stage.AFTER_W, i, m) for m in range(1, 9) for i in range(8)]
+    halves = [iv for iv in regions if iv.length <= 4]
+    pairs = [(iv, Interval.of_length(3, Stage.AFTER_W, iv.i + iv.length, iv.length)) for iv in halves]
+    sampled = mc_entropy_sweep(net, regions + [left.join(right) for left, right in pairs], 8, seed=11)
+    for iv in regions:
+        if iv.length == 8:
+            continue
+        b, s = cut_dp(net, iv), sampled[iv]
+        assert s.samples_s.max() <= b.min_cost + 1e-9, iv
+        purity = McEstimate.of(np.exp(-s.samples_s2))
+        assert purity.value <= math.exp(-b.lse) + 4 * purity.stderr, iv
+    for left, right in pairs:
+        pred = mi_prediction(net, left, right)
+        parts = (sampled[left].samples_s, sampled[right].samples_s, sampled[left.join(right)].samples_s)
+        mi = McEstimate.of(parts[0] + parts[1] - parts[2])
+        assert pred.i_lower - 4 * mi.stderr <= mi.value <= pred.i_upper + 4 * mi.stderr, (left, right)
 
 
 # float.hex of (i_lower, i_upper) for adjacent leaf blocks of length l, the
